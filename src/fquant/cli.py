@@ -21,8 +21,7 @@ from .config import ExperimentConfig, load_config, print_schema
 from .errors import ConfigError, FquantError
 from .optimize import optimize_codebook, product_quantizer, splitting_init
 from .process_sim import sample_paths
-from .quantize_core import (Codebook, distortion, quant_error_with_stderr,
-                            sup_distortion)
+from .quantize_core import Codebook, distortion, sup_distortion
 
 ORACLE_NAMES = ("c0", "l1", "sharp2", "supnorm", "closed_form")
 
@@ -67,6 +66,25 @@ def _stamp_csv(payload: str, cfg_hash: str) -> str:
     return f"# config_hash={cfg_hash}\n{payload}"
 
 
+def _write_reports(out_dir: FsPath, cfg: ExperimentConfig, codebook: Codebook,
+                   sample, files: list[str]):
+    """Write the distortion, stationarity and Hoelder reports; returns the distortion."""
+    h, space = cfg.config_hash, codebook.space
+    rep = distortion(codebook, sample, cfg.r)
+    _write(out_dir, "distortion.json", _stamp_json(rep.to_json(), h))
+    files.append("distortion.json")
+    if cfg.r >= space.p:
+        stat = diagnostics.stationarity_residual(codebook, sample, cfg.r)
+        _write(out_dir, "stationarity.json", _stamp_json(stat.to_json(), h))
+        files.append("stationarity.json")
+    if space.m >= 64:
+        fit = diagnostics.holder_fit(codebook)
+        _write(out_dir, "holder.json", _stamp_json(fit.to_json(), h))
+        _write(out_dir, "holder.csv", _stamp_csv(fit.to_csv(), h))
+        files += ["holder.json", "holder.csv"]
+    return rep
+
+
 def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
                  dry_run: bool = False) -> int:
     space = cfg.build_space()
@@ -80,26 +98,12 @@ def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     codebook = splitting_init(sample, space, cfg.n, cfg.r, seed, config=opt)
     codebook, trace = optimize_codebook(opt, codebook, sample, cfg.r)
 
-    files = []
     h = cfg.config_hash
     _write(out_dir, "codebook.bin", codebook.to_binary())
-    files.append("codebook.bin")
     _write(out_dir, "codebook.csv", _stamp_csv(codebook.to_csv(), h))
-    files.append("codebook.csv")
-    rep = distortion(codebook, sample, cfg.r)
-    _write(out_dir, "distortion.json", _stamp_json(rep.to_json(), h))
-    files.append("distortion.json")
-    if cfg.r >= space.p:
-        stat = diagnostics.stationarity_residual(codebook, sample, cfg.r)
-        _write(out_dir, "stationarity.json", _stamp_json(stat.to_json(), h))
-        files.append("stationarity.json")
     _write(out_dir, "trace.csv", _stamp_csv(trace.to_csv(), h))
-    files.append("trace.csv")
-    if space.m >= 64:
-        fit = diagnostics.holder_fit(codebook)
-        _write(out_dir, "holder.json", _stamp_json(fit.to_json(), h))
-        _write(out_dir, "holder.csv", _stamp_csv(fit.to_csv(), h))
-        files += ["holder.json", "holder.csv"]
+    files = ["codebook.bin", "codebook.csv", "trace.csv"]
+    rep = _write_reports(out_dir, cfg, codebook, sample, files)
     _write(out_dir, "manifest.json", _manifest(cfg, seed, files, {
         "distortion": rep.value, "quant_error": rep.value ** (1.0 / cfg.r),
         "exit_reason": trace.exit_reason, "iterations": trace.iterations}))
@@ -213,15 +217,10 @@ def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
     exponent = p if norm == "lp" else r
     msp = space.marginal()
 
+    measure = distortion if norm == "lp" else sup_distortion
+
     def err2(cb, smp):
-        if norm == "lp":
-            e, se = quant_error_with_stderr(cb, smp, exponent)
-        else:
-            rep = sup_distortion(cb, smp, exponent)
-            e = rep.value ** (1.0 / exponent)
-            se = rep.stderr / (exponent * rep.value ** ((exponent - 1) / exponent)) \
-                if rep.value > 0 else 0.0
-        return e, se
+        return measure(cb, smp, exponent).error_with_stderr()
 
     marg_samples = [sample.coordinate(j) for j in range(d)]
     small = []
@@ -280,10 +279,9 @@ def _rss(values) -> float:
 
 
 def _dedup(values: np.ndarray) -> np.ndarray:
-    seen = {}
-    for row in values:
-        seen.setdefault(row.tobytes(), row)
-    return np.stack(list(seen.values()))
+    """Distinct rows in order of first appearance."""
+    _, first = np.unique(values.reshape(len(values), -1), axis=0, return_index=True)
+    return values[np.sort(first)]
 
 
 def run_diagnose(cfg: ExperimentConfig, seed: int, codebook_path: str,
@@ -297,19 +295,7 @@ def run_diagnose(cfg: ExperimentConfig, seed: int, codebook_path: str,
         return EXIT_OK
     sample = sample_paths(spec, space, cfg.n_paths, seed)
     files = []
-    h = cfg.config_hash
-    rep = distortion(codebook, sample, cfg.r)
-    _write(out_dir, "distortion.json", _stamp_json(rep.to_json(), h))
-    files.append("distortion.json")
-    if cfg.r >= space.p:
-        stat = diagnostics.stationarity_residual(codebook, sample, cfg.r)
-        _write(out_dir, "stationarity.json", _stamp_json(stat.to_json(), h))
-        files.append("stationarity.json")
-    if space.m >= 64:
-        fit = diagnostics.holder_fit(codebook)
-        _write(out_dir, "holder.json", _stamp_json(fit.to_json(), h))
-        _write(out_dir, "holder.csv", _stamp_csv(fit.to_csv(), h))
-        files += ["holder.json", "holder.csv"]
+    rep = _write_reports(out_dir, cfg, codebook, sample, files)
     _write(out_dir, "manifest.json", _manifest(cfg, seed, files, {
         "codebook": str(codebook_path), "distortion": rep.value}))
     print(f"diagnose: distortion={rep.value:.6g} -> {out_dir}")

@@ -47,6 +47,22 @@ class StationarityReport:
         }, sort_keys=True)
 
 
+def _integrand_means(codebook: Codebook, sample: PathSample, dists: np.ndarray,
+                     idx: np.ndarray, r: float) -> np.ndarray:
+    """(n, d, m) integrand means M_i (see stationarity_residual) from a distance
+    pass and its cell index; paths equal to their atom drop out."""
+    p = codebook.space.p
+    out = np.zeros_like(codebook.values)
+    for i in range(codebook.n):
+        sel = (idx == i) & (dists[:, i] > 0.0)
+        diff = codebook.values[i][None] - sample.values[sel]   # a_i - x
+        kernel = np.sign(diff) if p == 1.0 else np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        if r != p:
+            kernel *= (dists[sel, i] ** (r - p))[:, None, None]
+        out[i] = kernel.sum(axis=0) / len(sample)
+    return out
+
+
 def stationarity_residual(codebook: Codebook, sample: PathSample, r: float,
                           tie_threshold: float = 1e-3) -> StationarityReport:
     """Residuals of the coordinatewise first-order conditions at the codebook.
@@ -66,9 +82,7 @@ def stationarity_residual(codebook: Codebook, sample: PathSample, r: float,
     p = space.p
     if r < p:
         raise FquantError(f"stationarity condition needs r >= p, got r={r}, p={p}")
-    N = len(sample)
-    n = codebook.n
-    d = space.d
+    N, n = len(sample), codebook.n
     dists = pairwise_distances(codebook, sample)
     idx = np.argmin(dists, axis=1)
     best = dists[np.arange(N), idx]
@@ -76,24 +90,12 @@ def stationarity_residual(codebook: Codebook, sample: PathSample, r: float,
     cell_masses = np.bincount(idx, minlength=n) / N
     atom_hits = np.bincount(idx[best == 0.0], minlength=n) / N
 
-    residuals = np.empty((n, d))
-    q = p / (p - 1.0) if p > 1.0 else np.inf
-    for i in range(n):
-        sel = idx == i
-        cell = sample.values[sel]                      # (K, d, m)
-        diff = codebook.values[i][None] - cell         # a_i - x
-        if p == 1.0:
-            kernel = np.sign(diff)
-        else:
-            kernel = np.abs(diff) ** (p - 1.0) * np.sign(diff)
-        if r != p:
-            weight = dists[sel, i] ** (r - p)          # zero for coincident paths
-            kernel = kernel * weight[:, None, None]
-        mean_path = kernel.sum(axis=0) / N             # (d, m)
-        if np.isinf(q):
-            residuals[i] = np.abs(mean_path).max(axis=1)
-        else:
-            residuals[i] = ((np.abs(mean_path) ** q) @ space.weights) ** (1.0 / q)
+    means = _integrand_means(codebook, sample, dists, idx, r)
+    if p == 1.0:
+        residuals = np.abs(means).max(axis=2)
+    else:
+        q = p / (p - 1.0)
+        residuals = ((np.abs(means) ** q) @ space.weights) ** (1.0 / q)
 
     tie_mass = float(ties.mean())
     admissible = bool(np.all(cell_masses > 0) and tie_mass <= tie_threshold)

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import _integrand_means, stationarity_residual
 from .errors import DivergenceError, FquantError, OptimizeError
 from .path_space import DiscretePathSpace, PathSample
-from .quantize_core import (Codebook, assign, distortion, pairwise_distances,
-                            quant_error)
+from .quantize_core import (Codebook, _distortion_from, _weighted_sq_norms, assign,
+                            distortion, pairwise_distances, quant_error)
 from .rng import derive_rng
 
 EMPTY_CELL_POLICIES = ("split_largest", "resample")
@@ -65,12 +66,13 @@ class OptimizeTrace:
 
 def _repair_empty_cells(values: np.ndarray, sample: PathSample,
                         space: DiscretePathSpace, r: float, policy: str,
-                        events: list, iteration: int):
-    """Replace atoms whose cells are empty; returns (values, cell_index, dists)."""
+                        events: list, iteration: int, dists: np.ndarray | None):
+    """Replace atoms whose cells are empty; returns (values, cell_index, dists).
+    dists, the pass for values if the caller has one, is redone only when an atom moves."""
     n = values.shape[0]
     for _ in range(n + 1):
-        cb = Codebook(space=space, values=values)
-        dists = pairwise_distances(cb, sample)
+        if dists is None:
+            dists = pairwise_distances(Codebook(space=space, values=values), sample)
         idx = np.argmin(dists, axis=1)
         counts = np.bincount(idx, minlength=n)
         empty = np.flatnonzero(counts == 0)
@@ -96,12 +98,29 @@ def _repair_empty_cells(values: np.ndarray, sample: PathSample,
             new_atom = sample.values[far].copy()
         values = values.copy()
         values[dead] = new_atom
+        dists = None
     raise OptimizeError("empty-cell repair did not converge")
+
+
+def _centroids(values: np.ndarray, sample: PathSample, idx: np.ndarray,
+               best: np.ndarray, r: float) -> np.ndarray:
+    """Cell centroids with path weights ||x - a_i||^(r-2), as one (n, N) @ (N, d*m)
+    product.  A cell of zero total weight holds only its atom's copies: kept."""
+    n, N = values.shape[0], len(sample)
+    weights = np.ones(N) if r == 2.0 else best ** (r - 2.0)
+    onehot = np.zeros((n, N))
+    onehot[idx, np.arange(N)] = weights
+    sums = onehot @ sample.values.reshape(N, -1)
+    total = np.bincount(idx, weights=weights, minlength=n)[:, None]
+    out = values.reshape(n, -1).copy()
+    np.divide(sums, total, out=out, where=total > 0)
+    return out.reshape(values.shape)
 
 
 def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
                empty_cell_policy: str = "split_largest",
-               _events: list | None = None, _iteration: int = 0) -> Codebook:
+               _events: list | None = None, _iteration: int = 0,
+               _dists: np.ndarray | None = None) -> Codebook:
     """One fixed-point update: each atom becomes its cell's weighted centroid.
 
     Cell weights are ||x - a_i||^(r-2); r = 2 gives the plain cell mean.  Only
@@ -117,34 +136,29 @@ def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
         raise OptimizeError("empty sample")
     events = _events if _events is not None else []
     values, idx, dists = _repair_empty_cells(codebook.values, sample, space, r,
-                                             empty_cell_policy, events, _iteration)
+                                             empty_cell_policy, events, _iteration, _dists)
     best = dists[np.arange(len(sample)), idx]
-    new_values = values.copy()
-    for i in range(values.shape[0]):
-        sel = idx == i
-        cell = sample.values[sel]
-        if r == 2.0:
-            new_values[i] = cell.mean(axis=0)
-        else:
-            w = best[sel] ** (r - 2.0)  # paths equal to the atom get weight 0
-            total = w.sum()
-            if total <= 0:
-                continue  # cell is a single coincident path: atom already exact
-            new_values[i] = np.tensordot(w, cell, axes=(0, 0)) / total
-    return Codebook(space=space, values=new_values)
+    return Codebook(space=space, values=_centroids(values, sample, idx, best, r))
 
 
 def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
               r: float = 2.0) -> tuple[Codebook, OptimizeTrace]:
-    """Iterate lloyd_step until the relative distortion improvement drops below tol."""
+    """Iterate lloyd_step until the relative distortion improvement drops below tol.
+
+    One distance pass per iteration: the pass that scores the new codebook is
+    the next step's assignment.  The sample's squared norms are taken once.
+    """
     trace = OptimizeTrace()
     cb = init
-    prev = distortion(cb, sample, r).value
+    sq = _weighted_sq_norms(cb.space, sample)
+    dists = pairwise_distances(cb, sample, sample_sq=sq)
+    prev = _distortion_from(dists, r).value
     trace.distortions.append(prev)
     for k in range(config.max_iters):
         nxt = lloyd_step(cb, sample, r, config.empty_cell_policy,
-                         _events=trace.empty_cell_events, _iteration=k)
-        cur = distortion(nxt, sample, r).value
+                         _events=trace.empty_cell_events, _iteration=k, _dists=dists)
+        dists = pairwise_distances(nxt, sample, sample_sq=sq)
+        cur = _distortion_from(dists, r).value
         trace.distortions.append(cur)
         trace.iterations = k + 1
         unchanged = np.array_equal(nxt.values, cb.values)
@@ -165,7 +179,6 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
 def _exit_residual(cb: Codebook, sample: PathSample, r: float) -> float:
     if r < cb.space.p:
         return float("nan")
-    from .diagnostics import stationarity_residual
     return stationarity_residual(cb, sample, r).max_residual
 
 
@@ -215,6 +228,9 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
             values[i] -= step * r * dist ** (r - 1.0) * grad
         trace.iterations = k + 1
         if (k + 1) % eval_every == 0 or k + 1 == config.max_iters:
+            if not np.all(np.isfinite(values)):
+                trace.exit_reason = "diverged"
+                raise DivergenceError(f"non-finite atoms at iteration {k + 1}", trace=trace)
             cb = Codebook(space=space, values=values)
             cur = distortion(cb, sample, r).value
             trace.distortions.append(cur)
@@ -253,20 +269,8 @@ def distortion_differential(codebook: Codebook, sample: PathSample,
         raise OptimizeError(f"the distortion differential needs p > 1, got p={p}")
     if r < 1.0:
         raise OptimizeError(f"r must be >= 1, got {r}")
-    N = len(sample)
     dists = pairwise_distances(codebook, sample)
-    idx = np.argmin(dists, axis=1)
-    out = np.zeros_like(codebook.values)
-    for i in range(codebook.n):
-        sel = idx == i
-        cell = sample.values[sel]
-        dvals = dists[sel, i]
-        hit = dvals > 0.0
-        diff = codebook.values[i][None] - cell[hit]
-        kernel = np.abs(diff) ** (p - 1.0) * np.sign(diff)
-        kernel *= (dvals[hit] ** (r - p))[:, None, None]
-        out[i] = (r / N) * kernel.sum(axis=0)
-    return out
+    return r * _integrand_means(codebook, sample, dists, np.argmin(dists, axis=1), r)
 
 
 def optimize_codebook(config: OptimizerConfig, init: Codebook, sample: PathSample,

@@ -235,11 +235,6 @@ def sup_norm(f: Path) -> float:
     return float(np.abs(f.values).max())
 
 
-def sup_norm_values(values: np.ndarray) -> np.ndarray:
-    """Sup norm for a (..., d, m) stack; returns (...) array."""
-    return np.abs(values).max(axis=(-2, -1))
-
-
 def norm_gradient(space: DiscretePathSpace, f: Path) -> Path:
     """Duality map of the L^p norm at f (p > 1, f != 0).
 

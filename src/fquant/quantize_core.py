@@ -1,9 +1,11 @@
 """Codebooks, Voronoi assignment, distortion and quantization-error estimates.
 
-Distances between sample paths and atoms are computed brute force, one pass
-per (path, atom) pair, chunked over paths; at desk scale (n <= 64, N <= 1e6)
-this is exact and fast enough.  p = 2 uses an inner-product expansion so the
-heavy work is a single matrix product.
+Distances between sample paths and atoms are computed brute force for every
+(path, atom) pair.  At p = 2 paths are flattened to (N, d*m) rows and
+||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> takes the cross term as one matrix
+product; callers making many passes over a sample supply its squared norms
+once.  Pairs where the expansion cancels are recomputed directly, so a path
+equal to an atom is at distance exactly 0.  Other p take a chunked pass.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import DimensionMismatchError, FquantError
 from .path_space import (DiscretePathSpace, Path, PathSample, pack_paths,
                          paths_to_csv, unpack_paths)
 
-_CHUNK_BUDGET = 2 ** 22  # floats per (chunk, atoms, d, m) scratch block
+_CHUNK_BUDGET = 2 ** 22  # floats of scratch per chunk of sample rows
 
 
 @dataclass(frozen=True)
@@ -38,23 +40,21 @@ class Codebook:
         if not np.all(np.isfinite(values)):
             raise FquantError("codebook atoms must be finite")
         object.__setattr__(self, "values", values)
-        # pairwise-distinct atoms: duplicate insertion is rejected
+        # pairwise-distinct atoms: duplicate insertion is rejected.  A stable
+        # row sort groups equal atoms in index order; report the lowest pair.
         n = values.shape[0]
         if n > 1:
             flat = values.reshape(n, -1)
-            for i in range(n):
-                same = np.all(flat[i + 1:] == flat[i], axis=1)
-                if np.any(same):
-                    j = i + 1 + int(np.argmax(same))
-                    raise FquantError(f"duplicate atoms at indices {i} and {j}")
+            order = np.lexsort(flat.T[::-1])
+            same = np.all(flat[order[1:]] == flat[order[:-1]], axis=1)
+            if np.any(same):
+                heads = np.flatnonzero(same & ~np.r_[False, same[:-1]])
+                g = heads[np.argmin(order[heads])]
+                raise FquantError(f"duplicate atoms at indices {order[g]} and {order[g + 1]}")
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def atoms(self) -> list[Path]:
-        return [Path(values=self.values[i]) for i in range(self.n)]
 
     def atom(self, i: int) -> Path:
         return Path(values=self.values[i])
@@ -79,42 +79,67 @@ def codebook_from_paths(space: DiscretePathSpace, paths) -> Codebook:
     return Codebook(space=space, values=values)
 
 
-def _dist_block(x: np.ndarray, atoms: np.ndarray, space: DiscretePathSpace) -> np.ndarray:
-    """(chunk, n) matrix of L^p distances between path block x and atoms."""
+def _check_sample(space: DiscretePathSpace, sample: PathSample):
+    if sample.values.shape[1:] != space.shape:
+        raise DimensionMismatchError(space.shape, sample.values.shape[1:], what="sample path")
+
+
+def _weighted_sq_norms(space: DiscretePathSpace, sample: PathSample) -> np.ndarray:
+    """(N,) weighted squared L^2 norms of the sample paths, the p = 2 pass input."""
+    _check_sample(space, sample)
+    flat = sample.values.reshape(len(sample), -1)
+    return (flat * flat) @ np.tile(space.weights, space.d)
+
+
+def _dist_block(x: np.ndarray, atoms: np.ndarray, space: DiscretePathSpace,
+                xn: np.ndarray | None = None) -> np.ndarray:
+    """(chunk, n) L^p distances from path block x to atoms; xn: x's squared norms (p = 2)."""
     w, p = space.weights, space.p
     if p == 2.0:
-        xn = ((x * x) @ w).sum(axis=1)
-        an = ((atoms * atoms) @ w).sum(axis=1)
-        cross = np.einsum("idm,jdm->ij", x * w, atoms)
-        d2 = xn[:, None] + an[None, :] - 2.0 * cross
+        wf = np.tile(w, space.d)
+        xf = x.reshape(len(x), -1)
+        af = atoms.reshape(len(atoms), -1)
+        norms = np.add.outer(xn, (af * af) @ wf)
+        d2 = norms - 2.0 * (xf @ (af * wf).T)
         # the inner-product expansion cancels catastrophically for (near-)
         # coincident pairs; recompute those few entries directly so that
         # identical path/atom pairs come out at exactly zero
-        close = d2 <= 1e-13 * (xn[:, None] + an[None, :])
+        close = d2 <= 1e-13 * norms
         if np.any(close):
             rows, cols = np.nonzero(close)
-            diff = x[rows] - atoms[cols]
-            d2[rows, cols] = ((diff * diff) @ w).sum(axis=1)
-        return np.sqrt(np.maximum(d2, 0.0))
+            diff = xf[rows] - af[cols]
+            d2[rows, cols] = (diff * diff) @ wf
+        return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
     diff = np.abs(x[:, None, :, :] - atoms[None, :, :, :])
     acc = (diff ** p @ w).sum(axis=2)
     return np.maximum(acc, 0.0) ** (1.0 / p)
 
 
-def pairwise_distances(codebook: Codebook, sample: PathSample) -> np.ndarray:
-    """(N, n) distances from each sample path to each atom, in sample order."""
-    space = codebook.space
-    if sample.values.shape[1:] != space.shape:
-        raise DimensionMismatchError(space.shape, sample.values.shape[1:], what="sample path")
-    atoms = codebook.values
-    n = atoms.shape[0]
-    per_row = n * space.d * space.m
+def _chunked_pass(codebook: Codebook, sample: PathSample, per_row: int, block) -> np.ndarray:
+    """(N, n) matrix filled by block(rows) over row chunks of per_row scratch floats."""
     chunk = max(1, _CHUNK_BUDGET // per_row)
-    out = np.empty((len(sample), n))
+    out = np.empty((len(sample), codebook.n))
     for lo in range(0, len(sample), chunk):
-        hi = min(lo + chunk, len(sample))
-        out[lo:hi] = _dist_block(sample.values[lo:hi], atoms, space)
+        out[lo:lo + chunk] = block(slice(lo, lo + chunk))
     return out
+
+
+def pairwise_distances(codebook: Codebook, sample: PathSample,
+                       sample_sq: np.ndarray | None = None) -> np.ndarray:
+    """(N, n) distances from each sample path to each atom, in sample order.
+
+    sample_sq: the sample's _weighted_sq_norms, for callers making many p = 2 passes.
+    """
+    space, atoms, x = codebook.space, codebook.values, sample.values
+    _check_sample(space, sample)
+    if space.p != 2.0:
+        return _chunked_pass(codebook, sample, atoms.size,
+                             lambda rows: _dist_block(x[rows], atoms, space))
+    if sample_sq is None:
+        sample_sq = _weighted_sq_norms(space, sample)
+    # the p = 2 block's scratch is about five (rows, n) arrays
+    return _chunked_pass(codebook, sample, 5 * codebook.n,
+                         lambda rows: _dist_block(x[rows], atoms, space, sample_sq[rows]))
 
 
 @dataclass(frozen=True)
@@ -163,21 +188,31 @@ class DistortionReport:
             "per_cell_distortion": self.per_cell_distortion.tolist(),
         }, sort_keys=True)
 
+    def error_with_stderr(self) -> tuple[float, float]:
+        """value^(1/r) with its delta-method standard error."""
+        err = self.value ** (1.0 / self.r)
+        if self.value <= 0:
+            return err, 0.0
+        return err, self.stderr / (self.r * self.value ** ((self.r - 1.0) / self.r))
+
+
+def _distortion_from(dists: np.ndarray, r: float) -> DistortionReport:
+    """Distortion report from an (N, n) path-to-atom distance matrix."""
+    if r <= 0:
+        raise FquantError(f"distortion order r must be > 0, got {r}")
+    N, n = dists.shape
+    idx = np.argmin(dists, axis=1)
+    contrib = dists[np.arange(N), idx] ** r
+    per_cell = np.bincount(idx, weights=contrib, minlength=n) / N
+    mass = np.bincount(idx, minlength=n) / N
+    stderr = float(contrib.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+    return DistortionReport(value=float(per_cell.sum()), per_cell_mass=mass,
+                            per_cell_distortion=per_cell, stderr=stderr, r=float(r))
+
 
 def distortion(codebook: Codebook, sample: PathSample, r: float) -> DistortionReport:
     """Empirical mean of min_i ||x - a_i||^r, decomposed over Voronoi cells."""
-    if r <= 0:
-        raise FquantError(f"distortion order r must be > 0, got {r}")
-    dists = pairwise_distances(codebook, sample)
-    idx = np.argmin(dists, axis=1)
-    contrib = dists[np.arange(len(sample)), idx] ** r
-    n, N = codebook.n, len(sample)
-    per_cell = np.bincount(idx, weights=contrib, minlength=n) / N
-    mass = np.bincount(idx, minlength=n) / N
-    value = float(per_cell.sum())
-    stderr = float(contrib.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    return DistortionReport(value=value, per_cell_mass=mass,
-                            per_cell_distortion=per_cell, stderr=stderr, r=float(r))
+    return _distortion_from(pairwise_distances(codebook, sample), r)
 
 
 def quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:
@@ -187,43 +222,21 @@ def quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:
 
 def quant_error_with_stderr(codebook: Codebook, sample: PathSample, r: float) -> tuple[float, float]:
     """quant_error plus its delta-method standard error."""
-    rep = distortion(codebook, sample, r)
-    err = rep.value ** (1.0 / r)
-    if rep.value <= 0:
-        return err, 0.0
-    return err, rep.stderr / (r * rep.value ** ((r - 1.0) / r))
+    return distortion(codebook, sample, r).error_with_stderr()
 
 
 def sup_pairwise_distances(codebook: Codebook, sample: PathSample) -> np.ndarray:
     """(N, n) sup-norm distances max_{j,k} |x_{jk} - a_{jk}|, chunked over paths."""
-    space = codebook.space
-    if sample.values.shape[1:] != space.shape:
-        raise DimensionMismatchError(space.shape, sample.values.shape[1:], what="sample path")
-    atoms = codebook.values
-    n = atoms.shape[0]
-    per_row = n * space.d * space.m
-    chunk = max(1, _CHUNK_BUDGET // per_row)
-    out = np.empty((len(sample), n))
-    for lo in range(0, len(sample), chunk):
-        hi = min(lo + chunk, len(sample))
-        diff = np.abs(sample.values[lo:hi, None, :, :] - atoms[None, :, :, :])
-        out[lo:hi] = diff.max(axis=(2, 3))
-    return out
+    atoms, x = codebook.values, sample.values
+    _check_sample(codebook.space, sample)
+    return _chunked_pass(
+        codebook, sample, atoms.size,
+        lambda rows: np.abs(x[rows, None, :, :] - atoms[None, :, :, :]).max(axis=(2, 3)))
 
 
 def sup_distortion(codebook: Codebook, sample: PathSample, r: float) -> DistortionReport:
     """Empirical E min_i ||X - a_i||_sup^r: the sup-norm analogue of distortion."""
-    if r <= 0:
-        raise FquantError(f"distortion order r must be > 0, got {r}")
-    dists = sup_pairwise_distances(codebook, sample)
-    idx = np.argmin(dists, axis=1)
-    contrib = dists[np.arange(len(sample)), idx] ** r
-    n, N = codebook.n, len(sample)
-    per_cell = np.bincount(idx, weights=contrib, minlength=n) / N
-    mass = np.bincount(idx, minlength=n) / N
-    stderr = float(contrib.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    return DistortionReport(value=float(per_cell.sum()), per_cell_mass=mass,
-                            per_cell_distortion=per_cell, stderr=stderr, r=float(r))
+    return _distortion_from(sup_pairwise_distances(codebook, sample), r)
 
 
 def sup_quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:

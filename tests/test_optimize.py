@@ -8,6 +8,7 @@ from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
 from fquant.path_space import Path
+from fquant.quantize_core import pairwise_distances
 
 
 def constant_sample(space, levels):
@@ -57,6 +58,58 @@ def test_lloyd_weighted_centroid_r4(unit_space):
     # weights ||x - a||^2: 0.25^2 for x=0, 0.75^2 for x=1 (constant paths, unit mass)
     w0, w1 = 0.25 ** 2, 0.75 ** 2
     np.testing.assert_allclose(stepped.values[0], w1 / (w0 + w1), rtol=1e-12)
+
+
+def _per_cell_centroids(cb, sample, r):
+    # reference: masked loop over the Voronoi cells, weights ||x - a_i||^(r-2)
+    dists = pairwise_distances(cb, sample)
+    idx = np.argmin(dists, axis=1)
+    best = dists[np.arange(len(sample)), idx]
+    out = cb.values.copy()
+    for i in range(cb.n):
+        w = best[idx == i] ** (r - 2.0)
+        out[i] = np.tensordot(w, sample.values[idx == i], axes=(0, 0)) / w.sum()
+    return out
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
+def test_lloyd_step_matches_per_cell_centroids(unit_space, bm_sample, r):
+    cb = constant_codebook(unit_space, [-0.8, -0.2, 0.3, 0.9])
+    assert np.all(assign(cb, bm_sample).cell_masses() > 0)   # no repair step
+    np.testing.assert_allclose(lloyd_step(cb, bm_sample, r).values,
+                               _per_cell_centroids(cb, bm_sample, r), rtol=1e-12, atol=1e-15)
+
+
+def test_lloyd_r4_single_coincident_path_keeps_atom(unit_space):
+    # atom 0's cell holds only the path equal to it: all its weights are 0
+    sample = constant_sample(unit_space, [0.0, 1.0, 1.5])
+    cb = constant_codebook(unit_space, [0.0, 1.2])
+    stepped = lloyd_step(cb, sample, r=4.0)
+    np.testing.assert_array_equal(stepped.values[0], cb.values[0])
+    w1, w2 = 0.2 ** 2, 0.3 ** 2
+    np.testing.assert_allclose(stepped.values[1], (w1 * 1.0 + w2 * 1.5) / (w1 + w2),
+                               rtol=1e-12)
+
+
+def _hand_iterated(init, sample, r, iterations, policy="split_largest"):
+    stages = [init]
+    for _ in range(iterations):
+        stages.append(lloyd_step(stages[-1], sample, r, policy))
+    return stages
+
+
+@pytest.mark.parametrize("levels, r", [([-1.0, -0.3, 0.3, 1.0], 2.0),
+                                       ([-0.8, 0.0, 0.8], 3.0),
+                                       ([-0.3, 0.3, 50.0], 2.0)])   # repairs an empty cell
+def test_lloyd_run_is_hand_iterated_lloyd_step(unit_space, bm_sample, levels, r):
+    init = constant_codebook(unit_space, levels)
+    cfg = OptimizerConfig(method="lloyd", max_iters=30, tol=1e-12)
+    cb, trace = lloyd_run(cfg, init, bm_sample, r=r)
+    stages = _hand_iterated(init, bm_sample, r, trace.iterations)
+    np.testing.assert_array_equal(cb.values, stages[-1].values)
+    assert len(trace.distortions) == len(stages)
+    for k, stage in enumerate(stages):
+        assert trace.distortions[k] == distortion(stage, bm_sample, r).value
 
 
 def test_lloyd_empty_cell_repair(unit_space, bm_sample):
@@ -149,6 +202,18 @@ def test_sgd_divergence_carries_trace(unit_space, bm_sample):
         sgd_run(cfg, init, bm_sample, r=2.0)
     assert err.value.trace is not None
     assert len(err.value.trace.distortions) >= 1
+
+
+def test_sgd_non_finite_iterate_is_divergence(bm_sample):
+    # an absurd step sends the atoms past the float range before the first
+    # evaluation; that is a divergence, not an invalid codebook
+    space = uniform_space(1.0, bm_sample.m, p=3.0)
+    cfg = OptimizerConfig(method="sgd", max_iters=200, tol=1e-30, seed=2, sgd_c0=1e200)
+    init = Codebook(space=space, values=bm_sample.values[:2].copy())
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        sgd_run(cfg, init, bm_sample, r=3.0)
+    assert err.value.trace.exit_reason == "diverged"
+    assert len(err.value.trace.distortions) == 1
 
 
 def test_sgd_requires_smooth_norm(unit_space, bm_sample):

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from fquant import (Codebook, Path, PathSample, ProcessSpec, assign,
                     codebook_from_paths, cross_exponent_bounds, distortion,
-                    lp_dist, quant_error, quantize_paths, sample_paths,
-                    sup_distortion, uniform_space)
+                    exp_weighted_space, lp_dist, quant_error, quantize_paths,
+                    sample_paths, sup_distortion, uniform_space)
 from fquant.errors import FquantError
-from fquant.quantize_core import pairwise_distances, sup_pairwise_distances
+from fquant.quantize_core import (_weighted_sq_norms, pairwise_distances,
+                                  sup_pairwise_distances)
 
 
 def constant_codebook(space, levels):
@@ -24,6 +25,33 @@ def constant_sample(space, levels, tag="constants"):
 def test_codebook_rejects_duplicates(unit_space):
     with pytest.raises(FquantError):
         constant_codebook(unit_space, [1.0, 1.0])
+
+
+def _first_duplicate_pair(values):
+    # reference: the lowest i with a later copy, and its first copy j
+    flat = values.reshape(len(values), -1)
+    for i in range(len(flat)):
+        for j in range(i + 1, len(flat)):
+            if np.array_equal(flat[i], flat[j]):
+                return i, j
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 2, 3, 2, 1, 1],    # two duplicate groups
+                                  [4, 3, 3, 4, 0, 0],
+                                  [0, 1, 2, 0, 1, 2]])
+def test_codebook_duplicate_message_names_lowest_pair(unit_space, rng, rows):
+    values = rng.normal(size=(5, 2, unit_space.m))[rows]
+    i, j = _first_duplicate_pair(values)
+    with pytest.raises(FquantError, match=rf"duplicate atoms at indices {i} and {j}$"):
+        Codebook(space=unit_space.with_d(2), values=values)
+
+
+def test_codebook_signed_zero_atoms_are_duplicates(unit_space):
+    values = np.zeros((3, 1, unit_space.m))
+    values[1] = 1.0
+    values[2] = -0.0
+    with pytest.raises(FquantError, match="duplicate atoms at indices 0 and 2$"):
+        Codebook(space=unit_space, values=values)
 
 
 def test_codebook_binary_roundtrip(unit_space, rng):
@@ -45,6 +73,23 @@ def test_pairwise_distances_match_lp_dist(unit_space, rng):
         slow = np.array([[lp_dist(space, sample.path(i), cb.atom(j))
                           for j in range(cb.n)] for i in range(len(sample))])
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+
+
+def test_p2_gemm_distances_match_direct_on_weighted_space(rng):
+    # flattened d = 2 rows, non-uniform weights; coincident pairs are exactly 0
+    space = exp_weighted_space(2.0, 33, b=1.5, d=2)
+    x = rng.normal(size=(40, 2, space.m))
+    atoms = np.concatenate([x[[3, 17]], rng.normal(size=(4, 2, space.m))])
+    sample = PathSample(values=x, seed=0, process_tag="t")
+    cb = Codebook(space=space, values=atoms)
+    fast = pairwise_distances(cb, sample)
+    diff = x[:, None] - atoms[None]
+    direct = np.sqrt(((diff * diff) @ space.weights).sum(axis=2))
+    np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0.0)
+    assert fast[3, 0] == 0.0 and fast[17, 1] == 0.0
+    assert np.count_nonzero(fast == 0.0) == 2
+    given = pairwise_distances(cb, sample, sample_sq=_weighted_sq_norms(space, sample))
+    np.testing.assert_array_equal(given, fast)
 
 
 def test_assign_single_atom(unit_space, bm_sample):
