@@ -70,11 +70,10 @@ def _write_reports(out_dir: FsPath, cfg: ExperimentConfig, codebook: Codebook,
                    sample, files: list[str]):
     """Write the distortion, stationarity and Hoelder reports; returns the distortion."""
     h, space = cfg.config_hash, codebook.space
-    rep = distortion(codebook, sample, cfg.r)
+    rep, stat = diagnostics.distortion_and_stationarity(codebook, sample, cfg.r)
     _write(out_dir, "distortion.json", _stamp_json(rep.to_json(), h))
     files.append("distortion.json")
-    if cfg.r >= space.p:
-        stat = diagnostics.stationarity_residual(codebook, sample, cfg.r)
+    if stat is not None:
         _write(out_dir, "stationarity.json", _stamp_json(stat.to_json(), h))
         files.append("stationarity.json")
     if space.m >= 64:
@@ -213,48 +212,36 @@ def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
     (reported against 3 Monte Carlo standard errors).
     """
     d = space.d
-    p = space.p
-    exponent = p if norm == "lp" else r
+    exponent = space.p if norm == "lp" else r
     msp = space.marginal()
-
     measure = distortion if norm == "lp" else sup_distortion
 
     def err2(cb, smp):
         return measure(cb, smp, exponent).error_with_stderr()
 
+    def best(cands, smp):
+        # ((error, stderr), codebook) of the first lowest-error candidate
+        return min(((err2(cb, smp), cb) for cb in cands), key=lambda t: t[0][0])
+
     marg_samples = [sample.coordinate(j) for j in range(d)]
-    small = []
-    for j in range(d):
-        cb = splitting_init(marg_samples[j], msp, sizes[j], exponent, seed + j, config=opt)
-        small.append(cb)
+    small = [splitting_init(marg_samples[j], msp, sizes[j], exponent, seed + j, config=opt)
+             for j in range(d)]
     product = product_quantizer(small, cap=cap)
 
-    joint_candidates = [product]
     grown = splitting_init(sample, space, n, exponent, seed, config=opt)
-    joint_candidates.append(grown)
     refined, _ = optimize_codebook(opt, product, sample, exponent)
-    joint_candidates.append(refined)
-    joint_cb = min(joint_candidates, key=lambda cb: err2(cb, sample)[0])
-    e_joint, se_joint = err2(joint_cb, sample)
+    (e_joint, se_joint), joint_cb = best([product, grown, refined], sample)
 
-    full_marg = []
+    e_full = []
     for j in range(d):
         cands = [splitting_init(marg_samples[j], msp, n, exponent, seed + 100 + j,
-                                config=opt)]
-        proj = Codebook(space=msp, values=_dedup(joint_cb.values[:, j:j + 1, :]))
-        cands.append(proj)
-        best = min(cands, key=lambda cb: err2(cb, marg_samples[j])[0])
-        full_marg.append(best)
-
+                                config=opt),
+                 Codebook(space=msp, values=_dedup(joint_cb.values[:, j:j + 1, :]))]
+        e_full.append(best(cands, marg_samples[j])[0])
     e_small = [err2(small[j], marg_samples[j]) for j in range(d)]
-    e_full = [err2(full_marg[j], marg_samples[j]) for j in range(d)]
 
-    if norm == "lp":
-        lower = sum(e ** exponent for e, _ in e_full)
-        upper = sum(e ** exponent for e, _ in e_small)
-    else:
-        lower = max(e ** exponent for e, _ in e_full)
-        upper = sum(e ** exponent for e, _ in e_small)
+    lower = (sum if norm == "lp" else max)(e ** exponent for e, _ in e_full)
+    upper = sum(e ** exponent for e, _ in e_small)
     joint_pow = e_joint ** exponent
     sig = 3.0 * _power_se(e_joint, se_joint, exponent)
     sig_low = 3.0 * _rss(_power_se(e, se, exponent) for e, se in e_full)

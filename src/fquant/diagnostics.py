@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import FquantError
 from .path_space import PathSample
-from .quantize_core import Codebook, pairwise_distances, quant_error_with_stderr
+from .quantize_core import (Codebook, DistortionReport, _distortion_from, pairwise_distances,
+                            quant_error_with_stderr)
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,26 @@ def stationarity_residual(codebook: Codebook, sample: PathSample, r: float,
     r >= p; for p = 1 the sign kernel is used directly and the residual norm
     is the sup over grid nodes.
     """
+    return _stationarity_from(codebook, sample, pairwise_distances(codebook, sample),
+                              r, tie_threshold)
+
+
+def distortion_and_stationarity(codebook: Codebook, sample: PathSample, r: float
+                                ) -> tuple[DistortionReport, StationarityReport | None]:
+    """distortion and, where r >= p, stationarity_residual from one distance pass."""
+    dists = pairwise_distances(codebook, sample)
+    stat = _stationarity_from(codebook, sample, dists, r) if r >= codebook.space.p else None
+    return _distortion_from(dists, r), stat
+
+
+def _stationarity_from(codebook: Codebook, sample: PathSample, dists: np.ndarray,
+                       r: float, tie_threshold: float = 1e-3) -> StationarityReport:
+    """stationarity_residual from the codebook's (N, n) distance pass."""
     space = codebook.space
     p = space.p
     if r < p:
         raise FquantError(f"stationarity condition needs r >= p, got r={r}, p={p}")
     N, n = len(sample), codebook.n
-    dists = pairwise_distances(codebook, sample)
     idx = np.argmin(dists, axis=1)
     best = dists[np.arange(N), idx]
     ties = (dists == best[:, None]).sum(axis=1) > 1

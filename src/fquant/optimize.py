@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _integrand_means, stationarity_residual
+from .diagnostics import _integrand_means, _stationarity_from, distortion_and_stationarity
 from .errors import DivergenceError, FquantError, OptimizeError
 from .path_space import DiscretePathSpace, PathSample
 from .quantize_core import (Codebook, _distortion_from, _weighted_sq_norms, assign,
@@ -66,14 +66,15 @@ class OptimizeTrace:
 
 def _repair_empty_cells(values: np.ndarray, sample: PathSample,
                         space: DiscretePathSpace, r: float, policy: str,
-                        events: list, iteration: int, dists: np.ndarray | None):
+                        events: list, iteration: int, pass_: tuple):
     """Replace atoms whose cells are empty; returns (values, cell_index, dists).
-    dists, the pass for values if the caller has one, is redone only when an atom moves."""
+    pass_ is (dists, cell_index) for values, or (None, None); redone when an atom moves."""
     n = values.shape[0]
+    dists, idx = pass_
     for _ in range(n + 1):
         if dists is None:
             dists = pairwise_distances(Codebook(space=space, values=values), sample)
-        idx = np.argmin(dists, axis=1)
+            idx = np.argmin(dists, axis=1)
         counts = np.bincount(idx, minlength=n)
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
@@ -120,7 +121,7 @@ def _centroids(values: np.ndarray, sample: PathSample, idx: np.ndarray,
 def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
                empty_cell_policy: str = "split_largest",
                _events: list | None = None, _iteration: int = 0,
-               _dists: np.ndarray | None = None) -> Codebook:
+               _pass: tuple = (None, None)) -> Codebook:
     """One fixed-point update: each atom becomes its cell's weighted centroid.
 
     Cell weights are ||x - a_i||^(r-2); r = 2 gives the plain cell mean.  Only
@@ -136,7 +137,7 @@ def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
         raise OptimizeError("empty sample")
     events = _events if _events is not None else []
     values, idx, dists = _repair_empty_cells(codebook.values, sample, space, r,
-                                             empty_cell_policy, events, _iteration, _dists)
+                                             empty_cell_policy, events, _iteration, _pass)
     best = dists[np.arange(len(sample)), idx]
     return Codebook(space=space, values=_centroids(values, sample, idx, best, r))
 
@@ -145,20 +146,22 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
               r: float = 2.0) -> tuple[Codebook, OptimizeTrace]:
     """Iterate lloyd_step until the relative distortion improvement drops below tol.
 
-    One distance pass per iteration: the pass that scores the new codebook is
-    the next step's assignment.  The sample's squared norms are taken once.
+    One distance pass per iteration: the pass scoring the new codebook is the next
+    step's assignment and, at exit, the residual's.  Sample norms are taken once.
     """
     trace = OptimizeTrace()
     cb = init
     sq = _weighted_sq_norms(cb.space, sample)
     dists = pairwise_distances(cb, sample, sample_sq=sq)
-    prev = _distortion_from(dists, r).value
+    idx = np.argmin(dists, axis=1)
+    prev = _distortion_from(dists, r, idx).value
     trace.distortions.append(prev)
     for k in range(config.max_iters):
         nxt = lloyd_step(cb, sample, r, config.empty_cell_policy,
-                         _events=trace.empty_cell_events, _iteration=k, _dists=dists)
+                         _events=trace.empty_cell_events, _iteration=k, _pass=(dists, idx))
         dists = pairwise_distances(nxt, sample, sample_sq=sq)
-        cur = _distortion_from(dists, r).value
+        idx = np.argmin(dists, axis=1)
+        cur = _distortion_from(dists, r, idx).value
         trace.distortions.append(cur)
         trace.iterations = k + 1
         unchanged = np.array_equal(nxt.values, cb.values)
@@ -172,14 +175,9 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
         prev = cur
     else:
         trace.exit_reason = "max_iters"
-    trace.exit_residual = _exit_residual(cb, sample, r)
+    if r >= cb.space.p:
+        trace.exit_residual = _stationarity_from(cb, sample, dists, r).max_residual
     return cb, trace
-
-
-def _exit_residual(cb: Codebook, sample: PathSample, r: float) -> float:
-    if r < cb.space.p:
-        return float("nan")
-    return stationarity_residual(cb, sample, r).max_residual
 
 
 def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
@@ -189,7 +187,8 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     Each iteration draws one path x, finds its nearest atom a_i and moves that
     atom by -step_k * r ||x - a_i||^(r-1) grad||.||_p(a_i - x), using the dual
     element's grid values as the update direction.  Exits on max_iters or when
-    the stationarity residual (checked periodically) drops below tol.
+    the stationarity residual (checked periodically) drops below tol.  Each
+    check scores the distortion and the residual from one distance pass.
     """
     space = init.space
     if space.p <= 1.0:
@@ -201,13 +200,12 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     values = init.values.copy()
     trace = OptimizeTrace()
 
-    d0 = distortion(init, sample, r).value
+    dists = pairwise_distances(init, sample)
+    d0 = _distortion_from(dists, r).value
     trace.distortions.append(d0)
     scale = d0 ** (1.0 / r) if d0 > 0 else 1.0
-    if r == 1.0:
-        dists = pairwise_distances(init, sample)
-        if np.any(dists == 0.0):
-            raise OptimizeError("r = 1 needs a sample with no path equal to an atom")
+    if r == 1.0 and np.any(dists == 0.0):
+        raise OptimizeError("r = 1 needs a sample with no path equal to an atom")
     c0 = config.sgd_c0 if config.sgd_c0 is not None else 0.1 * scale ** (2.0 - r)
     decay = config.sgd_decay if config.sgd_decay is not None else 1.0 / len(sample)
     eval_every = max(1, config.max_iters // 25)
@@ -232,20 +230,18 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
                 trace.exit_reason = "diverged"
                 raise DivergenceError(f"non-finite atoms at iteration {k + 1}", trace=trace)
             cb = Codebook(space=space, values=values)
-            cur = distortion(cb, sample, r).value
-            trace.distortions.append(cur)
-            if cur > 10.0 * d0:
+            rep, stat = distortion_and_stationarity(cb, sample, r)
+            trace.distortions.append(rep.value)
+            if rep.value > 10.0 * d0:
                 trace.exit_reason = "diverged"
                 raise DivergenceError(
-                    f"distortion {cur:.6g} exceeded 10x initial {d0:.6g}", trace=trace)
-            res = _exit_residual(cb, sample, r)
-            if np.isfinite(res) and res < config.tol:
-                trace.exit_residual = res
+                    f"distortion {rep.value:.6g} exceeded 10x initial {d0:.6g}", trace=trace)
+            trace.exit_residual = stat.max_residual if stat is not None else float("nan")
+            if trace.exit_residual < config.tol:
                 trace.exit_reason = "tol"
                 return cb, trace
-    cb = Codebook(space=space, values=values)
-    trace.exit_residual = _exit_residual(cb, sample, r)
-    trace.exit_reason = trace.exit_reason or "max_iters"
+    # the last iteration is always checked, so cb and its residual are current
+    trace.exit_reason = "max_iters"
     return cb, trace
 
 
@@ -304,11 +300,14 @@ def splitting_init(sample: PathSample, space: DiscretePathSpace, n: int, r: floa
     mean_path = sample.values.mean(axis=0)
     cb = Codebook(space=space, values=mean_path[None])
     base = config or default_config_for(space, r, seed=seed)
-    if not (space.p == 2.0 and r == 2.0):
-        # for p = r = 2 the mean is already the exact one-point fixed point
-        cb, _ = optimize_codebook(base, cb, sample, r)
-    stages = [cb]
-    errors = [quant_error(cb, sample, r)]
+
+    def optimized(start: Codebook) -> tuple[Codebook, float]:
+        out, trace = optimize_codebook(base, start, sample, r)
+        return out, trace.distortions[-1] ** (1.0 / r)  # scored on out itself
+
+    # for p = r = 2 the mean is already the exact one-point fixed point
+    cb, err = (cb, quant_error(cb, sample, r)) if space.p == 2.0 and r == 2.0 else optimized(cb)
+    stages, errors = [cb], [err]
     for size in range(2, n + 1):
         rep = distortion(cb, sample, r)
         donor = int(np.argmax(rep.per_cell_distortion))
@@ -316,9 +315,7 @@ def splitting_init(sample: PathSample, space: DiscretePathSpace, n: int, r: floa
         draw_norm = float(np.abs(draw).max())
         eps = 0.05 * errors[-1] / max(draw_norm, 1e-12)
         candidate = cb.values[donor] + eps * draw
-        grown = _grow(cb, candidate)
-        new_cb, _ = optimize_codebook(base, grown, sample, r)
-        err = quant_error(new_cb, sample, r)
+        new_cb, err = optimized(_grow(cb, candidate))
         if err >= errors[-1]:
             # deterministic fallback: capture the donor cell's farthest path
             idx = assign(cb, sample)
@@ -327,8 +324,7 @@ def splitting_init(sample: PathSample, space: DiscretePathSpace, n: int, r: floa
             in_donor = np.flatnonzero(idx.cell_index == donor)
             far = in_donor[int(np.argmax(best[in_donor]))]
             candidate = cb.values[donor] + 0.5 * (sample.values[far] - cb.values[donor])
-            new_cb, _ = optimize_codebook(base, _grow(cb, candidate), sample, r)
-            err = quant_error(new_cb, sample, r)
+            new_cb, err = optimized(_grow(cb, candidate))
         cb = new_cb
         stages.append(cb)
         errors.append(err)

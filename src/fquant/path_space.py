@@ -87,13 +87,7 @@ class DiscretePathSpace:
 def uniform_space(t_end: float, m: int, p: float = 2.0, d: int = 1,
                   t_start: float = 0.0) -> DiscretePathSpace:
     """Uniform grid on [t_start, t_end] with trapezoid weights for Lebesgue measure."""
-    if m < 2:
-        raise FquantError(f"grid needs at least 2 nodes, got m={m}")
-    grid = np.linspace(t_start, t_end, m)
-    dt = (t_end - t_start) / (m - 1)
-    weights = np.full(m, dt)
-    weights[0] = weights[-1] = dt / 2.0
-    return DiscretePathSpace(grid=grid, weights=weights, p=p, d=d)
+    return weighted_space(t_end, m, np.ones_like, p=p, d=d, t_start=t_start)
 
 
 def weighted_space(t_end: float, m: int, density, p: float = 2.0, d: int = 1,
@@ -210,12 +204,8 @@ def _check_shape(space: DiscretePathSpace, values: np.ndarray, what: str = "path
 def lp_norm_values(space: DiscretePathSpace, values: np.ndarray) -> np.ndarray:
     """||f||_p for a (..., d, m) stack of path values; returns (...) array."""
     _check_shape(space, values)
-    p = space.p
-    if p == 2.0:
-        acc = (values * values) @ space.weights
-    else:
-        acc = np.abs(values) ** p @ space.weights
-    return np.maximum(acc.sum(axis=-1), 0.0) ** (1.0 / p)
+    acc = np.abs(values) ** space.p @ space.weights
+    return np.maximum(acc.sum(axis=-1), 0.0) ** (1.0 / space.p)
 
 
 def lp_norm(space: DiscretePathSpace, f: Path) -> float:

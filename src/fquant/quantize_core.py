@@ -5,7 +5,8 @@ Distances between sample paths and atoms are computed brute force for every
 ||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> takes the cross term as one matrix
 product; callers making many passes over a sample supply its squared norms
 once.  Pairs where the expansion cancels are recomputed directly, so a path
-equal to an atom is at distance exactly 0.  Other p take a chunked pass.
+equal to an atom is at distance exactly 0.  Other p and the sup norm loop over
+atoms on the same rows, reducing |x - a_i| by a weighted power sum or by max.
 """
 
 from __future__ import annotations
@@ -92,27 +93,22 @@ def _weighted_sq_norms(space: DiscretePathSpace, sample: PathSample) -> np.ndarr
 
 
 def _dist_block(x: np.ndarray, atoms: np.ndarray, space: DiscretePathSpace,
-                xn: np.ndarray | None = None) -> np.ndarray:
-    """(chunk, n) L^p distances from path block x to atoms; xn: x's squared norms (p = 2)."""
-    w, p = space.weights, space.p
-    if p == 2.0:
-        wf = np.tile(w, space.d)
-        xf = x.reshape(len(x), -1)
-        af = atoms.reshape(len(atoms), -1)
-        norms = np.add.outer(xn, (af * af) @ wf)
-        d2 = norms - 2.0 * (xf @ (af * wf).T)
-        # the inner-product expansion cancels catastrophically for (near-)
-        # coincident pairs; recompute those few entries directly so that
-        # identical path/atom pairs come out at exactly zero
-        close = d2 <= 1e-13 * norms
-        if np.any(close):
-            rows, cols = np.nonzero(close)
-            diff = xf[rows] - af[cols]
-            d2[rows, cols] = (diff * diff) @ wf
-        return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-    diff = np.abs(x[:, None, :, :] - atoms[None, :, :, :])
-    acc = (diff ** p @ w).sum(axis=2)
-    return np.maximum(acc, 0.0) ** (1.0 / p)
+                xn: np.ndarray) -> np.ndarray:
+    """(chunk, n) p = 2 distances from path block x to atoms; xn: x's squared norms."""
+    wf = np.tile(space.weights, space.d)
+    xf = x.reshape(len(x), -1)
+    af = atoms.reshape(len(atoms), -1)
+    norms = np.add.outer(xn, (af * af) @ wf)
+    d2 = norms - 2.0 * (xf @ (af * wf).T)
+    # the inner-product expansion cancels catastrophically for (near-)
+    # coincident pairs; recompute those few entries directly so that
+    # identical path/atom pairs come out at exactly zero
+    close = d2 <= 1e-13 * norms
+    if np.any(close):
+        rows, cols = np.nonzero(close)
+        diff = xf[rows] - af[cols]
+        d2[rows, cols] = (diff * diff) @ wf
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
 
 
 def _chunked_pass(codebook: Codebook, sample: PathSample, per_row: int, block) -> np.ndarray:
@@ -124,6 +120,21 @@ def _chunked_pass(codebook: Codebook, sample: PathSample, per_row: int, block) -
     return out
 
 
+def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce) -> np.ndarray:
+    """(N, n) reduce(|x - a_i|) over flattened (N, d*m) rows, one atom at a time
+    into one reused buffer per row chunk; reduce may overwrite the buffer."""
+    _check_sample(codebook.space, sample)
+    xf = sample.values.reshape(len(sample), -1)
+    af = codebook.values.reshape(codebook.n, -1)
+
+    def block(rows):
+        buf = np.empty_like(xf[rows])
+        return np.stack([reduce(np.abs(np.subtract(xf[rows], a, out=buf), out=buf))
+                         for a in af], axis=1)
+
+    return _chunked_pass(codebook, sample, xf.shape[1] + codebook.n, block)
+
+
 def pairwise_distances(codebook: Codebook, sample: PathSample,
                        sample_sq: np.ndarray | None = None) -> np.ndarray:
     """(N, n) distances from each sample path to each atom, in sample order.
@@ -131,10 +142,11 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
     sample_sq: the sample's _weighted_sq_norms, for callers making many p = 2 passes.
     """
     space, atoms, x = codebook.space, codebook.values, sample.values
-    _check_sample(space, sample)
     if space.p != 2.0:
-        return _chunked_pass(codebook, sample, atoms.size,
-                             lambda rows: _dist_block(x[rows], atoms, space))
+        wf, p = np.tile(space.weights, space.d), space.p
+        acc = _per_atom_pass(codebook, sample, lambda buf: np.power(buf, p, out=buf) @ wf)
+        return np.power(acc, 1.0 / p, out=acc)
+    _check_sample(space, sample)
     if sample_sq is None:
         sample_sq = _weighted_sq_norms(space, sample)
     # the p = 2 block's scratch is about five (rows, n) arrays
@@ -196,12 +208,14 @@ class DistortionReport:
         return err, self.stderr / (self.r * self.value ** ((self.r - 1.0) / self.r))
 
 
-def _distortion_from(dists: np.ndarray, r: float) -> DistortionReport:
-    """Distortion report from an (N, n) path-to-atom distance matrix."""
+def _distortion_from(dists: np.ndarray, r: float,
+                     idx: np.ndarray | None = None) -> DistortionReport:
+    """Distortion report from an (N, n) distance matrix and, if known, its row argmin."""
     if r <= 0:
         raise FquantError(f"distortion order r must be > 0, got {r}")
     N, n = dists.shape
-    idx = np.argmin(dists, axis=1)
+    if idx is None:
+        idx = np.argmin(dists, axis=1)
     contrib = dists[np.arange(N), idx] ** r
     per_cell = np.bincount(idx, weights=contrib, minlength=n) / N
     mass = np.bincount(idx, minlength=n) / N
@@ -227,11 +241,7 @@ def quant_error_with_stderr(codebook: Codebook, sample: PathSample, r: float) ->
 
 def sup_pairwise_distances(codebook: Codebook, sample: PathSample) -> np.ndarray:
     """(N, n) sup-norm distances max_{j,k} |x_{jk} - a_{jk}|, chunked over paths."""
-    atoms, x = codebook.values, sample.values
-    _check_sample(codebook.space, sample)
-    return _chunked_pass(
-        codebook, sample, atoms.size,
-        lambda rows: np.abs(x[rows, None, :, :] - atoms[None, :, :, :]).max(axis=(2, 3)))
+    return _per_atom_pass(codebook, sample, lambda buf: buf.max(axis=1))
 
 
 def sup_distortion(codebook: Codebook, sample: PathSample, r: float) -> DistortionReport:

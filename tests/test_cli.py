@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from fquant import Codebook, distortion, sample_paths, stationarity_residual
 from fquant.cli import main
 from fquant.config import load_config, parse_config_text
 from fquant.errors import ConfigError
@@ -146,6 +147,50 @@ def test_quantize_outputs_and_reproducibility(bm_config, tmp_path, capsys):
     # the n=8 -> n=1 oracle comparison: optimized n=4 beats the n=1 optimum
     from fquant.oracles import closed_form_errors
     assert m1["distortion"] < closed_form_errors("brownian", 1, 2, 2) ** 2
+
+
+SGD_P3_CFG = """
+[process]
+kind = brownian
+
+[space]
+m = 33
+t_end = 1.0
+p = 3.0
+d = 1
+
+[quantizer]
+n = 3
+r = 3.0
+
+[optimizer]
+method = sgd
+max_iters = 200
+tol = 1e-9
+c0 = 0.01
+
+[sample]
+n_paths = 300
+seed = 11
+"""
+
+
+@pytest.mark.parametrize("text", [BM_CFG, SGD_P3_CFG], ids=["lloyd_p2", "sgd_p3"])
+def test_quantize_reports_match_public_functions(tmp_path, text, capsys):
+    # the reports share one distance pass; they must equal the public calls
+    path = tmp_path / "q.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out)]) == 0
+    cfg = load_config(str(path))
+    space = cfg.build_space()
+    codebook = Codebook.from_binary((out / "codebook.bin").read_bytes(), space)
+    sample = sample_paths(cfg.build_process_spec(), space, cfg.n_paths, cfg.seed)
+    for name, rep in (("distortion.json", distortion(codebook, sample, cfg.r)),
+                      ("stationarity.json", stationarity_residual(codebook, sample, cfg.r))):
+        written = json.loads((out / name).read_text())
+        assert written.pop("config_hash") == cfg.config_hash
+        assert written == json.loads(rep.to_json()), name
 
 
 def test_quantize_seed_override_changes_results(bm_config, tmp_path):

@@ -5,6 +5,7 @@ from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
                     distortion, distortion_differential, dual_pairing,
                     lloyd_run, lloyd_step, product_quantizer, quant_error,
                     sample_paths, sgd_run, splitting_init, uniform_space)
+from fquant import diagnostics, optimize, stationarity_residual
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
 from fquant.path_space import Path
@@ -214,6 +215,38 @@ def test_sgd_non_finite_iterate_is_divergence(bm_sample):
         sgd_run(cfg, init, bm_sample, r=3.0)
     assert err.value.trace.exit_reason == "diverged"
     assert len(err.value.trace.distortions) == 1
+
+
+@pytest.mark.parametrize("tol, evals", [(1e-30, 25), (1e3, 1)])
+def test_sgd_run_one_pass_per_evaluation(bm_sample, monkeypatch, tol, evals):
+    # one distance pass for init, then one per evaluation serving both the
+    # distortion and the residual; the exit residual is the final codebook's
+    space = uniform_space(1.0, bm_sample.m, p=3.0)
+    calls = []
+
+    def counted(codebook, sample, *args, **kwargs):
+        calls.append(codebook.values.copy())
+        return pairwise_distances(codebook, sample, *args, **kwargs)
+
+    for module in (optimize, diagnostics):
+        monkeypatch.setattr(module, "pairwise_distances", counted)
+    cfg = OptimizerConfig(method="sgd", max_iters=100, tol=tol, seed=3, sgd_c0=0.01)
+    init = Codebook(space=space, values=bm_sample.values[:3].copy())
+    cb, trace = sgd_run(cfg, init, bm_sample, r=3.0)
+    assert len(trace.distortions) == evals + 1
+    assert len(calls) == evals + 1
+    np.testing.assert_array_equal(calls[0], init.values)
+    np.testing.assert_array_equal(calls[-1], cb.values)
+    assert trace.exit_reason == ("tol" if evals == 1 else "max_iters")
+    assert trace.exit_residual == stationarity_residual(cb, bm_sample, 3.0).max_residual
+    assert trace.distortions[-1] == distortion(cb, bm_sample, 3.0).value
+
+
+def test_lloyd_exit_residual_is_final_codebooks(unit_space, bm_sample):
+    cfg = OptimizerConfig(method="lloyd", max_iters=30, tol=1e-12)
+    init = constant_codebook(unit_space, [-0.8, 0.0, 0.8])
+    cb, trace = lloyd_run(cfg, init, bm_sample, r=3.0)
+    assert trace.exit_residual == stationarity_residual(cb, bm_sample, 3.0).max_residual
 
 
 def test_sgd_requires_smooth_norm(unit_space, bm_sample):

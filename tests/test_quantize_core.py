@@ -7,6 +7,7 @@ from fquant import (Codebook, Path, PathSample, ProcessSpec, assign,
                     codebook_from_paths, cross_exponent_bounds, distortion,
                     exp_weighted_space, lp_dist, quant_error, quantize_paths,
                     sample_paths, sup_distortion, uniform_space)
+from fquant import quantize_core
 from fquant.errors import FquantError
 from fquant.quantize_core import (_weighted_sq_norms, pairwise_distances,
                                   sup_pairwise_distances)
@@ -90,6 +91,24 @@ def test_p2_gemm_distances_match_direct_on_weighted_space(rng):
     assert np.count_nonzero(fast == 0.0) == 2
     given = pairwise_distances(cb, sample, sample_sq=_weighted_sq_norms(space, sample))
     np.testing.assert_array_equal(given, fast)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+def test_general_p_distances_match_direct_across_chunks(rng, monkeypatch, p):
+    # flattened d = 2 rows, non-uniform weights, row chunks of 3 paths (the
+    # last one ragged); coincident pairs are exactly 0
+    space = exp_weighted_space(2.0, 33, b=1.5, p=p, d=2)
+    x = rng.normal(size=(40, 2, space.m))
+    atoms = np.concatenate([x[[3, 17]], rng.normal(size=(4, 2, space.m))])
+    sample = PathSample(values=x, seed=0, process_tag="t")
+    cb = Codebook(space=space, values=atoms)
+    monkeypatch.setattr(quantize_core, "_CHUNK_BUDGET", 3 * (2 * space.m + cb.n))
+    fast = pairwise_distances(cb, sample)
+    direct = np.array([[(np.abs(xi - a) ** p @ space.weights).sum() ** (1.0 / p)
+                        for a in atoms] for xi in x])
+    np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0.0)
+    assert fast[3, 0] == 0.0 and fast[17, 1] == 0.0
+    assert np.count_nonzero(fast == 0.0) == 2
 
 
 def test_assign_single_atom(unit_space, bm_sample):
@@ -219,6 +238,18 @@ def test_cross_exponent_bounds_nonunit_mass(rng):
         value = quant_error(cb, sample, r)
         assert lower <= value * (1 + 1e-12)
         assert value <= upper * (1 + 1e-12)
+
+
+def test_sup_distances_exact_across_chunks(rng, monkeypatch):
+    space = uniform_space(1.0, 17, d=2)
+    x = rng.normal(size=(25, 2, 17))
+    atoms = np.concatenate([x[[4]], rng.normal(size=(3, 2, 17))])
+    cb = Codebook(space=space, values=atoms)
+    monkeypatch.setattr(quantize_core, "_CHUNK_BUDGET", 4 * (2 * 17 + cb.n))
+    dists = sup_pairwise_distances(cb, PathSample(values=x, seed=0, process_tag="t"))
+    manual = np.abs(x[:, None] - atoms[None]).max(axis=(2, 3))
+    np.testing.assert_array_equal(dists, manual)
+    assert dists[4, 0] == 0.0
 
 
 def test_sup_distortion_matches_manual(unit_space, bm_sample):
