@@ -67,10 +67,9 @@ def _stamp_csv(payload: str, cfg_hash: str) -> str:
 
 
 def _write_reports(out_dir: FsPath, cfg: ExperimentConfig, codebook: Codebook,
-                   sample, files: list[str]):
-    """Write the distortion, stationarity and Hoelder reports; returns the distortion."""
+                   rep, stat, files: list[str]):
+    """Write the codebook's distortion, stationarity (if any) and Hoelder reports."""
     h, space = cfg.config_hash, codebook.space
-    rep, stat = diagnostics.distortion_and_stationarity(codebook, sample, cfg.r)
     _write(out_dir, "distortion.json", _stamp_json(rep.to_json(), h))
     files.append("distortion.json")
     if stat is not None:
@@ -81,7 +80,6 @@ def _write_reports(out_dir: FsPath, cfg: ExperimentConfig, codebook: Codebook,
         _write(out_dir, "holder.json", _stamp_json(fit.to_json(), h))
         _write(out_dir, "holder.csv", _stamp_csv(fit.to_csv(), h))
         files += ["holder.json", "holder.csv"]
-    return rep
 
 
 def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
@@ -102,7 +100,8 @@ def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     _write(out_dir, "codebook.csv", _stamp_csv(codebook.to_csv(), h))
     _write(out_dir, "trace.csv", _stamp_csv(trace.to_csv(), h))
     files = ["codebook.bin", "codebook.csv", "trace.csv"]
-    rep = _write_reports(out_dir, cfg, codebook, sample, files)
+    rep = trace.final_distortion
+    _write_reports(out_dir, cfg, codebook, rep, trace.final_stationarity, files)
     _write(out_dir, "manifest.json", _manifest(cfg, seed, files, {
         "distortion": rep.value, "quant_error": rep.value ** (1.0 / cfg.r),
         "exit_reason": trace.exit_reason, "iterations": trace.iterations}))
@@ -282,7 +281,8 @@ def run_diagnose(cfg: ExperimentConfig, seed: int, codebook_path: str,
         return EXIT_OK
     sample = sample_paths(spec, space, cfg.n_paths, seed)
     files = []
-    rep = _write_reports(out_dir, cfg, codebook, sample, files)
+    rep, stat = diagnostics.distortion_and_stationarity(codebook, sample, cfg.r)
+    _write_reports(out_dir, cfg, codebook, rep, stat, files)
     _write(out_dir, "manifest.json", _manifest(cfg, seed, files, {
         "codebook": str(codebook_path), "distortion": rep.value}))
     print(f"diagnose: distortion={rep.value:.6g} -> {out_dir}")
@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        _error_record(None, "config", exc)
+        _error_record(FsPath(args.out) if args.out else None, "config", exc)
         return EXIT_CONFIG
     seed = args.seed if args.seed is not None else cfg.seed
     if getattr(args, "out", None) is None and cfg.output.get("dir"):

@@ -125,7 +125,6 @@ class ExperimentConfig:
     sample: dict
     bounds: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
-    raw_text: str = ""
 
     @property
     def config_hash(self) -> str:
@@ -138,15 +137,18 @@ class ExperimentConfig:
 
     def build_space(self) -> DiscretePathSpace:
         sp = self.space
-        m = int(sp.get("m", 128))
-        t_end = float(sp.get("t_end", 1.0))
-        p = float(sp.get("p", 2.0))
-        d = int(sp.get("d", 1))
         measure = str(sp.get("measure", "lebesgue"))
-        if measure == "lebesgue":
-            return uniform_space(t_end, m, p=p, d=d)
-        if measure.startswith("exp:"):
-            return exp_weighted_space(t_end, m, b=float(measure[4:]), p=p, d=d)
+        try:
+            m = int(sp.get("m", 128))
+            t_end = float(sp.get("t_end", 1.0))
+            p = float(sp.get("p", 2.0))
+            d = int(sp.get("d", 1))
+            if measure == "lebesgue":
+                return uniform_space(t_end, m, p=p, d=d)
+            if measure.startswith("exp:"):
+                return exp_weighted_space(t_end, m, b=float(measure[4:]), p=p, d=d)
+        except Exception as exc:
+            raise ConfigError(f"[space] {exc}") from exc
         raise ConfigError(f"unknown measure {measure!r}; use 'lebesgue' or 'exp:<b>'")
 
     def build_process_spec(self) -> ProcessSpec:
@@ -198,8 +200,8 @@ class ExperimentConfig:
         return int(self.sample.get("seed", 0))
 
     def validate(self):
-        if self.r < 1:
-            raise ConfigError(f"[quantizer] r must be >= 1, got {self.r}")
+        if not 1 <= self.r < float("inf"):
+            raise ConfigError(f"[quantizer] r must be finite and >= 1, got {self.r}")
         if self.n < 1:
             raise ConfigError(f"[quantizer] n must be >= 1, got {self.n}")
         if self.n_paths < 1:
@@ -230,7 +232,6 @@ def load_config(path: str) -> ExperimentConfig:
         sample=sections.get("sample", {}),
         bounds=sections.get("bounds", {}),
         output=sections.get("output", {}),
-        raw_text=text,
     )
     cfg.validate()
     return cfg

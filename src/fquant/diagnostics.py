@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import FquantError
 from .path_space import PathSample
-from .quantize_core import (Codebook, DistortionReport, _distortion_from, pairwise_distances,
-                            quant_error_with_stderr)
+from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _distortion_from,
+                            assign, pairwise_distances, quant_error_with_stderr)
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,18 @@ class StationarityReport:
         }, sort_keys=True)
 
 
-def _integrand_means(codebook: Codebook, sample: PathSample, dists: np.ndarray,
-                     idx: np.ndarray, r: float) -> np.ndarray:
+def _integrand_means(codebook: Codebook, sample: PathSample, vor: VoronoiAssignment,
+                     r: float) -> np.ndarray:
     """(n, d, m) integrand means M_i (see stationarity_residual) from a distance
-    pass and its cell index; paths equal to their atom drop out."""
+    pass; paths equal to their atom drop out."""
     p = codebook.space.p
     out = np.zeros_like(codebook.values)
     for i in range(codebook.n):
-        sel = (idx == i) & (dists[:, i] > 0.0)
+        sel = (vor.cell_index == i) & (vor.best > 0.0)
         diff = codebook.values[i][None] - sample.values[sel]   # a_i - x
         kernel = np.sign(diff) if p == 1.0 else np.abs(diff) ** (p - 1.0) * np.sign(diff)
         if r != p:
-            kernel *= (dists[sel, i] ** (r - p))[:, None, None]
+            kernel *= (vor.best[sel] ** (r - p))[:, None, None]
         out[i] = kernel.sum(axis=0) / len(sample)
     return out
 
@@ -79,45 +79,39 @@ def stationarity_residual(codebook: Codebook, sample: PathSample, r: float,
     r >= p; for p = 1 the sign kernel is used directly and the residual norm
     is the sup over grid nodes.
     """
-    return _stationarity_from(codebook, sample, pairwise_distances(codebook, sample),
-                              r, tie_threshold)
+    return _stationarity_from(codebook, sample, assign(codebook, sample), r, tie_threshold)
 
 
 def distortion_and_stationarity(codebook: Codebook, sample: PathSample, r: float
                                 ) -> tuple[DistortionReport, StationarityReport | None]:
     """distortion and, where r >= p, stationarity_residual from one distance pass."""
-    dists = pairwise_distances(codebook, sample)
-    stat = _stationarity_from(codebook, sample, dists, r) if r >= codebook.space.p else None
-    return _distortion_from(dists, r), stat
+    vor = VoronoiAssignment(pairwise_distances(codebook, sample))
+    stat = _stationarity_from(codebook, sample, vor, r) if r >= codebook.space.p else None
+    return _distortion_from(vor, r), stat
 
 
-def _stationarity_from(codebook: Codebook, sample: PathSample, dists: np.ndarray,
+def _stationarity_from(codebook: Codebook, sample: PathSample, vor: VoronoiAssignment,
                        r: float, tie_threshold: float = 1e-3) -> StationarityReport:
-    """stationarity_residual from the codebook's (N, n) distance pass."""
+    """stationarity_residual from the codebook's distance pass."""
     space = codebook.space
     p = space.p
     if r < p:
         raise FquantError(f"stationarity condition needs r >= p, got r={r}, p={p}")
-    N, n = len(sample), codebook.n
-    idx = np.argmin(dists, axis=1)
-    best = dists[np.arange(N), idx]
-    ties = (dists == best[:, None]).sum(axis=1) > 1
-    cell_masses = np.bincount(idx, minlength=n) / N
-    atom_hits = np.bincount(idx[best == 0.0], minlength=n) / N
+    cell_masses = vor.cell_masses()
+    atom_hits = vor.cell_sums(vor.best == 0.0) / len(sample)
 
-    means = _integrand_means(codebook, sample, dists, idx, r)
+    means = _integrand_means(codebook, sample, vor, r)
     if p == 1.0:
         residuals = np.abs(means).max(axis=2)
     else:
         q = p / (p - 1.0)
         residuals = ((np.abs(means) ** q) @ space.weights) ** (1.0 / q)
 
-    tie_mass = float(ties.mean())
-    admissible = bool(np.all(cell_masses > 0) and tie_mass <= tie_threshold)
+    admissible = bool(np.all(cell_masses > 0) and vor.tie_mass <= tie_threshold)
     return StationarityReport(residuals=residuals,
                               max_residual=float(residuals.max()),
                               cell_masses=cell_masses,
-                              tie_mass=tie_mass,
+                              tie_mass=vor.tie_mass,
                               atom_hit_mass=atom_hits,
                               admissible=admissible,
                               r=float(r))

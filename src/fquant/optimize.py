@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _integrand_means, _stationarity_from, distortion_and_stationarity
+from .diagnostics import (StationarityReport, _integrand_means, _stationarity_from,
+                          distortion_and_stationarity)
 from .errors import DivergenceError, FquantError, OptimizeError
 from .path_space import DiscretePathSpace, PathSample
-from .quantize_core import (Codebook, _distortion_from, _weighted_sq_norms, assign,
-                            distortion, pairwise_distances, quant_error)
+from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _distortion_from,
+                            _weighted_sq_norms, assign, distortion, pairwise_distances,
+                            quant_error)
 from .rng import derive_rng
 
 EMPTY_CELL_POLICIES = ("split_largest", "resample")
@@ -51,9 +53,15 @@ class OptimizerConfig:
 class OptimizeTrace:
     distortions: list[float] = field(default_factory=list)
     iterations: int = 0
-    exit_residual: float = float("nan")
     empty_cell_events: list[tuple[int, int]] = field(default_factory=list)
     exit_reason: str = ""
+    final_distortion: DistortionReport | None = None      # of the last codebook scored
+    final_stationarity: StationarityReport | None = None  # None where r < p
+
+    @property
+    def exit_residual(self) -> float:
+        stat = self.final_stationarity
+        return stat.max_residual if stat is not None else float("nan")
 
     def to_csv(self) -> str:
         lines = ["iteration,distortion,residual"]
@@ -64,55 +72,54 @@ class OptimizeTrace:
         return "\n".join(lines) + "\n"
 
 
+def _split_toward_farthest(values: np.ndarray, sample: PathSample,
+                           vor: VoronoiAssignment, donor: int) -> np.ndarray:
+    """The donor atom moved halfway toward the farthest path in its cell."""
+    in_donor = np.flatnonzero(vor.cell_index == donor)
+    far = in_donor[int(np.argmax(vor.best[in_donor]))]
+    if vor.best[far] <= 0:
+        raise OptimizeError("cannot split: donor cell has zero radius "
+                            "(fewer distinct paths than atoms?)")
+    return values[donor] + 0.5 * (sample.values[far] - values[donor])
+
+
 def _repair_empty_cells(values: np.ndarray, sample: PathSample,
                         space: DiscretePathSpace, r: float, policy: str,
-                        events: list, iteration: int, pass_: tuple):
-    """Replace atoms whose cells are empty; returns (values, cell_index, dists).
-    pass_ is (dists, cell_index) for values, or (None, None); redone when an atom moves."""
-    n = values.shape[0]
-    dists, idx = pass_
-    for _ in range(n + 1):
-        if dists is None:
-            dists = pairwise_distances(Codebook(space=space, values=values), sample)
-            idx = np.argmin(dists, axis=1)
-        counts = np.bincount(idx, minlength=n)
-        empty = np.flatnonzero(counts == 0)
+                        events: list, iteration: int, vor: VoronoiAssignment | None):
+    """Replace atoms whose cells are empty; returns (values, pass of values).
+    vor is the pass of values, or None; it is redone when an atom moves."""
+    for _ in range(values.shape[0] + 1):
+        if vor is None:
+            vor = assign(Codebook(space=space, values=values), sample)
+        empty = np.flatnonzero(vor.counts == 0)
         if empty.size == 0:
-            return values, idx, dists
+            return values, vor
         dead = int(empty[0])
         events.append((iteration, dead))
-        best = dists[np.arange(len(sample)), idx]
         if policy == "split_largest":
-            contrib = best ** r
-            per_cell = np.bincount(idx, weights=contrib, minlength=n)
-            donor = int(np.argmax(per_cell))
-            in_donor = np.flatnonzero(idx == donor)
-            far = in_donor[int(np.argmax(best[in_donor]))]
-            if best[far] <= 0:
-                raise OptimizeError("cannot split: donor cell has zero radius "
-                                    "(fewer distinct paths than atoms?)")
-            new_atom = values[donor] + 0.5 * (sample.values[far] - values[donor])
+            donor = int(np.argmax(vor.cell_sums(vor.best ** r)))
+            new_atom = _split_toward_farthest(values, sample, vor, donor)
         else:  # resample: relocate to the path farthest from every atom
-            far = int(np.argmax(best))
-            if best[far] <= 0:
+            far = int(np.argmax(vor.best))
+            if vor.best[far] <= 0:
                 raise OptimizeError("cannot resample: every path coincides with an atom")
             new_atom = sample.values[far].copy()
         values = values.copy()
         values[dead] = new_atom
-        dists = None
+        vor = None
     raise OptimizeError("empty-cell repair did not converge")
 
 
-def _centroids(values: np.ndarray, sample: PathSample, idx: np.ndarray,
-               best: np.ndarray, r: float) -> np.ndarray:
+def _centroids(values: np.ndarray, sample: PathSample, vor: VoronoiAssignment,
+               r: float) -> np.ndarray:
     """Cell centroids with path weights ||x - a_i||^(r-2), as one (n, N) @ (N, d*m)
     product.  A cell of zero total weight holds only its atom's copies: kept."""
     n, N = values.shape[0], len(sample)
-    weights = np.ones(N) if r == 2.0 else best ** (r - 2.0)
+    weights = np.ones(N) if r == 2.0 else vor.best ** (r - 2.0)
     onehot = np.zeros((n, N))
-    onehot[idx, np.arange(N)] = weights
+    onehot[vor.cell_index, np.arange(N)] = weights
     sums = onehot @ sample.values.reshape(N, -1)
-    total = np.bincount(idx, weights=weights, minlength=n)[:, None]
+    total = vor.cell_sums(weights)[:, None]
     out = values.reshape(n, -1).copy()
     np.divide(sums, total, out=out, where=total > 0)
     return out.reshape(values.shape)
@@ -121,7 +128,7 @@ def _centroids(values: np.ndarray, sample: PathSample, idx: np.ndarray,
 def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
                empty_cell_policy: str = "split_largest",
                _events: list | None = None, _iteration: int = 0,
-               _pass: tuple = (None, None)) -> Codebook:
+               _pass: VoronoiAssignment | None = None) -> Codebook:
     """One fixed-point update: each atom becomes its cell's weighted centroid.
 
     Cell weights are ||x - a_i||^(r-2); r = 2 gives the plain cell mean.  Only
@@ -133,13 +140,10 @@ def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
         raise OptimizeError(f"lloyd_step requires a p=2 space, got p={space.p}")
     if r < 2.0:
         raise OptimizeError(f"lloyd_step requires r >= 2, got r={r}")
-    if len(sample) < 1:
-        raise OptimizeError("empty sample")
     events = _events if _events is not None else []
-    values, idx, dists = _repair_empty_cells(codebook.values, sample, space, r,
-                                             empty_cell_policy, events, _iteration, _pass)
-    best = dists[np.arange(len(sample)), idx]
-    return Codebook(space=space, values=_centroids(values, sample, idx, best, r))
+    values, vor = _repair_empty_cells(codebook.values, sample, space, r,
+                                      empty_cell_policy, events, _iteration, _pass)
+    return Codebook(space=space, values=_centroids(values, sample, vor, r))
 
 
 def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
@@ -152,16 +156,16 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     trace = OptimizeTrace()
     cb = init
     sq = _weighted_sq_norms(cb.space, sample)
-    dists = pairwise_distances(cb, sample, sample_sq=sq)
-    idx = np.argmin(dists, axis=1)
-    prev = _distortion_from(dists, r, idx).value
+    vor = VoronoiAssignment(pairwise_distances(cb, sample, sample_sq=sq))
+    trace.final_distortion = _distortion_from(vor, r)
+    prev = trace.final_distortion.value
     trace.distortions.append(prev)
     for k in range(config.max_iters):
         nxt = lloyd_step(cb, sample, r, config.empty_cell_policy,
-                         _events=trace.empty_cell_events, _iteration=k, _pass=(dists, idx))
-        dists = pairwise_distances(nxt, sample, sample_sq=sq)
-        idx = np.argmin(dists, axis=1)
-        cur = _distortion_from(dists, r, idx).value
+                         _events=trace.empty_cell_events, _iteration=k, _pass=vor)
+        vor = VoronoiAssignment(pairwise_distances(nxt, sample, sample_sq=sq))
+        trace.final_distortion = _distortion_from(vor, r)
+        cur = trace.final_distortion.value
         trace.distortions.append(cur)
         trace.iterations = k + 1
         unchanged = np.array_equal(nxt.values, cb.values)
@@ -175,8 +179,7 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
         prev = cur
     else:
         trace.exit_reason = "max_iters"
-    if r >= cb.space.p:
-        trace.exit_residual = _stationarity_from(cb, sample, dists, r).max_residual
+    trace.final_stationarity = _stationarity_from(cb, sample, vor, r)
     return cb, trace
 
 
@@ -200,11 +203,11 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     values = init.values.copy()
     trace = OptimizeTrace()
 
-    dists = pairwise_distances(init, sample)
-    d0 = _distortion_from(dists, r).value
+    vor = VoronoiAssignment(pairwise_distances(init, sample))
+    d0 = _distortion_from(vor, r).value
     trace.distortions.append(d0)
     scale = d0 ** (1.0 / r) if d0 > 0 else 1.0
-    if r == 1.0 and np.any(dists == 0.0):
+    if r == 1.0 and np.any(vor.best == 0.0):
         raise OptimizeError("r = 1 needs a sample with no path equal to an atom")
     c0 = config.sgd_c0 if config.sgd_c0 is not None else 0.1 * scale ** (2.0 - r)
     decay = config.sgd_decay if config.sgd_decay is not None else 1.0 / len(sample)
@@ -236,7 +239,7 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
                 trace.exit_reason = "diverged"
                 raise DivergenceError(
                     f"distortion {rep.value:.6g} exceeded 10x initial {d0:.6g}", trace=trace)
-            trace.exit_residual = stat.max_residual if stat is not None else float("nan")
+            trace.final_distortion, trace.final_stationarity = rep, stat
             if trace.exit_residual < config.tol:
                 trace.exit_reason = "tol"
                 return cb, trace
@@ -265,8 +268,7 @@ def distortion_differential(codebook: Codebook, sample: PathSample,
         raise OptimizeError(f"the distortion differential needs p > 1, got p={p}")
     if r < 1.0:
         raise OptimizeError(f"r must be >= 1, got {r}")
-    dists = pairwise_distances(codebook, sample)
-    return r * _integrand_means(codebook, sample, dists, np.argmin(dists, axis=1), r)
+    return r * _integrand_means(codebook, sample, assign(codebook, sample), r)
 
 
 def optimize_codebook(config: OptimizerConfig, init: Codebook, sample: PathSample,
@@ -318,12 +320,7 @@ def splitting_init(sample: PathSample, space: DiscretePathSpace, n: int, r: floa
         new_cb, err = optimized(_grow(cb, candidate))
         if err >= errors[-1]:
             # deterministic fallback: capture the donor cell's farthest path
-            idx = assign(cb, sample)
-            dists = pairwise_distances(cb, sample)
-            best = dists[np.arange(len(sample)), idx.cell_index]
-            in_donor = np.flatnonzero(idx.cell_index == donor)
-            far = in_donor[int(np.argmax(best[in_donor]))]
-            candidate = cb.values[donor] + 0.5 * (sample.values[far] - cb.values[donor])
+            candidate = _split_toward_farthest(cb.values, sample, assign(cb, sample), donor)
             new_cb, err = optimized(_grow(cb, candidate))
         cb = new_cb
         stages.append(cb)

@@ -51,8 +51,8 @@ class DiscretePathSpace:
             raise FquantError("grid must be strictly increasing")
         if np.any(weights <= 0):
             raise FquantError("quadrature weights must be strictly positive")
-        if not self.p >= 1:
-            raise FquantError(f"norm exponent p must be >= 1, got {self.p}")
+        if not 1 <= self.p < np.inf:
+            raise FquantError(f"norm exponent p must be finite and >= 1, got {self.p}")
         if self.d < 1:
             raise FquantError(f"coordinate dimension d must be >= 1, got {self.d}")
 
@@ -173,10 +173,6 @@ class PathSample:
         object.__setattr__(self, "seed", int(self.seed))
 
     def __len__(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_paths(self) -> int:
         return self.values.shape[0]
 
     @property

@@ -7,12 +7,14 @@ product; callers making many passes over a sample supply its squared norms
 once.  Pairs where the expansion cancels are recomputed directly, so a path
 equal to an atom is at distance exactly 0.  Other p and the sup norm loop over
 atoms on the same rows, reducing |x - a_i| by a weighted power sum or by max.
+Every consumer reads a pass through one VoronoiAssignment object.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -156,14 +158,37 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
 
 @dataclass(frozen=True)
 class VoronoiAssignment:
-    """Nearest-atom cell index per sample path; exact-tie paths are flagged."""
+    """Voronoi partition of one (N, n) distance pass: each path's cell (nearest atom, exact
+    ties to the lowest index), best distance and tie flag, and per-cell sums, derived lazily."""
 
-    cell_index: np.ndarray  # (N,) int
-    tie_flags: np.ndarray   # (N,) bool
-    n_cells: int
+    dists: np.ndarray  # (N, n)
+
+    @property
+    def n_cells(self) -> int:
+        return self.dists.shape[1]
+
+    @cached_property
+    def cell_index(self) -> np.ndarray:
+        return np.argmin(self.dists, axis=1)
+
+    @cached_property
+    def best(self) -> np.ndarray:  # (N,) distance from each path to its own atom
+        return self.dists[np.arange(len(self.dists)), self.cell_index]
+
+    @cached_property
+    def tie_flags(self) -> np.ndarray:
+        return (self.dists == self.best[:, None]).sum(axis=1) > 1
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return self.cell_sums()
+
+    def cell_sums(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """(n,) per-cell sums of per-path weights; path counts without weights."""
+        return np.bincount(self.cell_index, weights=weights, minlength=self.n_cells)
 
     def cell_masses(self) -> np.ndarray:
-        return np.bincount(self.cell_index, minlength=self.n_cells) / self.cell_index.size
+        return self.counts / len(self.dists)
 
     @property
     def tie_mass(self) -> float:
@@ -172,13 +197,7 @@ class VoronoiAssignment:
 
 def assign(codebook: Codebook, sample: PathSample) -> VoronoiAssignment:
     """Map each path to its nearest atom; exact distance ties go to the lowest index."""
-    if codebook.n < 1:
-        raise FquantError("empty codebook")
-    dists = pairwise_distances(codebook, sample)
-    idx = np.argmin(dists, axis=1)
-    best = dists[np.arange(len(sample)), idx]
-    ties = (dists == best[:, None]).sum(axis=1) > 1
-    return VoronoiAssignment(cell_index=idx, tie_flags=ties, n_cells=codebook.n)
+    return VoronoiAssignment(pairwise_distances(codebook, sample))
 
 
 @dataclass(frozen=True)
@@ -208,25 +227,21 @@ class DistortionReport:
         return err, self.stderr / (self.r * self.value ** ((self.r - 1.0) / self.r))
 
 
-def _distortion_from(dists: np.ndarray, r: float,
-                     idx: np.ndarray | None = None) -> DistortionReport:
-    """Distortion report from an (N, n) distance matrix and, if known, its row argmin."""
+def _distortion_from(vor: VoronoiAssignment, r: float) -> DistortionReport:
+    """Distortion report from a distance pass."""
     if r <= 0:
         raise FquantError(f"distortion order r must be > 0, got {r}")
-    N, n = dists.shape
-    if idx is None:
-        idx = np.argmin(dists, axis=1)
-    contrib = dists[np.arange(N), idx] ** r
-    per_cell = np.bincount(idx, weights=contrib, minlength=n) / N
-    mass = np.bincount(idx, minlength=n) / N
+    N = len(vor.dists)
+    contrib = vor.best ** r
+    per_cell = vor.cell_sums(contrib) / N
     stderr = float(contrib.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    return DistortionReport(value=float(per_cell.sum()), per_cell_mass=mass,
+    return DistortionReport(value=float(per_cell.sum()), per_cell_mass=vor.cell_masses(),
                             per_cell_distortion=per_cell, stderr=stderr, r=float(r))
 
 
 def distortion(codebook: Codebook, sample: PathSample, r: float) -> DistortionReport:
     """Empirical mean of min_i ||x - a_i||^r, decomposed over Voronoi cells."""
-    return _distortion_from(pairwise_distances(codebook, sample), r)
+    return _distortion_from(assign(codebook, sample), r)
 
 
 def quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:
@@ -246,11 +261,8 @@ def sup_pairwise_distances(codebook: Codebook, sample: PathSample) -> np.ndarray
 
 def sup_distortion(codebook: Codebook, sample: PathSample, r: float) -> DistortionReport:
     """Empirical E min_i ||X - a_i||_sup^r: the sup-norm analogue of distortion."""
-    return _distortion_from(sup_pairwise_distances(codebook, sample), r)
-
-
-def sup_quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:
-    return sup_distortion(codebook, sample, r).value ** (1.0 / r)
+    vor = VoronoiAssignment(sup_pairwise_distances(codebook, sample))
+    return _distortion_from(vor, r)
 
 
 def quantize_paths(codebook: Codebook, sample: PathSample) -> PathSample:

@@ -117,6 +117,20 @@ def test_missing_config_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("old, new, section", [("p = 2.0", "p = 0.5", "[space]"),
+                                               ("p = 2.0", "p = inf", "[space]"),
+                                               ("r = 2.0", "r = inf", "[quantizer]")],
+                         ids=["p_half", "p_inf", "r_inf"])
+def test_bad_space_or_exponent_exit_2(tmp_path, capsys, old, new, section):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BM_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"].startswith(section)
+
+
 def test_no_config_flag_usage(capsys):
     rc = main(["quantize"])
     assert rc == 2

@@ -5,7 +5,7 @@ from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
                     distortion, distortion_differential, dual_pairing,
                     lloyd_run, lloyd_step, product_quantizer, quant_error,
                     sample_paths, sgd_run, splitting_init, uniform_space)
-from fquant import diagnostics, optimize, stationarity_residual
+from fquant import diagnostics, optimize, quantize_core, stationarity_residual
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
 from fquant.path_space import Path
@@ -286,6 +286,58 @@ def test_splitting_init_strictly_decreasing(unit_space, bm_sample):
     final = stages[-1]
     assert np.unique(final.values.reshape(final.n, -1), axis=0).shape[0] == final.n
     assert np.all(assign(final, bm_sample).cell_masses() > 0)
+
+
+def test_splitting_fallback_makes_one_pass(monkeypatch):
+    # paths 1000 + v with v orthogonal to constants: the greedy clone of the
+    # mean moves along the mean, captures no path, and SGD steps too small to
+    # change that leave the split no better, so the fallback fires
+    space = uniform_space(1.0, 16)
+    bm = sample_paths(ProcessSpec("brownian"), space, 200, seed=5)
+    v = bm.values - ((bm.values @ space.weights) / space.total_mass)[..., None]
+    sample = PathSample(values=1000.0 + v, seed=0, process_tag="offset")
+    events = []
+
+    def counted(codebook, smp, *args, **kwargs):
+        events.append(("pass", codebook.n))
+        return pairwise_distances(codebook, smp, *args, **kwargs)
+
+    def fallback_assign(codebook, smp):
+        events.append(("fallback", codebook.n))
+        return assign(codebook, smp)
+
+    def optimized(config, start, smp, r):
+        events.append(("optimize", start))
+        return optimize_codebook(config, start, smp, r)
+
+    optimize_codebook = optimize.optimize_codebook
+    for module in (quantize_core, optimize):
+        monkeypatch.setattr(module, "pairwise_distances", counted)
+    monkeypatch.setattr(optimize, "assign", fallback_assign)
+    monkeypatch.setattr(optimize, "optimize_codebook", optimized)
+    cfg = OptimizerConfig(method="sgd", max_iters=25, seed=1, sgd_c0=1e-9)
+    splitting_init(sample, space, 2, 2.0, seed=1, config=cfg)
+    k = events.index(("fallback", 1))
+    # between the fallback and the re-optimization: exactly one pass, on the donor codebook
+    assert events[k + 1] == ("pass", 1) and events[k + 2][0] == "optimize"
+    grown = events[k + 2][1]
+    # the parent arithmetic: donor + 0.5 * (farthest path in its cell - donor)
+    cb = Codebook(space=space, values=grown.values[:1])
+    best = pairwise_distances(cb, sample)[:, 0]
+    far = sample.values[int(np.argmax(best))]
+    np.testing.assert_array_equal(grown.values[1], cb.values[0] + 0.5 * (far - cb.values[0]))
+
+
+def test_optimizer_trace_carries_final_reports(unit_space, bm_sample):
+    init = constant_codebook(unit_space, [-0.8, 0.0, 0.8])
+    lloyd = OptimizerConfig(method="lloyd", max_iters=30, tol=1e-12)
+    sgd = OptimizerConfig(method="sgd", max_iters=100, seed=3, sgd_c0=0.01)
+    for cfg in (lloyd, sgd):
+        cb, trace = optimize.optimize_codebook(cfg, init, bm_sample, 3.0)
+        assert trace.final_distortion.to_json() == distortion(cb, bm_sample, 3.0).to_json()
+        assert (trace.final_stationarity.to_json()
+                == stationarity_residual(cb, bm_sample, 3.0).to_json())
+        assert trace.distortions[-1] == trace.final_distortion.value
 
 
 def test_product_quantizer_identity_and_sizes(unit_space, rng):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fquant import (Codebook, Path, PathSample, ProcessSpec, assign,
+from fquant import (Codebook, Path, PathSample, ProcessSpec, VoronoiAssignment, assign,
                     codebook_from_paths, cross_exponent_bounds, distortion,
                     exp_weighted_space, lp_dist, quant_error, quantize_paths,
-                    sample_paths, sup_distortion, uniform_space)
+                    sample_paths, stationarity_residual, sup_distortion, sup_norm,
+                    uniform_space)
 from fquant import quantize_core
 from fquant.errors import FquantError
 from fquant.quantize_core import (_weighted_sq_norms, pairwise_distances,
@@ -132,6 +133,43 @@ def test_assign_constant_levels(unit_space):
     sample = constant_sample(unit_space, [-0.9, 0.2, 0.8])
     va = assign(cb, sample)
     np.testing.assert_array_equal(va.cell_index, [0, 1, 1])
+
+
+@pytest.mark.parametrize("norm", ["p2", "p3", "sup"])
+def test_voronoi_assignment_matches_per_pair_reference(unit_space, norm):
+    # constant paths at dyadic levels: exact ties (0.25 between 0 and 0.5, ...)
+    # and paths equal to atoms (all of the atoms, one of them twice)
+    space = unit_space.with_p(3.0 if norm == "p3" else 2.0)
+    atoms = [-0.5, 0.0, 0.5, 1.0]
+    levels = [-1.0, -0.5, -0.25, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.0, 1.5, -0.375]
+    cb, sample = constant_codebook(space, atoms), constant_sample(space, levels)
+    if norm == "sup":
+        vor = VoronoiAssignment(sup_pairwise_distances(cb, sample))
+        ref = [[sup_norm(Path(x - a)) for a in cb.values] for x in sample.values]
+    else:
+        vor = assign(cb, sample)
+        ref = [[lp_dist(space, Path(x), Path(a)) for a in cb.values] for x in sample.values]
+    cells = [row.index(min(row)) for row in ref]
+    np.testing.assert_array_equal(vor.dists, ref)
+    np.testing.assert_array_equal(vor.cell_index, cells)
+    np.testing.assert_array_equal(vor.best, [min(row) for row in ref])
+    np.testing.assert_array_equal(vor.tie_flags, [row.count(min(row)) > 1 for row in ref])
+    np.testing.assert_array_equal(vor.counts, [cells.count(i) for i in range(cb.n)])
+    assert vor.tie_flags.sum() == 3 and np.count_nonzero(vor.best == 0.0) == 5
+    assert vor.tie_mass == 3 / len(levels)
+    np.testing.assert_array_equal(vor.cell_masses(), vor.counts / len(levels))
+    if norm == "sup":
+        rep = sup_distortion(cb, sample, 2.0)
+        np.testing.assert_array_equal(rep.per_cell_mass, vor.cell_masses())
+        return
+    r = space.p
+    np.testing.assert_array_equal(distortion(cb, sample, r).per_cell_mass, vor.cell_masses())
+    stat = stationarity_residual(cb, sample, r)
+    np.testing.assert_array_equal(stat.cell_masses, vor.cell_masses())
+    assert stat.tie_mass == vor.tie_mass
+    np.testing.assert_array_equal(stat.atom_hit_mass,
+                                  [np.sum(vor.best[vor.cell_index == i] == 0.0) / len(levels)
+                                   for i in range(cb.n)])
 
 
 def test_distortion_perfect_cover_is_zero(unit_space, rng):

@@ -1,0 +1,40 @@
+"""Smoke tests of the example scripts: they run end to end on small inputs."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from fquant import ProcessSpec
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+
+def test_run_brownian_quantizer():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(SCRIPTS / "run_brownian_quantizer.py"),
+                           "--n", "3", "--paths", "300", "--m", "64"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].split() == ["n", "quant_error", "stderr"]
+    assert [line.split()[0] for line in lines[1:4]] == ["1", "2", "3"]
+    assert any(line.startswith("final n=3: max stationarity residual") for line in lines)
+    assert any(line.startswith("pinning |a(0)|") for line in lines)
+    assert any(line.startswith("holder exponents per atom") for line in lines)
+
+
+def test_run_regularity_sweep(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_regularity_sweep",
+                                                  SCRIPTS / "run_regularity_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "CASES", {"brownian": (ProcessSpec("brownian"), 129, 200, 4, 8)})
+    monkeypatch.setattr(sys, "argv", ["run_regularity_sweep.py"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("brownian  n=4   lags [dt, 8dt]  beta in [")
