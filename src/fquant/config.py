@@ -116,6 +116,13 @@ def parse_config_text(text: str) -> dict:
     return sections
 
 
+def _convert(kind, section: str, key: str, value):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"[{section}] {key} = {value!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     process: dict
@@ -159,7 +166,7 @@ class ExperimentConfig:
         if kind == "diffusion_euler":
             raise ConfigError("diffusion_euler needs drift/diffusion callables; "
                               "build its ProcessSpec in code, not from a config file")
-        x0 = float(pr.pop("x0", 0.0))
+        x0 = _convert(float, "process", "x0", pr.pop("x0", 0.0))
         params = {k: v for k, v in pr.items()}
         try:
             return ProcessSpec(kind=kind, params=params, x0=x0)
@@ -185,19 +192,19 @@ class ExperimentConfig:
 
     @property
     def n(self) -> int:
-        return int(self.quantizer.get("n", 8))
+        return _convert(int, "quantizer", "n", self.quantizer.get("n", 8))
 
     @property
     def r(self) -> float:
-        return float(self.quantizer.get("r", 2.0))
+        return _convert(float, "quantizer", "r", self.quantizer.get("r", 2.0))
 
     @property
     def n_paths(self) -> int:
-        return int(self.sample.get("n_paths", 1000))
+        return _convert(int, "sample", "n_paths", self.sample.get("n_paths", 1000))
 
     @property
     def seed(self) -> int:
-        return int(self.sample.get("seed", 0))
+        return _convert(int, "sample", "seed", self.sample.get("seed", 0))
 
     def validate(self):
         if not 1 <= self.r < float("inf"):

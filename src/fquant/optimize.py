@@ -232,7 +232,7 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
             if not np.all(np.isfinite(values)):
                 trace.exit_reason = "diverged"
                 raise DivergenceError(f"non-finite atoms at iteration {k + 1}", trace=trace)
-            cb = Codebook(space=space, values=values)
+            cb = Codebook(space=space, values=values.copy())  # frozen: values keeps moving
             rep, stat = distortion_and_stationarity(cb, sample, r)
             trace.distortions.append(rep.value)
             if rep.value > 10.0 * d0:
@@ -317,12 +317,14 @@ def splitting_init(sample: PathSample, space: DiscretePathSpace, n: int, r: floa
         draw_norm = float(np.abs(draw).max())
         eps = 0.05 * errors[-1] / max(draw_norm, 1e-12)
         candidate = cb.values[donor] + eps * draw
-        new_cb, err = optimized(_grow(cb, candidate))
-        if err >= errors[-1]:
+        # a zero draw (or a zero error) leaves the clone on its donor: no split
+        grown = (None if np.array_equal(candidate, cb.values[donor])
+                 else optimized(_grow(cb, candidate)))
+        if grown is None or grown[1] >= errors[-1]:
             # deterministic fallback: capture the donor cell's farthest path
             candidate = _split_toward_farthest(cb.values, sample, assign(cb, sample), donor)
-            new_cb, err = optimized(_grow(cb, candidate))
-        cb = new_cb
+            grown = optimized(_grow(cb, candidate))
+        cb, err = grown
         stages.append(cb)
         errors.append(err)
     return stages if return_stages else cb

@@ -147,62 +147,50 @@ def coordinate_median_minimize(law: AtomicLaw) -> tuple[np.ndarray, float]:
     return out, law.mean_norm_to(out, "l1")
 
 
+def _center_lp(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cost: np.ndarray,
+               what: str) -> tuple[np.ndarray, float]:
+    """LP solution of min_x sum_i slack_cost[i] z_i subject to |v_nj - (P x)_j| <= z[slack[n, j]].
+
+    Each bound is the row pair (P x)_j - z <= v_nj, -(P x)_j - z <= -v_nj, ordered by
+    atom n, then coordinate j.
+    """
+    K, M = law.atoms.shape
+    k, n_slack = P.shape[1], slack_cost.size
+    A = np.zeros((K, M, 2, k + n_slack))
+    A[:, :, 0, :k] = P
+    A[:, :, 1, :k] = -P
+    A[np.arange(K)[:, None], np.arange(M), :, k + slack] = -1.0
+    b = np.stack([law.atoms, -law.atoms], axis=-1)
+    res = linprog(np.concatenate([np.zeros(k), slack_cost]), A_ub=A.reshape(2 * K * M, -1),
+                  b_ub=b.ravel(), bounds=[(None, None)] * k + [(0, None)] * n_slack,
+                  method="highs")
+    if not res.success:
+        raise OracleError(f"{what} center LP failed: {res.message}")
+    return res.x[:k], float(res.fun)
+
+
 def linf_center_lp(law: AtomicLaw) -> tuple[np.ndarray, float]:
     """LP solution of min_b E ||V - b||_inf (variables b plus one bound per atom)."""
     K, M = law.atoms.shape
-    n_var = M + K
-    cost = np.concatenate([np.zeros(M), law.probs])
-    rows, rhs = [], []
-    for n in range(K):
-        for k in range(M):
-            up = np.zeros(n_var)
-            up[k] = 1.0
-            up[M + n] = -1.0
-            rows.append(up)
-            rhs.append(law.atoms[n, k])
-            lo = np.zeros(n_var)
-            lo[k] = -1.0
-            lo[M + n] = -1.0
-            rows.append(lo)
-            rhs.append(-law.atoms[n, k])
-    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
-                  bounds=[(None, None)] * M + [(0, None)] * K, method="highs")
-    if not res.success:
-        raise OracleError(f"l-infinity center LP failed: {res.message}")
-    return res.x[:M], float(res.fun)
+    slack = np.repeat(np.arange(K)[:, None], M, axis=1)
+    return _center_lp(law, np.eye(M), slack, law.probs, "l-infinity")
 
 
 def l1_center_lp(law: AtomicLaw, basis: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """LP solution of min_s E ||V - B s||_1 (B = identity when basis is None)."""
     K, M = law.atoms.shape
     B = np.eye(M) if basis is None else np.asarray(basis, dtype=np.float64)
-    k = B.shape[1]
-    n_var = k + K * M
-    cost = np.concatenate([np.zeros(k), np.repeat(law.probs, M)])
-    rows, rhs = [], []
-    for n in range(K):
-        for j in range(M):
-            zi = k + n * M + j
-            up = np.zeros(n_var)          # (B s)_j - z_nj <= v_nj
-            up[:k] = B[j]
-            up[zi] = -1.0
-            rows.append(up)
-            rhs.append(law.atoms[n, j])
-            lo = np.zeros(n_var)          # -(B s)_j - z_nj <= -v_nj
-            lo[:k] = -B[j]
-            lo[zi] = -1.0
-            rows.append(lo)
-            rhs.append(-law.atoms[n, j])
-    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
-                  bounds=[(None, None)] * k + [(0, None)] * (K * M), method="highs")
-    if not res.success:
-        raise OracleError(f"l1 center LP failed: {res.message}")
-    return res.x[:k], float(res.fun)
+    slack = np.arange(K * M).reshape(K, M)
+    return _center_lp(law, B, slack, np.repeat(law.probs, M), "l1")
 
 
-def subgradient_minimize(value_fn, subgrad_fn, x0: np.ndarray, tol: float = 1e-8,
+def subgradient_minimize(oracle, x0: np.ndarray, tol: float = 1e-8,
                          max_rounds: int = 160, inner: int = 600) -> tuple[np.ndarray, float]:
     """Polyak-style subgradient descent with an adaptive target gap.
+
+    ``oracle(x) -> (value, subgradient)`` returns the objective at x as a float
+    and one subgradient there, an array shaped like x, both derived from one
+    evaluation at x.  Each descent step makes one oracle call.
 
     Suited to the sharp (polyhedral) objectives here: the inner loop runs
     Polyak steps toward best-so-far minus delta, the iterate average is also
@@ -210,22 +198,21 @@ def subgradient_minimize(value_fn, subgrad_fn, x0: np.ndarray, tol: float = 1e-8
     to realize half of it.  Returns the best point seen.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    best_x, best_f = x.copy(), float(value_fn(x))
+    best_x, best_f = x.copy(), oracle(x)[0]
     delta = max(abs(best_f), 1.0)
     for _ in range(max_rounds):
         round_start = best_f
         avg = np.zeros_like(x)
         for k in range(inner):
-            fx = float(value_fn(x))
+            fx, g = oracle(x)
             if fx < best_f:
                 best_f, best_x = fx, x.copy()
-            g = np.asarray(subgrad_fn(x), dtype=np.float64)
-            gn = float(g @ g)
+            gn = float(g.dot(g))  # ndarray.dot: the same BLAS dot as @, cheaper to call
             if gn == 0.0:
                 return x.copy(), fx
-            x = x - ((fx - (best_f - delta)) / gn) * g
+            x -= ((fx - (best_f - delta)) / gn) * g
             avg += (x - avg) / (k + 1)
-        f_avg = float(value_fn(avg))
+        f_avg = oracle(avg)[0]
         if f_avg < best_f:
             best_f, best_x = f_avg, avg.copy()
         if round_start - best_f < delta / 2.0:
@@ -237,34 +224,38 @@ def subgradient_minimize(value_fn, subgrad_fn, x0: np.ndarray, tol: float = 1e-8
 
 
 def linf_subgradient(law: AtomicLaw):
-    def value(b):
-        return law.mean_norm_to(b, "linf")
+    """Oracle b -> (E ||V - b||_inf, a subgradient) for subgradient_minimize."""
+    atoms, probs = law.atoms, law.probs
+    K, M = atoms.shape
+    diff, absd = np.empty_like(atoms), np.empty_like(atoms)
+    row_start = np.arange(K) * M
 
-    def grad(b):
-        diff = b[None, :] - law.atoms
-        k_star = np.argmax(np.abs(diff), axis=1)
-        g = np.zeros_like(b)
-        rows = np.arange(law.atoms.shape[0])
-        np.add.at(g, k_star, law.probs * np.sign(diff[rows, k_star]))
-        return g
+    def oracle(b):
+        np.subtract(b, atoms, out=diff)
+        k_star = np.abs(diff, out=absd).argmax(axis=1)
+        lead = diff.take(row_start + k_star)  # the entry of largest |diff| in each row
+        value = float(probs.dot(np.abs(lead)))
+        return value, np.bincount(k_star, weights=probs * np.sign(lead), minlength=M)
 
-    return value, grad
+    return oracle
 
 
 def l1_subgradient(law: AtomicLaw, basis: np.ndarray | None = None):
+    """Oracle s -> (E ||V - B s||_1, a subgradient in s) for subgradient_minimize
+    (B = identity when basis is None)."""
+    atoms, probs = law.atoms, law.probs
     B = None if basis is None else np.asarray(basis, dtype=np.float64)
+    diff, absd = np.empty_like(atoms), np.empty_like(atoms)
+    probs_col = probs[:, None]
 
-    def point(s):
-        return s if B is None else B @ s
+    def oracle(s):
+        np.subtract(s if B is None else B @ s, atoms, out=diff)
+        value = float(probs.dot(np.abs(diff, out=absd).sum(axis=1)))
+        signs = np.sign(diff, out=diff)
+        g_pt = np.multiply(probs_col, signs, out=signs).sum(axis=0)
+        return value, (g_pt if B is None else B.T @ g_pt)
 
-    def value(s):
-        return law.mean_norm_to(point(s), "l1")
-
-    def grad(s):
-        g_pt = (law.probs[:, None] * np.sign(point(s)[None, :] - law.atoms)).sum(axis=0)
-        return g_pt if B is None else B.T @ g_pt
-
-    return value, grad
+    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +301,13 @@ def c0_example(M: int = 16, probs: np.ndarray | None = None,
         seq[m - 1] = law.mean_norm_to(a_m, "linf")
 
     best_point, best_lp = linf_center_lp(law)
-    value_fn, grad_fn = linf_subgradient(law)
+    oracle = linf_subgradient(law)
     # multistart: origin plus the coordinatewise midrange (the standard first
     # guess for sup-norm centers); the flat geometric tail makes a single cold
     # start crawl
     midrange = 0.5 * (law.atoms.min(axis=0) + law.atoms.max(axis=0))
-    best_sub = min(subgradient_minimize(value_fn, grad_fn, np.zeros(M))[1],
-                   subgradient_minimize(value_fn, grad_fn, midrange)[1])
+    best_sub = min(subgradient_minimize(oracle, np.zeros(M))[1],
+                   subgradient_minimize(oracle, midrange)[1])
 
     rng = np.random.default_rng(probe_seed)
     probe_margin = np.inf
@@ -416,12 +407,10 @@ def l1_hyperplane_example(M: int = 16, c: np.ndarray | None = None) -> L1Hyperpl
     B = _plane_basis(M)
     _, e_plane_lp = l1_center_lp(law, basis=B)
     e_plane_vertex = _plane_vertex_minimum(law, M)
-    val_fn, grad_fn = l1_subgradient(law, basis=B)
-    _, e_plane_sub = subgradient_minimize(val_fn, grad_fn, np.zeros(2))
+    _, e_plane_sub = subgradient_minimize(l1_subgradient(law, basis=B), np.zeros(2))
 
     minimizer_full, e_full_med = coordinate_median_minimize(law)
-    vfull, gfull = l1_subgradient(law)
-    _, e_full_sub = subgradient_minimize(vfull, gfull, np.zeros(M))
+    _, e_full_sub = subgradient_minimize(l1_subgradient(law), np.zeros(M))
 
     u1 = np.zeros(M)
     u1[0] = 1.0
@@ -489,8 +478,7 @@ def sharp_constant_example(m: int) -> SharpConstantReport:
     for j in range(1, m):
         B[j, j - 1] = -1.0
     _, e_sub_lp = l1_center_lp(law, basis=B)
-    val_fn, grad_fn = l1_subgradient(law, basis=B)
-    _, e_sub_sg = subgradient_minimize(val_fn, grad_fn, np.zeros(m - 1))
+    _, e_sub_sg = subgradient_minimize(l1_subgradient(law, basis=B), np.zeros(m - 1))
 
     expected = 2.0 * (m - 1) / m
     ratio = e_sub_lp / e_full

@@ -119,8 +119,11 @@ def test_missing_config_exit_2(capsys):
 
 @pytest.mark.parametrize("old, new, section", [("p = 2.0", "p = 0.5", "[space]"),
                                                ("p = 2.0", "p = inf", "[space]"),
-                                               ("r = 2.0", "r = inf", "[quantizer]")],
-                         ids=["p_half", "p_inf", "r_inf"])
+                                               ("r = 2.0", "r = inf", "[quantizer]"),
+                                               ("n = 4", "n = two", "[quantizer]"),
+                                               ("kind = brownian", "kind = brownian\nx0 = abc",
+                                                "[process]")],
+                         ids=["p_half", "p_inf", "r_inf", "n_word", "x0_word"])
 def test_bad_space_or_exponent_exit_2(tmp_path, capsys, old, new, section):
     path = tmp_path / "bad.cfg"
     path.write_text(BM_CFG.replace(old, new))

@@ -242,6 +242,26 @@ def test_sgd_run_one_pass_per_evaluation(bm_sample, monkeypatch, tol, evals):
     assert trace.distortions[-1] == distortion(cb, bm_sample, 3.0).value
 
 
+def test_sgd_evaluation_codebooks_are_frozen(bm_sample, monkeypatch):
+    # each evaluation's codebook keeps the atoms it was scored on
+    space = uniform_space(1.0, bm_sample.m, p=3.0)
+    seen = []
+
+    def recorded(codebook, sample, r):
+        seen.append((codebook, codebook.values.copy()))
+        return score(codebook, sample, r)
+
+    score = optimize.distortion_and_stationarity
+    monkeypatch.setattr(optimize, "distortion_and_stationarity", recorded)
+    cfg = OptimizerConfig(method="sgd", max_iters=100, tol=1e-30, seed=3, sgd_c0=0.01)
+    init = Codebook(space=space, values=bm_sample.values[:3].copy())
+    cb, _ = sgd_run(cfg, init, bm_sample, r=3.0)
+    assert len(seen) == 25 and seen[-1][0] is cb
+    for book, scored in seen[:-1]:
+        assert not np.shares_memory(book.values, cb.values)
+        np.testing.assert_array_equal(book.values, scored)
+
+
 def test_lloyd_exit_residual_is_final_codebooks(unit_space, bm_sample):
     cfg = OptimizerConfig(method="lloyd", max_iters=30, tol=1e-12)
     init = constant_codebook(unit_space, [-0.8, 0.0, 0.8])
@@ -275,6 +295,15 @@ def test_splitting_init_two_point_support(unit_space):
     got = sorted(cb.values[:, 0, 0].tolist())
     assert got == [-1.0, 1.0]
     assert quant_error(cb, sample, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_splitting_init_zero_draw_falls_back(unit_space, seed):
+    # the level-0 path is the zero path: a split along it leaves the clone on its donor
+    sample = constant_sample(unit_space, [0.0, 1.0, 2.0])
+    cb = splitting_init(sample, unit_space, 2, 2.0, seed=seed)
+    assert cb.n == 2
+    assert np.unique(cb.values.reshape(2, -1), axis=0).shape[0] == 2
 
 
 def test_splitting_init_strictly_decreasing(unit_space, bm_sample):

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fquant import oracles
 from fquant.errors import OracleError
 from fquant.oracles import (AtomicLaw, TruncatedSequenceSpace, bump_function_values,
                             c0_example, closed_form_errors, coordinate_median_minimize,
                             default_constraint, default_probs, l1_center_lp,
                             l1_hyperplane_example, l1_subgradient, linf_center_lp,
-                            sharp_constant_example, step_function_values,
-                            subgradient_minimize, sup_counterexample,
-                            sup_example_grid)
+                            linf_subgradient, sharp_constant_example,
+                            step_function_values, subgradient_minimize,
+                            sup_counterexample, sup_example_grid)
 
 
 def test_default_probs_constraints():
@@ -191,8 +192,7 @@ def test_subgradient_solver_on_l1_law():
     atoms = g.normal(size=(5, 4))
     law = AtomicLaw(atoms=atoms, probs=np.full(5, 0.2))
     _, v_med = coordinate_median_minimize(law)
-    val_fn, grad_fn = l1_subgradient(law)
-    _, v_sub = subgradient_minimize(val_fn, grad_fn, np.zeros(4))
+    _, v_sub = subgradient_minimize(l1_subgradient(law), np.zeros(4))
     assert v_sub == pytest.approx(v_med, abs=1e-6)
 
 
@@ -203,3 +203,167 @@ def test_linf_lp_on_simple_law():
     center, value = linf_center_lp(law)
     assert value == pytest.approx(1.0, abs=1e-9)
     assert law.mean_norm_to(center, "linf") == pytest.approx(value, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the separate value / subgradient callables and
+# the two-callable descent loop that the one-pass oracle replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_minimize(value_fn, subgrad_fn, x0, tol=1e-8, max_rounds=160, inner=600):
+    x = np.asarray(x0, dtype=np.float64).copy()
+    best_x, best_f = x.copy(), float(value_fn(x))
+    delta = max(abs(best_f), 1.0)
+    for _ in range(max_rounds):
+        round_start = best_f
+        avg = np.zeros_like(x)
+        for k in range(inner):
+            fx = float(value_fn(x))
+            if fx < best_f:
+                best_f, best_x = fx, x.copy()
+            g = np.asarray(subgrad_fn(x), dtype=np.float64)
+            gn = float(g @ g)
+            if gn == 0.0:
+                return x.copy(), fx
+            x = x - ((fx - (best_f - delta)) / gn) * g
+            avg += (x - avg) / (k + 1)
+        f_avg = float(value_fn(avg))
+        if f_avg < best_f:
+            best_f, best_x = f_avg, avg.copy()
+        if round_start - best_f < delta / 2.0:
+            delta /= 2.0
+            x = best_x.copy()
+        if delta < tol:
+            break
+    return best_x, best_f
+
+
+def _reference_pair(law, kind, basis=None):
+    if kind == "linf":
+        def value(b):
+            return law.mean_norm_to(b, "linf")
+
+        def grad(b):
+            diff = b[None, :] - law.atoms
+            k_star = np.argmax(np.abs(diff), axis=1)
+            g = np.zeros_like(b)
+            rows = np.arange(law.atoms.shape[0])
+            np.add.at(g, k_star, law.probs * np.sign(diff[rows, k_star]))
+            return g
+
+        return value, grad
+
+    def point(s):
+        return s if basis is None else basis @ s
+
+    def value(s):
+        return law.mean_norm_to(point(s), "l1")
+
+    def grad(s):
+        g_pt = (law.probs[:, None] * np.sign(point(s)[None, :] - law.atoms)).sum(axis=0)
+        return g_pt if basis is None else basis.T @ g_pt
+
+    return value, grad
+
+
+def _oracle(law, kind, basis=None):
+    return linf_subgradient(law) if kind == "linf" else l1_subgradient(law, basis=basis)
+
+
+def _assert_descent_matches_reference(law, kind, x0, basis=None, **kw):
+    ref_x, ref_f = _reference_minimize(*_reference_pair(law, kind, basis), x0, **kw)
+    new_x, new_f = subgradient_minimize(_oracle(law, kind, basis), x0, **kw)
+    assert type(new_f) is float and new_f.hex() == ref_f.hex()
+    assert new_x.dtype == ref_x.dtype and new_x.tobytes() == ref_x.tobytes()
+
+
+def _random_law(g, k, dim):
+    # rounded atoms give exact ties in the |diff| argmax and zero signs
+    atoms = np.round(g.normal(size=(k, dim)), 1)
+    if len({a.tobytes() for a in atoms}) < k:
+        return None
+    w = g.uniform(0.1, 1.0, size=k)
+    return AtomicLaw(atoms=atoms, probs=w / w.sum())
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       k=st.integers(min_value=2, max_value=6),
+       dim=st.integers(min_value=2, max_value=5),
+       case=st.sampled_from([("l1", False), ("linf", False), ("l1", True)]))
+def test_oracle_descent_bit_equal_to_two_callable_reference(seed, k, dim, case):
+    kind, with_basis = case
+    g = np.random.default_rng(seed)
+    law = _random_law(g, k, dim)
+    if law is None:
+        return
+    basis = np.round(g.normal(size=(dim, dim - 1)), 1) if with_basis else None
+    n_var = dim if basis is None else dim - 1
+    oracle, (value_fn, grad_fn) = _oracle(law, kind, basis), _reference_pair(law, kind, basis)
+    for x in (np.zeros(n_var), np.round(g.normal(size=n_var), 1), g.normal(size=n_var)):
+        pt = x if basis is None else basis @ x
+        f, sub = oracle(x)
+        assert f == law.mean_norm_to(pt, kind) == value_fn(x)
+        assert sub.tobytes() == grad_fn(x).tobytes()
+    _assert_descent_matches_reference(law, kind, g.normal(size=n_var), basis,
+                                      max_rounds=12, inner=40)
+
+
+def test_oracle_descent_bit_equal_on_example_laws():
+    M = 16
+    c0_law = AtomicLaw(atoms=np.eye(M), probs=default_probs(M))
+    for x0 in (np.zeros(M), np.full(M, 0.5)):
+        _assert_descent_matches_reference(c0_law, "linf", x0)
+    l1_law = oracles._l1_three_point_law(M)
+    _assert_descent_matches_reference(l1_law, "l1", np.zeros(2), oracles._plane_basis(M))
+    _assert_descent_matches_reference(l1_law, "l1", np.zeros(M))
+
+
+def _reference_lp_input(law, kind, basis=None):
+    """The per-row loop builders of the center LPs: cost, A_ub, b_ub, bounds."""
+    K, M = law.atoms.shape
+    B = np.eye(M) if kind == "linf" or basis is None else basis
+    k = B.shape[1]
+    n_slack = K if kind == "linf" else K * M
+    cost = np.concatenate([np.zeros(k), law.probs if kind == "linf" else np.repeat(law.probs, M)])
+    rows, rhs = [], []
+    for n in range(K):
+        for j in range(M):
+            zi = k + (n if kind == "linf" else n * M + j)
+            up = np.zeros(k + n_slack)
+            up[:k] = B[j]
+            up[zi] = -1.0
+            rows.append(up)
+            rhs.append(law.atoms[n, j])
+            lo = np.zeros(k + n_slack)
+            lo[:k] = -B[j]
+            lo[zi] = -1.0
+            rows.append(lo)
+            rhs.append(-law.atoms[n, j])
+    return cost, np.array(rows), np.array(rhs), [(None, None)] * k + [(0, None)] * n_slack
+
+
+@pytest.mark.parametrize("kind, with_basis", [("linf", False), ("l1", False), ("l1", True)],
+                         ids=["linf", "l1", "l1_basis"])
+def test_center_lp_input_matches_loop_builder(monkeypatch, kind, with_basis):
+    g = np.random.default_rng(11)
+    law = AtomicLaw(atoms=g.normal(size=(4, 5)), probs=np.array([0.1, 0.2, 0.3, 0.4]))
+    basis = g.normal(size=(5, 3)) if with_basis else None
+    seen = {}
+
+    def spy(c, **kw):
+        seen.update(c=c, **kw)
+        return linprog(c, **kw)
+
+    linprog = oracles.linprog
+    monkeypatch.setattr(oracles, "linprog", spy)
+    if kind == "linf":
+        linf_center_lp(law)
+    else:
+        l1_center_lp(law, basis=basis)
+    cost, A, b, bounds = _reference_lp_input(law, kind, basis)
+    np.testing.assert_array_equal(seen["c"], cost)
+    assert seen["A_ub"].shape == A.shape
+    np.testing.assert_array_equal(seen["A_ub"], A)
+    np.testing.assert_array_equal(seen["b_ub"], b)
+    assert seen["bounds"] == bounds and seen["method"] == "highs"
