@@ -1,9 +1,10 @@
 """Finite, exactly-computable ground-truth cases for the test suite.
 
 Each oracle reconstructs a sequence-space or C([0,1]) construction with a
-known best value, evaluates it by two independent routes (closed-form /
-coordinate medians / linear programming / subgradient descent), and reports
-named checks that the CLI aggregates into a manifest.
+known best value, evaluates it by independent routes (closed forms / vertex
+enumeration / coordinate medians / linear programming), and reports named
+checks that the CLI aggregates into a manifest.  Every LP value carries a
+duality certificate checked in numpy outside the solver.
 """
 
 from __future__ import annotations
@@ -147,9 +148,34 @@ def coordinate_median_minimize(law: AtomicLaw) -> tuple[np.ndarray, float]:
     return out, law.mean_norm_to(out, "l1")
 
 
+def lp_certificate(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, n_free: int,
+                   x: np.ndarray, value: float, y: np.ndarray, lam: np.ndarray) -> float:
+    """Largest residual of an optimality certificate for min c.x s.t. A_ub x <= b_ub,
+    x_i >= 0 for i >= n_free (the first n_free variables are free).
+
+    Checks, in numpy and without trusting the solver that produced them, the
+    primal point x, the reported optimal value, inequality duals y and
+    lower-bound duals lam:
+      - primal infeasibility: max (A_ub x - b_ub)_+ and max (-x_i)_+ on the bounded x_i;
+      - dual infeasibility: ||A_ub^T y + lam - c||_inf, max y_+, max (-lam_i)_+ on the
+        bounded variables and |lam_i| on the free ones;
+      - duality gap: the reported value against both c.x and the dual bound b_ub.y.
+    All three vanish exactly at an optimal primal-dual pair (LP strong duality).
+    """
+    primal = max(float(np.max(A_ub @ x - b_ub, initial=0.0)),
+                 float(np.max(-x[n_free:], initial=0.0)))
+    dual = max(float(np.abs(A_ub.T @ y + lam - c).max()),
+               float(np.max(y, initial=0.0)),
+               float(np.max(-lam[n_free:], initial=0.0)),
+               float(np.abs(lam[:n_free]).max(initial=0.0)))
+    gap = max(abs(value - float(c @ x)), abs(value - float(b_ub @ y)))
+    return max(primal, dual, gap)
+
+
 def _center_lp(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cost: np.ndarray,
-               what: str) -> tuple[np.ndarray, float]:
-    """LP solution of min_x sum_i slack_cost[i] z_i subject to |v_nj - (P x)_j| <= z[slack[n, j]].
+               what: str) -> tuple[np.ndarray, float, float]:
+    """LP solution of min_x sum_i slack_cost[i] z_i subject to |v_nj - (P x)_j| <= z[slack[n, j]],
+    with the residual of its duality certificate (see lp_certificate).
 
     Each bound is the row pair (P x)_j - z <= v_nj, -(P x)_j - z <= -v_nj, ordered by
     atom n, then coordinate j.
@@ -160,102 +186,35 @@ def _center_lp(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cost: np.
     A[:, :, 0, :k] = P
     A[:, :, 1, :k] = -P
     A[np.arange(K)[:, None], np.arange(M), :, k + slack] = -1.0
-    b = np.stack([law.atoms, -law.atoms], axis=-1)
-    res = linprog(np.concatenate([np.zeros(k), slack_cost]), A_ub=A.reshape(2 * K * M, -1),
-                  b_ub=b.ravel(), bounds=[(None, None)] * k + [(0, None)] * n_slack,
+    A = A.reshape(2 * K * M, -1)
+    b = np.stack([law.atoms, -law.atoms], axis=-1).ravel()
+    c = np.concatenate([np.zeros(k), slack_cost])
+    res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * k + [(0, None)] * n_slack,
                   method="highs")
     if not res.success:
         raise OracleError(f"{what} center LP failed: {res.message}")
-    return res.x[:k], float(res.fun)
+    value = float(res.fun)
+    certificate = lp_certificate(c, A, b, k, res.x, value, res.ineqlin.marginals,
+                                 res.lower.marginals)
+    return res.x[:k], value, certificate
 
 
-def linf_center_lp(law: AtomicLaw) -> tuple[np.ndarray, float]:
-    """LP solution of min_b E ||V - b||_inf (variables b plus one bound per atom)."""
+def linf_center_lp(law: AtomicLaw) -> tuple[np.ndarray, float, float]:
+    """LP solution of min_b E ||V - b||_inf (variables b plus one bound per atom):
+    (center, value, certificate residual)."""
     K, M = law.atoms.shape
     slack = np.repeat(np.arange(K)[:, None], M, axis=1)
     return _center_lp(law, np.eye(M), slack, law.probs, "l-infinity")
 
 
-def l1_center_lp(law: AtomicLaw, basis: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """LP solution of min_s E ||V - B s||_1 (B = identity when basis is None)."""
+def l1_center_lp(law: AtomicLaw,
+                 basis: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
+    """LP solution of min_s E ||V - B s||_1 (B = identity when basis is None):
+    (s, value, certificate residual)."""
     K, M = law.atoms.shape
     B = np.eye(M) if basis is None else np.asarray(basis, dtype=np.float64)
     slack = np.arange(K * M).reshape(K, M)
     return _center_lp(law, B, slack, np.repeat(law.probs, M), "l1")
-
-
-def subgradient_minimize(oracle, x0: np.ndarray, tol: float = 1e-8,
-                         max_rounds: int = 160, inner: int = 600) -> tuple[np.ndarray, float]:
-    """Polyak-style subgradient descent with an adaptive target gap.
-
-    ``oracle(x) -> (value, subgradient)`` returns the objective at x as a float
-    and one subgradient there, an array shaped like x, both derived from one
-    evaluation at x.  Each descent step makes one oracle call.
-
-    Suited to the sharp (polyhedral) objectives here: the inner loop runs
-    Polyak steps toward best-so-far minus delta, the iterate average is also
-    polled (it settles kink zigzags), and delta halves whenever a round fails
-    to realize half of it.  Returns the best point seen.
-    """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    best_x, best_f = x.copy(), oracle(x)[0]
-    delta = max(abs(best_f), 1.0)
-    for _ in range(max_rounds):
-        round_start = best_f
-        avg = np.zeros_like(x)
-        for k in range(inner):
-            fx, g = oracle(x)
-            if fx < best_f:
-                best_f, best_x = fx, x.copy()
-            gn = float(g.dot(g))  # ndarray.dot: the same BLAS dot as @, cheaper to call
-            if gn == 0.0:
-                return x.copy(), fx
-            x -= ((fx - (best_f - delta)) / gn) * g
-            avg += (x - avg) / (k + 1)
-        f_avg = oracle(avg)[0]
-        if f_avg < best_f:
-            best_f, best_x = f_avg, avg.copy()
-        if round_start - best_f < delta / 2.0:
-            delta /= 2.0
-            x = best_x.copy()
-        if delta < tol:
-            break
-    return best_x, best_f
-
-
-def linf_subgradient(law: AtomicLaw):
-    """Oracle b -> (E ||V - b||_inf, a subgradient) for subgradient_minimize."""
-    atoms, probs = law.atoms, law.probs
-    K, M = atoms.shape
-    diff, absd = np.empty_like(atoms), np.empty_like(atoms)
-    row_start = np.arange(K) * M
-
-    def oracle(b):
-        np.subtract(b, atoms, out=diff)
-        k_star = np.abs(diff, out=absd).argmax(axis=1)
-        lead = diff.take(row_start + k_star)  # the entry of largest |diff| in each row
-        value = float(probs.dot(np.abs(lead)))
-        return value, np.bincount(k_star, weights=probs * np.sign(lead), minlength=M)
-
-    return oracle
-
-
-def l1_subgradient(law: AtomicLaw, basis: np.ndarray | None = None):
-    """Oracle s -> (E ||V - B s||_1, a subgradient in s) for subgradient_minimize
-    (B = identity when basis is None)."""
-    atoms, probs = law.atoms, law.probs
-    B = None if basis is None else np.asarray(basis, dtype=np.float64)
-    diff, absd = np.empty_like(atoms), np.empty_like(atoms)
-    probs_col = probs[:, None]
-
-    def oracle(s):
-        np.subtract(s if B is None else B @ s, atoms, out=diff)
-        value = float(probs.dot(np.abs(diff, out=absd).sum(axis=1)))
-        signs = np.sign(diff, out=diff)
-        g_pt = np.multiply(probs_col, signs, out=signs).sum(axis=0)
-        return value, (g_pt if B is None else B.T @ g_pt)
-
-    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +242,7 @@ def c0_example(M: int = 16, probs: np.ndarray | None = None,
 
     The law sits on the canonical basis vectors u^(1)..u^(M) with weights in
     (0, 1/2).  The half-constant point scores exactly 1/2; the truncated-space
-    minimum (via LP, cross-checked by subgradient descent) is 1/2 again and is
+    minimum (via LP, certified by LP duality) is 1/2 again and is
     attained only at that point; and the partial-sum candidates a^(m) decrease
     strictly to 1/2.
     """
@@ -300,14 +259,7 @@ def c0_example(M: int = 16, probs: np.ndarray | None = None,
         a_m[:m] = 0.5
         seq[m - 1] = law.mean_norm_to(a_m, "linf")
 
-    best_point, best_lp = linf_center_lp(law)
-    oracle = linf_subgradient(law)
-    # multistart: origin plus the coordinatewise midrange (the standard first
-    # guess for sup-norm centers); the flat geometric tail makes a single cold
-    # start crawl
-    midrange = 0.5 * (law.atoms.min(axis=0) + law.atoms.max(axis=0))
-    best_sub = min(subgradient_minimize(oracle, np.zeros(M))[1],
-                   subgradient_minimize(oracle, midrange)[1])
+    best_point, best_lp, certificate = linf_center_lp(law)
 
     rng = np.random.default_rng(probe_seed)
     probe_margin = np.inf
@@ -321,7 +273,7 @@ def c0_example(M: int = 16, probs: np.ndarray | None = None,
     checks = [
         OracleCheck("c0.value_at_half_constant", value_at_candidate, 0.5, 1e-12),
         OracleCheck("c0.lp_minimum", best_lp, 0.5, 1e-9),
-        OracleCheck("c0.lp_vs_subgradient", best_lp - best_sub, 0.0, 1e-6),
+        OracleCheck("c0.center_lp_certificate", certificate, 0.0, 1e-12),
         OracleCheck("c0.minimizer_is_half_constant",
                     float(np.abs(best_point - candidate).max()), 0.0, 1e-6),
         indicator_check("c0.sequence_strictly_decreasing",
@@ -405,12 +357,11 @@ def l1_hyperplane_example(M: int = 16, c: np.ndarray | None = None) -> L1Hyperpl
     law = _l1_three_point_law(M)
 
     B = _plane_basis(M)
-    _, e_plane_lp = l1_center_lp(law, basis=B)
+    _, e_plane_lp, plane_certificate = l1_center_lp(law, basis=B)
     e_plane_vertex = _plane_vertex_minimum(law, M)
-    _, e_plane_sub = subgradient_minimize(l1_subgradient(law, basis=B), np.zeros(2))
 
     minimizer_full, e_full_med = coordinate_median_minimize(law)
-    _, e_full_sub = subgradient_minimize(l1_subgradient(law), np.zeros(M))
+    _, e_full_lp, full_certificate = l1_center_lp(law)
 
     u1 = np.zeros(M)
     u1[0] = 1.0
@@ -428,9 +379,10 @@ def l1_hyperplane_example(M: int = 16, c: np.ndarray | None = None) -> L1Hyperpl
     checks = [
         OracleCheck("l1.plane_lp", e_plane_lp, 4.0 / 3.0, 1e-9),
         OracleCheck("l1.plane_vertex_enumeration", e_plane_vertex, 4.0 / 3.0, 1e-12),
-        OracleCheck("l1.plane_lp_vs_subgradient", e_plane_lp - e_plane_sub, 0.0, 1e-6),
+        OracleCheck("l1.plane_lp_certificate", plane_certificate, 0.0, 1e-12),
         OracleCheck("l1.full_minimum", e_full_med, 1.0, 1e-12),
-        OracleCheck("l1.full_median_vs_subgradient", e_full_med - e_full_sub, 0.0, 1e-6),
+        OracleCheck("l1.full_median_vs_lp", e_full_med - e_full_lp, 0.0, 1e-12),
+        OracleCheck("l1.full_lp_certificate", full_certificate, 0.0, 1e-12),
         OracleCheck("l1.full_minimizer_is_u1",
                     float(np.abs(minimizer_full - u1).max()), 0.0, 1e-6),
         OracleCheck("l1.candidate_values_closed_form",
@@ -477,15 +429,14 @@ def sharp_constant_example(m: int) -> SharpConstantReport:
     B[0] = 1.0
     for j in range(1, m):
         B[j, j - 1] = -1.0
-    _, e_sub_lp = l1_center_lp(law, basis=B)
-    _, e_sub_sg = subgradient_minimize(l1_subgradient(law, basis=B), np.zeros(m - 1))
+    _, e_sub_lp, certificate = l1_center_lp(law, basis=B)
 
     expected = 2.0 * (m - 1) / m
     ratio = e_sub_lp / e_full
     checks = [
         OracleCheck(f"sharp2.full_minimum[m={m}]", e_full, 1.0, 1e-12),
         OracleCheck(f"sharp2.subspace_lp[m={m}]", e_sub_lp, expected, 1e-9),
-        OracleCheck(f"sharp2.lp_vs_subgradient[m={m}]", e_sub_lp - e_sub_sg, 0.0, 1e-6),
+        OracleCheck(f"sharp2.subspace_lp_certificate[m={m}]", certificate, 0.0, 1e-12),
         OracleCheck(f"sharp2.ratio[m={m}]", ratio, expected, 1e-9),
         indicator_check(f"sharp2.ratio_below_2[m={m}]", ratio <= 2.0, ratio),
     ]

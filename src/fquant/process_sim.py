@@ -27,6 +27,8 @@ _SCALAR_ONLY = ("gamma", "compound_poisson", "stable_levy")
 
 FBM_JITTER = 1e-12
 
+_OU_BLOCK = 2 ** 18  # floats per transposed block of path rows in the OU recursion
+
 JUMP_LAWS = {
     "normal": lambda rng, size: rng.standard_normal(size),
     "uniform": lambda rng, size: rng.uniform(-1.0, 1.0, size),
@@ -135,8 +137,15 @@ def _ou_values(rng, n_paths: int, space: DiscretePathSpace, c: float) -> np.ndar
     rng.standard_normal(out=out.reshape(-1))
     phi = np.exp(-c * np.diff(space.grid))
     sig = np.sqrt(1.0 - phi * phi)
-    for k in range(space.m - 1):
-        out[..., k + 1] = phi[k] * out[..., k] + sig[k] * out[..., k + 1]
+    # the recursion runs along time; on a transposed block each step reads and
+    # writes contiguous rows instead of strided columns
+    flat = out.reshape(-1, space.m)
+    rows = max(1, _OU_BLOCK // space.m)
+    for start in range(0, flat.shape[0], rows):
+        block = flat[start:start + rows].T.copy()
+        for k in range(space.m - 1):
+            block[k + 1] = phi[k] * block[k] + sig[k] * block[k + 1]
+        flat[start:start + rows] = block.T
     return out
 
 

@@ -236,6 +236,21 @@ def test_oracle_sharp_ratio(tmp_path):
     assert manifest["values"]["sharp2"]["ratios"]["10"] == pytest.approx(1.8, abs=1e-9)
 
 
+def test_oracle_all_lp_values_certified(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--all", "--m", "10", "--out", str(out)]) == 0
+    manifest = json.loads((out / "oracle_manifest.json").read_text())
+    names = [c["name"] for c in manifest["checks"]]
+    assert not [n for n in names if "subgradient" in n]
+    # one certificate per LP-backed value: c0, the l1 plane and full space, each sharp2[m]
+    expected = (["c0.center_lp_certificate", "l1.plane_lp_certificate", "l1.full_lp_certificate"]
+                + [f"sharp2.subspace_lp_certificate[m={m}]" for m in range(2, 11)])
+    certs = [c for c in manifest["checks"] if "lp_certificate" in c["name"]]
+    assert sorted(c["name"] for c in certs) == sorted(expected)
+    assert max(c["value"] for c in certs) <= 1e-12
+    assert manifest["all_passed"]
+
+
 def test_oracle_unknown_selection(tmp_path, capsys):
     rc = main(["oracle", "riemann", "--out", str(tmp_path / "x")])
     assert rc == 2

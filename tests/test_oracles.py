@@ -8,9 +8,8 @@ from fquant.errors import OracleError
 from fquant.oracles import (AtomicLaw, TruncatedSequenceSpace, bump_function_values,
                             c0_example, closed_form_errors, coordinate_median_minimize,
                             default_constraint, default_probs, l1_center_lp,
-                            l1_hyperplane_example, l1_subgradient, linf_center_lp,
-                            linf_subgradient, sharp_constant_example,
-                            step_function_values, subgradient_minimize,
+                            l1_hyperplane_example, linf_center_lp, lp_certificate,
+                            sharp_constant_example, step_function_values,
                             sup_counterexample, sup_example_grid)
 
 
@@ -183,99 +182,17 @@ def test_median_matches_lp_on_random_laws(seed, k, dim):
     w = g.uniform(0.1, 1.0, size=k)
     law = AtomicLaw(atoms=atoms, probs=w / w.sum())
     _, v_med = coordinate_median_minimize(law)
-    _, v_lp = l1_center_lp(law)
+    _, v_lp, _ = l1_center_lp(law)
     assert v_med == pytest.approx(v_lp, abs=1e-9)
-
-
-def test_subgradient_solver_on_l1_law():
-    g = np.random.default_rng(4)
-    atoms = g.normal(size=(5, 4))
-    law = AtomicLaw(atoms=atoms, probs=np.full(5, 0.2))
-    _, v_med = coordinate_median_minimize(law)
-    _, v_sub = subgradient_minimize(l1_subgradient(law), np.zeros(4))
-    assert v_sub == pytest.approx(v_med, abs=1e-6)
 
 
 def test_linf_lp_on_simple_law():
     # two points 0 and 2 on the line: best mean sup-distance is 1, attained on
     # the whole segment between them
     law = AtomicLaw(atoms=np.array([[0.0, 0.0], [2.0, 0.0]]), probs=np.array([0.5, 0.5]))
-    center, value = linf_center_lp(law)
+    center, value, _ = linf_center_lp(law)
     assert value == pytest.approx(1.0, abs=1e-9)
     assert law.mean_norm_to(center, "linf") == pytest.approx(value, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# reference implementations: the separate value / subgradient callables and
-# the two-callable descent loop that the one-pass oracle replaced
-# ---------------------------------------------------------------------------
-
-
-def _reference_minimize(value_fn, subgrad_fn, x0, tol=1e-8, max_rounds=160, inner=600):
-    x = np.asarray(x0, dtype=np.float64).copy()
-    best_x, best_f = x.copy(), float(value_fn(x))
-    delta = max(abs(best_f), 1.0)
-    for _ in range(max_rounds):
-        round_start = best_f
-        avg = np.zeros_like(x)
-        for k in range(inner):
-            fx = float(value_fn(x))
-            if fx < best_f:
-                best_f, best_x = fx, x.copy()
-            g = np.asarray(subgrad_fn(x), dtype=np.float64)
-            gn = float(g @ g)
-            if gn == 0.0:
-                return x.copy(), fx
-            x = x - ((fx - (best_f - delta)) / gn) * g
-            avg += (x - avg) / (k + 1)
-        f_avg = float(value_fn(avg))
-        if f_avg < best_f:
-            best_f, best_x = f_avg, avg.copy()
-        if round_start - best_f < delta / 2.0:
-            delta /= 2.0
-            x = best_x.copy()
-        if delta < tol:
-            break
-    return best_x, best_f
-
-
-def _reference_pair(law, kind, basis=None):
-    if kind == "linf":
-        def value(b):
-            return law.mean_norm_to(b, "linf")
-
-        def grad(b):
-            diff = b[None, :] - law.atoms
-            k_star = np.argmax(np.abs(diff), axis=1)
-            g = np.zeros_like(b)
-            rows = np.arange(law.atoms.shape[0])
-            np.add.at(g, k_star, law.probs * np.sign(diff[rows, k_star]))
-            return g
-
-        return value, grad
-
-    def point(s):
-        return s if basis is None else basis @ s
-
-    def value(s):
-        return law.mean_norm_to(point(s), "l1")
-
-    def grad(s):
-        g_pt = (law.probs[:, None] * np.sign(point(s)[None, :] - law.atoms)).sum(axis=0)
-        return g_pt if basis is None else basis.T @ g_pt
-
-    return value, grad
-
-
-def _oracle(law, kind, basis=None):
-    return linf_subgradient(law) if kind == "linf" else l1_subgradient(law, basis=basis)
-
-
-def _assert_descent_matches_reference(law, kind, x0, basis=None, **kw):
-    ref_x, ref_f = _reference_minimize(*_reference_pair(law, kind, basis), x0, **kw)
-    new_x, new_f = subgradient_minimize(_oracle(law, kind, basis), x0, **kw)
-    assert type(new_f) is float and new_f.hex() == ref_f.hex()
-    assert new_x.dtype == ref_x.dtype and new_x.tobytes() == ref_x.tobytes()
 
 
 def _random_law(g, k, dim):
@@ -289,34 +206,67 @@ def _random_law(g, k, dim):
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
        k=st.integers(min_value=2, max_value=6),
-       dim=st.integers(min_value=2, max_value=5),
-       case=st.sampled_from([("l1", False), ("linf", False), ("l1", True)]))
-def test_oracle_descent_bit_equal_to_two_callable_reference(seed, k, dim, case):
-    kind, with_basis = case
-    g = np.random.default_rng(seed)
-    law = _random_law(g, k, dim)
+       dim=st.integers(min_value=2, max_value=5))
+def test_center_lps_certify_on_random_laws(seed, k, dim):
+    law = _random_law(np.random.default_rng(seed), k, dim)
     if law is None:
         return
-    basis = np.round(g.normal(size=(dim, dim - 1)), 1) if with_basis else None
-    n_var = dim if basis is None else dim - 1
-    oracle, (value_fn, grad_fn) = _oracle(law, kind, basis), _reference_pair(law, kind, basis)
-    for x in (np.zeros(n_var), np.round(g.normal(size=n_var), 1), g.normal(size=n_var)):
-        pt = x if basis is None else basis @ x
-        f, sub = oracle(x)
-        assert f == law.mean_norm_to(pt, kind) == value_fn(x)
-        assert sub.tobytes() == grad_fn(x).tobytes()
-    _assert_descent_matches_reference(law, kind, g.normal(size=n_var), basis,
-                                      max_rounds=12, inner=40)
+    _, v_l1, cert_l1 = l1_center_lp(law)
+    _, _, cert_linf = linf_center_lp(law)
+    assert cert_l1 <= 1e-12 and cert_linf <= 1e-12
+    assert v_l1 == pytest.approx(coordinate_median_minimize(law)[1], abs=1e-9)
 
 
-def test_oracle_descent_bit_equal_on_example_laws():
+def _captured_lp(monkeypatch, solve) -> dict:
+    """Run solve() and return the last linprog call's arguments (c, A_ub, b_ub,
+    bounds, method) and its result (res)."""
+    seen = {}
+
+    def spy(c, **kw):
+        seen.update(c=c, res=linprog(c, **kw), **kw)
+        return seen["res"]
+
+    linprog = oracles.linprog
+    monkeypatch.setattr(oracles, "linprog", spy)
+    solve()
+    return seen
+
+
+@pytest.mark.parametrize("case", ["c0", "l1_plane", "l1_full", "sharp2_m5"])
+def test_lp_certificate_rejects_perturbed_solutions(monkeypatch, case):
     M = 16
-    c0_law = AtomicLaw(atoms=np.eye(M), probs=default_probs(M))
-    for x0 in (np.zeros(M), np.full(M, 0.5)):
-        _assert_descent_matches_reference(c0_law, "linf", x0)
-    l1_law = oracles._l1_three_point_law(M)
-    _assert_descent_matches_reference(l1_law, "l1", np.zeros(2), oracles._plane_basis(M))
-    _assert_descent_matches_reference(l1_law, "l1", np.zeros(M))
+    solve = {
+        "c0": lambda: linf_center_lp(AtomicLaw(atoms=np.eye(M), probs=default_probs(M))),
+        "l1_plane": lambda: l1_center_lp(oracles._l1_three_point_law(M),
+                                         basis=oracles._plane_basis(M)),
+        "l1_full": lambda: l1_center_lp(oracles._l1_three_point_law(M)),
+        "sharp2_m5": lambda: sharp_constant_example(5),
+    }[case]
+    seen = _captured_lp(monkeypatch, solve)
+    c, A, b, res = seen["c"], seen["A_ub"], seen["b_ub"], seen["res"]
+    n_free = sum(lo is None for lo, _ in seen["bounds"])
+    x, y, lam, value = res.x, res.ineqlin.marginals, res.lower.marginals, float(res.fun)
+    assert lp_certificate(c, A, b, n_free, x, value, y, lam) <= 1e-12
+    shifted_center = x.copy()
+    shifted_center[:n_free] += 1e-9  # same objective, violates a tight bound
+    flipped = y.copy()
+    flipped[np.argmax(np.abs(y))] *= -1.0
+    # rows 0 and 1 bound the same slack from both sides: raising both duals by t
+    # and that slack's lower-bound dual by 2t keeps A^T y + lam and b.y, so
+    # only the sign condition y <= 0 can reject it
+    t = 1.0 + abs(y[0]) + abs(y[1])
+    raised, raised_lam = y.copy(), lam.copy()
+    raised[:2] += t
+    raised_lam[n_free + np.flatnonzero(A[0, n_free:])[0]] += 2.0 * t
+    bumped_lam = lam.copy()
+    bumped_lam[n_free:] += 1e-9  # still >= 0, but A^T y + lam != c
+    for cost, point, val, duals, lower in (
+            (c, x + 1e-9, value, y, lam), (c, shifted_center, value, y, lam),
+            (c, x, value, flipped, lam), (c, x, value, raised, raised_lam),
+            (c, x, value, y, bumped_lam), (c, x, value + 1e-9, y, lam),
+            (c + 1e-9, x, value, y, lam),
+            (c, x, value, np.zeros_like(y), c)):  # dual feasible, but its bound 0 < value
+        assert lp_certificate(cost, A, b, n_free, point, val, duals, lower) > 1e-12
 
 
 def _reference_lp_input(law, kind, basis=None):
@@ -349,18 +299,8 @@ def test_center_lp_input_matches_loop_builder(monkeypatch, kind, with_basis):
     g = np.random.default_rng(11)
     law = AtomicLaw(atoms=g.normal(size=(4, 5)), probs=np.array([0.1, 0.2, 0.3, 0.4]))
     basis = g.normal(size=(5, 3)) if with_basis else None
-    seen = {}
-
-    def spy(c, **kw):
-        seen.update(c=c, **kw)
-        return linprog(c, **kw)
-
-    linprog = oracles.linprog
-    monkeypatch.setattr(oracles, "linprog", spy)
-    if kind == "linf":
-        linf_center_lp(law)
-    else:
-        l1_center_lp(law, basis=basis)
+    seen = _captured_lp(monkeypatch, lambda: linf_center_lp(law) if kind == "linf"
+                        else l1_center_lp(law, basis=basis))
     cost, A, b, bounds = _reference_lp_input(law, kind, basis)
     np.testing.assert_array_equal(seen["c"], cost)
     assert seen["A_ub"].shape == A.shape

@@ -6,7 +6,8 @@ from fquant import (PathSample, ProcessSpec, exp_weighted_space,
                     intrinsic_semimetric, moment_check, sample_paths,
                     uniform_space)
 from fquant.errors import FquantError, SimulationError
-from fquant.process_sim import _compound_poisson_increments, standard_stable
+from fquant import process_sim
+from fquant.process_sim import _compound_poisson_increments, _ou_values, standard_stable
 from fquant.rng import derive_rng
 
 
@@ -75,6 +76,20 @@ def test_ou_stationary_covariance():
     lag = space.grid[40] - space.grid[8]
     emp = np.mean(x[:, 8] * x[:, 40])
     assert emp == pytest.approx(np.exp(-lag), abs=0.02)
+
+
+def test_ou_blocked_recursion_matches_strided_loop(monkeypatch):
+    space = exp_weighted_space(4.0, 33, b=1.0, d=2)
+    c, n_paths = 1.5, 7
+    # 3 path rows per block: the 14 rows of (n_paths * d, m) end in a partial block
+    monkeypatch.setattr(process_sim, "_OU_BLOCK", 3 * space.m)
+    out = _ou_values(np.random.default_rng(5), n_paths, space, c)
+    ref = np.random.default_rng(5).standard_normal((n_paths, space.d, space.m))
+    phi = np.exp(-c * np.diff(space.grid))
+    sig = np.sqrt(1.0 - phi * phi)
+    for k in range(space.m - 1):
+        ref[..., k + 1] = phi[k] * ref[..., k] + sig[k] * ref[..., k + 1]
+    np.testing.assert_array_equal(out, ref)
 
 
 def test_fbm_half_matches_brownian_increments():
