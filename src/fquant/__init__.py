@@ -7,8 +7,8 @@ from .process_sim import (MomentCheck, ProcessSpec, intrinsic_semimetric,
                           moment_check, sample_paths)
 from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment,
                             assign, codebook_from_paths, cross_exponent_bounds,
-                            distortion, quant_error, quant_error_with_stderr,
-                            quantize_paths, sup_distortion)
+                            distortion, quant_error, quantize_paths,
+                            sup_distortion)
 from .optimize import (OptimizerConfig, OptimizeTrace, default_config_for,
                        distortion_differential, lloyd_run, lloyd_step,
                        optimize_codebook, product_quantizer, sgd_run,
@@ -28,7 +28,7 @@ __all__ = [
     "ProcessSpec", "sample_paths", "intrinsic_semimetric", "moment_check",
     "MomentCheck",
     "Codebook", "VoronoiAssignment", "DistortionReport", "assign", "distortion",
-    "quant_error", "quant_error_with_stderr", "quantize_paths",
+    "quant_error", "quantize_paths",
     "cross_exponent_bounds", "codebook_from_paths", "sup_distortion",
     "OptimizerConfig", "OptimizeTrace", "lloyd_step", "lloyd_run", "sgd_run",
     "optimize_codebook", "splitting_init", "product_quantizer", "default_config_for",

@@ -110,8 +110,7 @@ def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     return EXIT_OK
 
 
-def run_oracles(selection: list[str], out_dir: FsPath, m_sharp: int = 10,
-                trunc: int = 16, n_funcs: int = 12) -> int:
+def run_oracles(selection: list[str], out_dir: FsPath, m_sharp: int = 10) -> int:
     chosen = list(ORACLE_NAMES) if not selection or "all" in selection else selection
     unknown = set(chosen) - set(ORACLE_NAMES)
     if unknown:
@@ -120,13 +119,13 @@ def run_oracles(selection: list[str], out_dir: FsPath, m_sharp: int = 10,
     checks = []
     values = {}
     if "c0" in chosen:
-        rep = oracles.c0_example(M=trunc)
+        rep = oracles.c0_example()
         checks += rep.checks
         values["c0"] = {"best_value": rep.best_value,
                         "value_at_candidate": rep.value_at_candidate,
                         "sequence_values": rep.sequence_values.tolist()}
     if "l1" in chosen:
-        rep = oracles.l1_hyperplane_example(M=trunc)
+        rep = oracles.l1_hyperplane_example()
         checks += rep.checks
         values["l1"] = {"e_plane": rep.e_plane, "e_full": rep.e_full,
                         "e_hyperplane_upper": rep.e_hyperplane_upper}
@@ -138,7 +137,7 @@ def run_oracles(selection: list[str], out_dir: FsPath, m_sharp: int = 10,
             ratios[m] = rep.ratio
         values["sharp2"] = {"ratios": ratios}
     if "supnorm" in chosen:
-        rep = oracles.sup_counterexample(n_funcs=n_funcs)
+        rep = oracles.sup_counterexample()
         checks += rep.checks
         values["supnorm"] = {"value_at_h": rep.value_at_h, "best_probe": rep.best_probe}
     if "closed_form" in chosen:

@@ -9,7 +9,7 @@ key.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .optimize import OptimizerConfig
@@ -61,11 +61,7 @@ cap = 4096
 
 [output]
 dir = out
-formats = json,csv,binary
 """
-
-_KNOWN_SECTIONS = ("process", "space", "quantizer", "optimizer", "sample",
-                   "bounds", "output")
 
 
 def _parse_scalar(text: str):
@@ -135,11 +131,7 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        canon = repr(sorted((s, sorted(d.items())) for s, d in [
-            ("process", self.process), ("space", self.space),
-            ("quantizer", self.quantizer), ("optimizer", self.optimizer),
-            ("sample", self.sample), ("bounds", self.bounds),
-            ("output", self.output)]))
+        canon = repr(sorted((s, sorted(getattr(self, s).items())) for s in _KNOWN_SECTIONS))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def build_space(self) -> DiscretePathSpace:
@@ -218,6 +210,9 @@ class ExperimentConfig:
         self.build_optimizer(self.seed)
 
 
+_KNOWN_SECTIONS = tuple(f.name for f in fields(ExperimentConfig))
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -231,15 +226,7 @@ def load_config(path: str) -> ExperimentConfig:
     for required in ("process", "space", "quantizer", "sample"):
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
-    cfg = ExperimentConfig(
-        process=sections.get("process", {}),
-        space=sections.get("space", {}),
-        quantizer=sections.get("quantizer", {}),
-        optimizer=sections.get("optimizer", {}),
-        sample=sections.get("sample", {}),
-        bounds=sections.get("bounds", {}),
-        output=sections.get("output", {}),
-    )
+    cfg = ExperimentConfig(**{s: sections.get(s, {}) for s in _KNOWN_SECTIONS})
     cfg.validate()
     return cfg
 

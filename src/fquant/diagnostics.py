@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FquantError
 from .path_space import PathSample
 from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _distortion_from,
-                            assign, pairwise_distances, quant_error_with_stderr)
+                            assign, distortion, pairwise_distances)
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,14 @@ def _integrand_means(codebook: Codebook, sample: PathSample, vor: VoronoiAssignm
     for i in range(codebook.n):
         sel = (vor.cell_index == i) & (vor.best > 0.0)
         diff = codebook.values[i][None] - sample.values[sel]   # a_i - x
-        kernel = np.sign(diff) if p == 1.0 else np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        kernel = np.abs(diff) ** (p - 1.0) * np.sign(diff)
         if r != p:
             kernel *= (vor.best[sel] ** (r - p))[:, None, None]
         out[i] = kernel.sum(axis=0) / len(sample)
     return out
 
 
-def stationarity_residual(codebook: Codebook, sample: PathSample, r: float,
-                          tie_threshold: float = 1e-3) -> StationarityReport:
+def stationarity_residual(codebook: Codebook, sample: PathSample, r: float) -> StationarityReport:
     """Residuals of the coordinatewise first-order conditions at the codebook.
 
     For atom i and coordinate j the empirical integrand mean over the sample is
@@ -77,9 +76,10 @@ def stationarity_residual(codebook: Codebook, sample: PathSample, r: float,
     (paths coinciding with the atom drop out through the zero-weight
     convention), and residuals[i, j] is its weighted grid L^q norm.  Requires
     r >= p; for p = 1 the sign kernel is used directly and the residual norm
-    is the sup over grid nodes.
+    is the sup over grid nodes.  The codebook is admissible when every cell has
+    mass and the tie mass is at most 1e-3.
     """
-    return _stationarity_from(codebook, sample, assign(codebook, sample), r, tie_threshold)
+    return _stationarity_from(codebook, sample, assign(codebook, sample), r)
 
 
 def distortion_and_stationarity(codebook: Codebook, sample: PathSample, r: float
@@ -91,7 +91,7 @@ def distortion_and_stationarity(codebook: Codebook, sample: PathSample, r: float
 
 
 def _stationarity_from(codebook: Codebook, sample: PathSample, vor: VoronoiAssignment,
-                       r: float, tie_threshold: float = 1e-3) -> StationarityReport:
+                       r: float) -> StationarityReport:
     """stationarity_residual from the codebook's distance pass."""
     space = codebook.space
     p = space.p
@@ -107,7 +107,7 @@ def _stationarity_from(codebook: Codebook, sample: PathSample, vor: VoronoiAssig
         q = p / (p - 1.0)
         residuals = ((np.abs(means) ** q) @ space.weights) ** (1.0 / q)
 
-    admissible = bool(np.all(cell_masses > 0) and vor.tie_mass <= tie_threshold)
+    admissible = bool(np.all(cell_masses > 0) and vor.tie_mass <= 1e-3)
     return StationarityReport(residuals=residuals,
                               max_residual=float(residuals.max()),
                               cell_masses=cell_masses,
@@ -143,7 +143,7 @@ def monotonicity_check(codebooks: list[Codebook], sample: PathSample,
         raise FquantError(f"codebook sizes must be strictly increasing, got {sizes}")
     entries = []
     for cb in codebooks:
-        err, se = quant_error_with_stderr(cb, sample, r)
+        err, se = distortion(cb, sample, r).error_with_stderr()
         entries.append((cb.n, err, se))
     flagged = []
     for (n1, e1, s1), (n2, e2, s2) in zip(entries, entries[1:]):
@@ -183,13 +183,13 @@ class HolderFit:
         return "\n".join(lines) + "\n"
 
 
-def holder_fit(codebook: Codebook, lag_range: tuple[float, float] | None = None,
-               n_lags: int = 10) -> HolderFit:
+def holder_fit(codebook: Codebook, lag_range: tuple[float, float] | None = None) -> HolderFit:
     """Fit max_k |a(t_{k+l}) - a(t_k)| ~ C * lag^beta on log axes, per atom.
 
     Uses the max over window starts since the regularity statement is uniform
-    in t.  Needs a uniform grid of at least 64 nodes; the default lag window
-    is [dt, span/8] and any requested window must stay within [dt, span/4].
+    in t, over up to 10 geometrically spaced lags.  Needs a uniform grid of at
+    least 64 nodes; the default lag window is [dt, span/8] and any requested
+    window must stay within [dt, span/4].
     """
     space = codebook.space
     m = space.m
@@ -207,7 +207,7 @@ def holder_fit(codebook: Codebook, lag_range: tuple[float, float] | None = None,
         raise FquantError(f"lag range {lag_range} must sit inside [{dt}, {span / 4.0}]")
     lo_idx = max(1, int(np.ceil(lo / dt - 1e-9)))
     hi_idx = max(lo_idx + 1, int(np.floor(hi / dt + 1e-9)))
-    lag_idx = np.unique(np.round(np.geomspace(lo_idx, hi_idx, n_lags)).astype(int))
+    lag_idx = np.unique(np.round(np.geomspace(lo_idx, hi_idx, 10)).astype(int))
     lags = lag_idx * dt
 
     n, d = codebook.n, space.d

@@ -17,7 +17,7 @@ import numpy as np
 from .diagnostics import (StationarityReport, _integrand_means, _stationarity_from,
                           distortion_and_stationarity)
 from .errors import DivergenceError, FquantError, OptimizeError
-from .path_space import DiscretePathSpace, PathSample
+from .path_space import DiscretePathSpace, PathSample, lp_norm_values
 from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _distortion_from,
                             _weighted_sq_norms, assign, distortion, pairwise_distances,
                             quant_error)
@@ -212,14 +212,11 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     c0 = config.sgd_c0 if config.sgd_c0 is not None else 0.1 * scale ** (2.0 - r)
     decay = config.sgd_decay if config.sgd_decay is not None else 1.0 / len(sample)
     eval_every = max(1, config.max_iters // 25)
-    w = space.weights
 
     for k in range(config.max_iters):
         x = sample.values[rng.integers(len(sample))]
         diff = values - x[None, :, :]
-        acc = ((diff * diff) @ w).sum(axis=1) if p == 2.0 else \
-            ((np.abs(diff) ** p) @ w).sum(axis=1)
-        dist_all = np.maximum(acc, 0.0) ** (1.0 / p)
+        dist_all = lp_norm_values(space, diff)
         i = int(np.argmin(dist_all))
         dist = dist_all[i]
         if dist > 0.0:

@@ -23,38 +23,6 @@ from .errors import OracleError
 
 
 @dataclass(frozen=True)
-class TruncatedSequenceSpace:
-    """First M coordinates of a sequence space, with the l^1 or l^inf norm."""
-
-    dim: int
-    norm_kind: str
-    c: np.ndarray | None = None  # hyperplane constraint coefficients
-
-    def __post_init__(self):
-        if self.dim < 3:
-            raise OracleError(f"truncation level must be >= 3, got {self.dim}")
-        if self.norm_kind not in ("l1", "linf"):
-            raise OracleError(f"norm_kind must be 'l1' or 'linf', got {self.norm_kind!r}")
-        if self.c is not None:
-            c = np.asarray(self.c, dtype=np.float64)
-            object.__setattr__(self, "c", c)
-            if c.size != self.dim or not np.all(np.isfinite(c)):
-                raise OracleError("constraint vector must be finite with one entry per dim")
-            if not (c[0] == 1.0 and c[1] == 1.0 and c[2] == 1.0):
-                raise OracleError("constraint vector must start with three ones")
-            if self.dim > 3 and np.any(np.diff(c[2:]) <= 0):
-                raise OracleError("constraint entries from the third on must strictly increase")
-            if c.max() <= 3.0:
-                raise OracleError("constraint vector needs sup > 3")
-
-    def norm(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.norm_kind == "l1":
-            return np.abs(x).sum(axis=-1)
-        return np.abs(x).max(axis=-1)
-
-
-@dataclass(frozen=True)
 class AtomicLaw:
     """Finitely supported law: points (as rows) with matching probabilities."""
 
@@ -225,19 +193,13 @@ def l1_center_lp(law: AtomicLaw,
 @dataclass(frozen=True)
 class C0ExampleReport:
     best_value: float
-    best_point: np.ndarray
     sequence_values: np.ndarray   # value at a^(m) = (1/2) * sum_{n<=m} u^(n), m = 1..M
     value_at_candidate: float
     probs: np.ndarray
     checks: list[OracleCheck] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
-
-def c0_example(M: int = 16, probs: np.ndarray | None = None,
-               n_probe: int = 32, probe_seed: int = 7) -> C0ExampleReport:
+def c0_example(M: int = 16) -> C0ExampleReport:
     """The vanishing-sequence construction: best one-point coverage is 1/2.
 
     The law sits on the canonical basis vectors u^(1)..u^(M) with weights in
@@ -246,9 +208,7 @@ def c0_example(M: int = 16, probs: np.ndarray | None = None,
     attained only at that point; and the partial-sum candidates a^(m) decrease
     strictly to 1/2.
     """
-    p = default_probs(M) if probs is None else np.asarray(probs, dtype=np.float64)
-    if p.shape != (M,) or np.any(p <= 0) or np.any(p >= 0.5) or abs(p.sum() - 1) > 1e-12:
-        raise OracleError("probs must be M entries in (0, 1/2) summing to 1")
+    p = default_probs(M)
     law = AtomicLaw(atoms=np.eye(M), probs=p)
     candidate = np.full(M, 0.5)
     value_at_candidate = law.mean_norm_to(candidate, "linf")
@@ -261,9 +221,9 @@ def c0_example(M: int = 16, probs: np.ndarray | None = None,
 
     best_point, best_lp, certificate = linf_center_lp(law)
 
-    rng = np.random.default_rng(probe_seed)
+    rng = np.random.default_rng(7)
     probe_margin = np.inf
-    for _ in range(n_probe):
+    for _ in range(32):
         n0 = int(rng.integers(M))
         b = law.atoms[n0] + rng.uniform(-0.49, 0.49, size=M) * 0.999
         # keep the probe strictly inside the half-ball around u^(n0)
@@ -282,9 +242,8 @@ def c0_example(M: int = 16, probs: np.ndarray | None = None,
         indicator_check("c0.half_ball_probes_exceed_half",
                         probe_margin > 0.0, probe_margin),
     ]
-    return C0ExampleReport(best_value=best_lp, best_point=best_point,
-                           sequence_values=seq, value_at_candidate=value_at_candidate,
-                           probs=p, checks=checks)
+    return C0ExampleReport(best_value=best_lp, sequence_values=seq,
+                           value_at_candidate=value_at_candidate, probs=p, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +301,13 @@ class L1HyperplaneReport:
     c: np.ndarray
     checks: list[OracleCheck] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
-
-def l1_hyperplane_example(M: int = 16, c: np.ndarray | None = None) -> L1HyperplaneReport:
+def l1_hyperplane_example(M: int = 16) -> L1HyperplaneReport:
     """Three-point law in l^1: plane optimum 4/3, full-space optimum 1, and
     hyperplane candidates that strictly beat the plane."""
-    cvec = default_constraint(M) if c is None else np.asarray(c, dtype=np.float64)
-    TruncatedSequenceSpace(dim=M, norm_kind="l1", c=cvec)  # validates the constraint
     if M < 5:
         raise OracleError("hyperplane candidates need M >= 5 to beat 4/3")
+    cvec = default_constraint(M)
     law = _l1_three_point_law(M)
 
     B = _plane_basis(M)
@@ -402,15 +356,8 @@ def l1_hyperplane_example(M: int = 16, c: np.ndarray | None = None) -> L1Hyperpl
 
 @dataclass(frozen=True)
 class SharpConstantReport:
-    m: int
-    e_subspace: float
-    e_full: float
     ratio: float
     checks: list[OracleCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def sharp_constant_example(m: int) -> SharpConstantReport:
@@ -440,8 +387,7 @@ def sharp_constant_example(m: int) -> SharpConstantReport:
         OracleCheck(f"sharp2.ratio[m={m}]", ratio, expected, 1e-9),
         indicator_check(f"sharp2.ratio_below_2[m={m}]", ratio <= 2.0, ratio),
     ]
-    return SharpConstantReport(m=m, e_subspace=e_sub_lp, e_full=e_full, ratio=ratio,
-                               checks=checks)
+    return SharpConstantReport(ratio=ratio, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +431,7 @@ def sup_example_grid(n_funcs: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, m)
 
 
-DEFAULT_PROBE_POLYS = (
+PROBE_POLYS = (
     (0.0,),                    # g = 0
     (0.25,), (-0.25,), (0.5,),
     (1.0, 0.0),                # g = t
@@ -500,34 +446,17 @@ class SupExampleReport:
     sup_dists: np.ndarray        # ||f_n - h||_sup on the grid
     value_at_h: float
     lr_values: dict              # r -> || ||X-h||_sup ||_{L^r}
-    probe_values: dict           # polynomial coeffs -> E ||X - g||_sup
     best_probe: float
-    probs: np.ndarray
     checks: list[OracleCheck] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
-
-def sup_counterexample(n_funcs: int = 12, grid: np.ndarray | None = None,
-                       probs: np.ndarray | None = None,
-                       probe_polys=DEFAULT_PROBE_POLYS,
-                       probe_margin: float = 0.02) -> SupExampleReport:
+def sup_counterexample(n_funcs: int = 12) -> SupExampleReport:
     """Sup-norm coverage of the bump family: h scores exactly 1/2, smooth
-    probes stay above 1/2 by a margin."""
+    probes stay above 1/2 by a margin of 0.02."""
     if n_funcs < 1:
         raise OracleError("need at least one bump")
-    min_m = 2 ** (n_funcs + 3)
-    if grid is None:
-        grid = sup_example_grid(n_funcs)
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size < min_m:
-        raise OracleError(f"grid too coarse for n_funcs={n_funcs}: need m >= {min_m} "
-                          f"uniform nodes, got {grid.size}")
-    p = default_probs(n_funcs) if probs is None else np.asarray(probs, dtype=np.float64)
-    if p.shape != (n_funcs,) or np.any(p <= 0) or np.any(p >= 0.5) or abs(p.sum() - 1) > 1e-12:
-        raise OracleError("probs must be n_funcs entries in (0, 1/2) summing to 1")
+    grid = sup_example_grid(n_funcs)
+    p = default_probs(n_funcs)
 
     bumps = np.stack([bump_function_values(n, grid) for n in range(1, n_funcs + 1)])
     h = step_function_values(grid)
@@ -535,11 +464,8 @@ def sup_counterexample(n_funcs: int = 12, grid: np.ndarray | None = None,
     value_at_h = float(p @ sup_dists)
     lr_values = {r: float((p @ sup_dists ** r) ** (1.0 / r)) for r in (1.0, 2.0, 4.0)}
 
-    probe_values = {}
-    for coeffs in probe_polys:
-        g = np.polyval(np.asarray(coeffs, dtype=np.float64), grid)
-        probe_values[coeffs] = float(p @ np.abs(bumps - g[None, :]).max(axis=1))
-    best_probe = min(probe_values.values())
+    best_probe = min(float(p @ np.abs(bumps - np.polyval(coeffs, grid)[None, :]).max(axis=1))
+                     for coeffs in PROBE_POLYS)
 
     checks = [
         OracleCheck("supnorm.bump_distances_to_h",
@@ -548,11 +474,10 @@ def sup_counterexample(n_funcs: int = 12, grid: np.ndarray | None = None,
         OracleCheck("supnorm.lr_values_all_half",
                     float(max(abs(v - 0.5) for v in lr_values.values())), 0.0, 1e-12),
         indicator_check("supnorm.probes_above_half_plus_margin",
-                        best_probe > 0.5 + probe_margin, best_probe),
+                        best_probe > 0.5 + 0.02, best_probe),
     ]
     return SupExampleReport(sup_dists=sup_dists, value_at_h=value_at_h,
-                            lr_values=lr_values, probe_values=probe_values,
-                            best_probe=best_probe, probs=p, checks=checks)
+                            lr_values=lr_values, best_probe=best_probe, checks=checks)
 
 
 # ---------------------------------------------------------------------------

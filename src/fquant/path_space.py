@@ -84,20 +84,18 @@ class DiscretePathSpace:
         return self.with_d(1)
 
 
-def uniform_space(t_end: float, m: int, p: float = 2.0, d: int = 1,
-                  t_start: float = 0.0) -> DiscretePathSpace:
-    """Uniform grid on [t_start, t_end] with trapezoid weights for Lebesgue measure."""
-    return weighted_space(t_end, m, np.ones_like, p=p, d=d, t_start=t_start)
+def uniform_space(t_end: float, m: int, p: float = 2.0, d: int = 1) -> DiscretePathSpace:
+    """Uniform grid on [0, t_end] with trapezoid weights for Lebesgue measure."""
+    return weighted_space(t_end, m, np.ones_like, p=p, d=d)
 
 
-def weighted_space(t_end: float, m: int, density, p: float = 2.0, d: int = 1,
-                   t_start: float = 0.0) -> DiscretePathSpace:
-    """Uniform grid, trapezoid weights for the measure density(t) dt."""
+def weighted_space(t_end: float, m: int, density, p: float = 2.0, d: int = 1) -> DiscretePathSpace:
+    """Uniform grid on [0, t_end], trapezoid weights for the measure density(t) dt."""
     if m < 2:
         raise FquantError(f"grid needs at least 2 nodes, got m={m}")
-    grid = np.linspace(t_start, t_end, m)
+    grid = np.linspace(0.0, t_end, m)
     dens = np.asarray(density(grid), dtype=np.float64)
-    dt = (t_end - t_start) / (m - 1)
+    dt = t_end / (m - 1)
     trap = np.full(m, dt)
     trap[0] = trap[-1] = dt / 2.0
     return DiscretePathSpace(grid=grid, weights=trap * dens, p=p, d=d)

@@ -287,7 +287,6 @@ class MomentCheck:
     """E ||X||_p^r estimate with a half-sample stability gate."""
 
     value: float
-    half_values: tuple[float, float]
     stable: bool
     finite: bool
     tag: str | None = None
@@ -296,9 +295,9 @@ class MomentCheck:
         return self.value
 
 
-def moment_check(sample: PathSample, space: DiscretePathSpace, r: float,
-                 stability_rtol: float = 0.2) -> MomentCheck:
-    """Estimate E ||X||_p^r and report (never raise) stability across half-samples."""
+def moment_check(sample: PathSample, space: DiscretePathSpace, r: float) -> MomentCheck:
+    """Estimate E ||X||_p^r and report (never raise) stability across half-samples:
+    stable when the two half-sample means differ by at most 20% of the estimate."""
     if r <= 0:
         raise FquantError(f"moment order r must be > 0, got {r}")
     norms = lp_norm_values(space, sample.values) ** r
@@ -307,10 +306,10 @@ def moment_check(sample: PathSample, space: DiscretePathSpace, r: float,
     h1 = float(norms[:half].mean()) if half else value
     h2 = float(norms[half:].mean()) if half else value
     scale = max(abs(value), 1e-300)
-    stable = bool(np.isfinite(value) and abs(h1 - h2) <= stability_rtol * scale)
+    stable = bool(np.isfinite(value) and abs(h1 - h2) <= 0.2 * scale)
     tag = None
     match = re.search(r"stable_levy\(rho=([0-9.eE+-]+)\)", sample.process_tag)
     if match and r >= float(match.group(1)):
         tag = "heavy-tail: r >= rho"
-    return MomentCheck(value=value, half_values=(h1, h2), stable=stable,
+    return MomentCheck(value=value, stable=stable,
                        finite=bool(np.isfinite(value)), tag=tag)

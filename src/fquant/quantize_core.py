@@ -249,11 +249,6 @@ def quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:
     return distortion(codebook, sample, r).value ** (1.0 / r)
 
 
-def quant_error_with_stderr(codebook: Codebook, sample: PathSample, r: float) -> tuple[float, float]:
-    """quant_error plus its delta-method standard error."""
-    return distortion(codebook, sample, r).error_with_stderr()
-
-
 def sup_pairwise_distances(codebook: Codebook, sample: PathSample) -> np.ndarray:
     """(N, n) sup-norm distances max_{j,k} |x_{jk} - a_{jk}|, chunked over paths."""
     return _per_atom_pass(codebook, sample, lambda buf: buf.max(axis=1))

@@ -95,10 +95,15 @@ def test_load_config_validates(tmp_path):
         load_config(str(p2))
 
 
-def test_print_schema(capsys):
+def test_print_schema(capsys, tmp_path):
     assert main(["--print-schema"]) == 0
     out = capsys.readouterr().out
     assert "[process]" in out and "[optimizer]" in out
+    # the documented schema is itself a valid config
+    schema = tmp_path / "schema.cfg"
+    schema.write_text(out)
+    cfg = load_config(str(schema))
+    assert cfg.output == {"dir": "out"}
 
 
 def test_dry_run_writes_nothing(bm_config, tmp_path, capsys):

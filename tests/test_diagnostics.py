@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec,
+from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
                     boundary_pinning, holder_fit, lloyd_run, monotonicity_check,
                     sample_paths, stationarity_residual, uniform_space)
 from fquant.errors import FquantError
@@ -57,6 +57,24 @@ def test_stationarity_p1_uses_sign_and_sup(unit_space):
     rep = stationarity_residual(cb, sample, r=1.0)
     # signs: sign(0 - (-1)) + sign(0 - 0) + sign(0 - 2) = 1 + 0 - 1 = 0
     assert rep.max_residual == 0.0
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5])
+def test_stationarity_p1_matches_sign_reference_on_brownian(unit_space, bm_sample, r):
+    # atoms are sample paths, so each atom's own path drops out of its cell
+    space = unit_space.with_p(1.0)
+    cb = Codebook(space=space, values=bm_sample.values[[0, 1, 2, 3]])
+    vor = assign(cb, bm_sample)
+    means = np.zeros_like(cb.values)
+    for i in range(cb.n):
+        sel = (vor.cell_index == i) & (vor.best > 0.0)
+        kernel = np.sign(cb.values[i][None] - bm_sample.values[sel])
+        if r != 1.0:
+            kernel *= (vor.best[sel] ** (r - 1.0))[:, None, None]
+        means[i] = kernel.sum(axis=0) / len(bm_sample)
+    rep = stationarity_residual(cb, bm_sample, r=r)
+    assert np.array_equal(rep.residuals, np.abs(means).max(axis=2))
+    assert rep.max_residual > 0.0
 
 
 def test_stationarity_tie_and_hit_mass(unit_space):

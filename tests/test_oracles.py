@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fquant import oracles
 from fquant.errors import OracleError
-from fquant.oracles import (AtomicLaw, TruncatedSequenceSpace, bump_function_values,
+from fquant.oracles import (AtomicLaw, bump_function_values,
                             c0_example, closed_form_errors, coordinate_median_minimize,
                             default_constraint, default_probs, l1_center_lp,
                             l1_hyperplane_example, linf_center_lp, lp_certificate,
@@ -26,20 +26,6 @@ def test_default_constraint_shape():
     assert np.all(c[:3] == 1.0)
     assert np.all(np.diff(c[2:]) > 0)
     assert c.max() > 3.0
-
-
-def test_sequence_space_validation():
-    with pytest.raises(OracleError):
-        TruncatedSequenceSpace(dim=2, norm_kind="l1")
-    with pytest.raises(OracleError):
-        TruncatedSequenceSpace(dim=8, norm_kind="l3")
-    bad_c = default_constraint(8)
-    bad_c[0] = 2.0
-    with pytest.raises(OracleError):
-        TruncatedSequenceSpace(dim=8, norm_kind="l1", c=bad_c)
-    flat_c = np.ones(8)
-    with pytest.raises(OracleError):
-        TruncatedSequenceSpace(dim=8, norm_kind="l1", c=flat_c)
 
 
 def test_atomic_law_validation():
@@ -74,11 +60,6 @@ def test_c0_truncation_stability():
     shared = np.abs(rep1.sequence_values[:M - 1] - rep2.sequence_values[:M - 1])
     assert shared.max() <= tail
     assert abs(rep1.best_value - rep2.best_value) <= 1e-9
-
-
-def test_c0_rejects_bad_probs():
-    with pytest.raises(OracleError):
-        c0_example(M=8, probs=np.full(8, 1.0 / 8.0) * np.array([4, 1, 1, 1, 0.3, 0.3, 0.2, 0.2]))
 
 
 def test_l1_hyperplane_all_checks_pass():
@@ -132,12 +113,6 @@ def test_sup_counterexample_all_checks_pass():
     assert failed == []
     assert np.all(rep.sup_dists == 0.5)
     assert set(rep.lr_values) == {1.0, 2.0, 4.0}
-
-
-def test_sup_counterexample_grid_too_coarse():
-    with pytest.raises(OracleError) as err:
-        sup_counterexample(n_funcs=8, grid=np.linspace(0, 1, 100))
-    assert str(2 ** 11) in str(err.value)
 
 
 def test_bump_functions_shape():
