@@ -178,7 +178,6 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     norm = str(cfg.bounds.get("norm", "lp"))
     if norm not in ("lp", "sup"):
         raise ConfigError(f"[bounds] norm must be 'lp' or 'sup', got {norm!r}")
-    cap = int(cfg.bounds.get("cap", 4096))
     n = cfg.n
     if int(np.prod(sizes)) > n:
         raise ConfigError(f"[bounds] product of marginal sizes {sizes} exceeds n={n}")
@@ -189,8 +188,7 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     spec = cfg.build_process_spec()
     opt = cfg.build_optimizer(seed)
     sample = sample_paths(spec, space, cfg.n_paths, seed)
-    report = marginal_bounds_report(sample, space, n, sizes, cfg.r, seed, opt,
-                                    norm=norm, cap=cap)
+    report = marginal_bounds_report(sample, space, n, sizes, cfg.r, seed, opt, norm=norm)
     report["config_hash"] = cfg.config_hash
     _write(out_dir, "bounds.json", json.dumps(report, sort_keys=True) + "\n")
     _write(out_dir, "manifest.json", _manifest(cfg, seed, ["bounds.json"], {
@@ -201,7 +199,7 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
 
 
 def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
-                           seed: int, opt, norm: str = "lp", cap: int = 4096) -> dict:
+                           seed: int, opt, norm: str = "lp") -> dict:
     """Evaluate the marginal sandwich at optimized codebooks.
 
     Joint candidates include the product of the small marginal optima, and the
@@ -224,7 +222,7 @@ def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
     marg_samples = [sample.coordinate(j) for j in range(d)]
     small = [splitting_init(marg_samples[j], msp, sizes[j], exponent, seed + j, config=opt)
              for j in range(d)]
-    product = product_quantizer(small, cap=cap)
+    product = product_quantizer(small)
 
     grown = splitting_init(sample, space, n, exponent, seed, config=opt)
     refined, _ = optimize_codebook(opt, product, sample, exponent)

@@ -2,17 +2,17 @@
 
 Format: ``[section]`` headers followed by ``key = value`` lines; ``#`` starts
 a comment; values are strings (optionally quoted), numbers, booleans, or
-comma-separated lists of those.  ``print_schema`` documents every recognized
-key.
+comma-separated lists of those.  ``SCHEMA`` documents every recognized key,
+and ``load_config`` rejects any key it does not list.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .optimize import OptimizerConfig
+from .optimize import DEFAULT_MAX_ITERS, OptimizerConfig, default_config_for
 from .path_space import DiscretePathSpace, exp_weighted_space, uniform_space
 from .process_sim import KINDS, ProcessSpec
 
@@ -32,7 +32,7 @@ rho = 1.5              # stable_levy only
 x0 = 0.0               # start value (brownian only)
 
 [space]
-m = 512                # grid nodes (>= 2)
+m = 128                # grid nodes (>= 2)
 t_end = 1.0            # grid spans [0, t_end]
 p = 2.0                # norm exponent (>= 1)
 d = 1                  # coordinate dimension
@@ -43,21 +43,19 @@ n = 8                  # codebook size
 r = 2.0                # distortion exponent (>= 1)
 
 [optimizer]
-method = lloyd         # lloyd | sgd
-max_iters = 200
+method = lloyd         # lloyd | sgd; default: lloyd where p = 2 and r >= 2, else sgd
+max_iters = 200        # default: 200 for lloyd, 20000 for sgd
 tol = 1e-9
 c0 = 0.1               # optional: SGD step numerator
 decay = 0.0001         # optional: SGD step decay
-empty_cell_policy = split_largest   # split_largest | resample
 
 [sample]
-n_paths = 10000
-seed = 12345
+n_paths = 1000
+seed = 0
 
 [bounds]               # bounds subcommand only
 marginal_sizes = 2,2   # one size per coordinate, product <= n
 norm = lp              # lp | sup
-cap = 4096
 
 [output]
 dir = out
@@ -166,16 +164,19 @@ class ExperimentConfig:
             raise ConfigError(f"[process] {exc}") from exc
 
     def build_optimizer(self, seed: int) -> OptimizerConfig:
+        """default_config_for(space, r, seed) with the keys the file sets; a
+        method set here brings its own DEFAULT_MAX_ITERS."""
         op = self.optimizer
         try:
-            return OptimizerConfig(
-                method=str(op.get("method", "lloyd")),
-                max_iters=int(op.get("max_iters", 200)),
-                tol=float(op.get("tol", 1e-9)),
-                sgd_c0=float(op["c0"]) if "c0" in op else None,
-                sgd_decay=float(op["decay"]) if "decay" in op else None,
-                empty_cell_policy=str(op.get("empty_cell_policy", "split_largest")),
-                seed=seed,
+            cfg = default_config_for(self.build_space(), self.r, seed)
+            if "method" in op:  # validated here, before its budget is looked up
+                cfg = replace(cfg, method=str(op["method"]))
+            return replace(
+                cfg,
+                max_iters=int(op.get("max_iters", DEFAULT_MAX_ITERS[cfg.method])),
+                tol=float(op.get("tol", cfg.tol)),
+                sgd_c0=float(op["c0"]) if "c0" in op else cfg.sgd_c0,
+                sgd_decay=float(op["decay"]) if "decay" in op else cfg.sgd_decay,
             )
         except ConfigError:
             raise
@@ -211,6 +212,7 @@ class ExperimentConfig:
 
 
 _KNOWN_SECTIONS = tuple(f.name for f in fields(ExperimentConfig))
+_SCHEMA_KEYS = {s: set(keys) for s, keys in parse_config_text(SCHEMA).items()}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -223,6 +225,10 @@ def load_config(path: str) -> ExperimentConfig:
     unknown = set(sections) - set(_KNOWN_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    unknown = [f"[{s}] {k}" for s, keys in sections.items() for k in keys
+               if k not in _SCHEMA_KEYS[s]]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}; see --print-schema")
     for required in ("process", "space", "quantizer", "sample"):
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")

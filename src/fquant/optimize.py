@@ -3,9 +3,11 @@ descent on the distortion differential, greedy splitting initialization, and
 cartesian product quantizers.
 
 Lloyd is available exactly where the weighted-centroid fixed point exists
-(p = 2, r >= 2); every other smooth (p, r) pair goes through SGD.  Empty cells
-are treated as bad iterates, not valid states, and are repaired before each
-centroid update.
+(p = 2, r >= 2); every other smooth (p, r) pair goes through SGD.  That rule
+lives only in ``default_config_for``, and each method's default iteration
+budget only in ``DEFAULT_MAX_ITERS``.  Empty cells are treated as bad iterates,
+not valid states: before each centroid update the atom of an empty cell is
+re-split from the cell carrying the largest distortion share.
 """
 
 from __future__ import annotations
@@ -23,30 +25,28 @@ from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _dist
                             quant_error)
 from .rng import derive_rng
 
-EMPTY_CELL_POLICIES = ("split_largest", "resample")
+DEFAULT_MAX_ITERS = {"lloyd": 200, "sgd": 20_000}
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "lloyd"
-    max_iters: int = 100
+    method: str                     # a key of DEFAULT_MAX_ITERS
+    max_iters: int
     tol: float = 1e-9               # relative distortion-improvement threshold
     sgd_c0: float | None = None     # step schedule c0 / (1 + decay * k)
     sgd_decay: float | None = None
-    empty_cell_policy: str = "split_largest"
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("lloyd", "sgd"):
-            raise FquantError(f"unknown method {self.method!r}")
+        if self.method not in DEFAULT_MAX_ITERS:
+            raise FquantError(f"unknown method {self.method!r}; "
+                              f"use one of {tuple(DEFAULT_MAX_ITERS)}")
         if self.max_iters < 1:
             raise FquantError("max_iters must be >= 1")
         if not self.tol > 0:
             raise FquantError("tol must be > 0")
         if self.sgd_c0 is not None and not self.sgd_c0 > 0:
             raise FquantError("sgd_c0 must be > 0")
-        if self.empty_cell_policy not in EMPTY_CELL_POLICIES:
-            raise FquantError(f"unknown empty_cell_policy {self.empty_cell_policy!r}")
 
 
 @dataclass
@@ -84,10 +84,11 @@ def _split_toward_farthest(values: np.ndarray, sample: PathSample,
 
 
 def _repair_empty_cells(values: np.ndarray, sample: PathSample,
-                        space: DiscretePathSpace, r: float, policy: str,
+                        space: DiscretePathSpace, r: float,
                         events: list, iteration: int, vor: VoronoiAssignment | None):
-    """Replace atoms whose cells are empty; returns (values, pass of values).
-    vor is the pass of values, or None; it is redone when an atom moves."""
+    """Re-split each atom whose cell is empty from the cell of largest distortion
+    share; returns (values, pass of values).  vor is the pass of values, or None;
+    it is redone when an atom moves."""
     for _ in range(values.shape[0] + 1):
         if vor is None:
             vor = assign(Codebook(space=space, values=values), sample)
@@ -96,14 +97,8 @@ def _repair_empty_cells(values: np.ndarray, sample: PathSample,
             return values, vor
         dead = int(empty[0])
         events.append((iteration, dead))
-        if policy == "split_largest":
-            donor = int(np.argmax(vor.cell_sums(vor.best ** r)))
-            new_atom = _split_toward_farthest(values, sample, vor, donor)
-        else:  # resample: relocate to the path farthest from every atom
-            far = int(np.argmax(vor.best))
-            if vor.best[far] <= 0:
-                raise OptimizeError("cannot resample: every path coincides with an atom")
-            new_atom = sample.values[far].copy()
+        donor = int(np.argmax(vor.cell_sums(vor.best ** r)))
+        new_atom = _split_toward_farthest(values, sample, vor, donor)
         values = values.copy()
         values[dead] = new_atom
         vor = None
@@ -126,7 +121,6 @@ def _centroids(values: np.ndarray, sample: PathSample, vor: VoronoiAssignment,
 
 
 def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
-               empty_cell_policy: str = "split_largest",
                _events: list | None = None, _iteration: int = 0,
                _pass: VoronoiAssignment | None = None) -> Codebook:
     """One fixed-point update: each atom becomes its cell's weighted centroid.
@@ -142,7 +136,7 @@ def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
         raise OptimizeError(f"lloyd_step requires r >= 2, got r={r}")
     events = _events if _events is not None else []
     values, vor = _repair_empty_cells(codebook.values, sample, space, r,
-                                      empty_cell_policy, events, _iteration, _pass)
+                                      events, _iteration, _pass)
     return Codebook(space=space, values=_centroids(values, sample, vor, r))
 
 
@@ -161,8 +155,8 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     prev = trace.final_distortion.value
     trace.distortions.append(prev)
     for k in range(config.max_iters):
-        nxt = lloyd_step(cb, sample, r, config.empty_cell_policy,
-                         _events=trace.empty_cell_events, _iteration=k, _pass=vor)
+        nxt = lloyd_step(cb, sample, r, _events=trace.empty_cell_events,
+                         _iteration=k, _pass=vor)
         vor = VoronoiAssignment(pairwise_distances(nxt, sample, sample_sq=sq))
         trace.final_distortion = _distortion_from(vor, r)
         cur = trace.final_distortion.value
@@ -275,12 +269,11 @@ def optimize_codebook(config: OptimizerConfig, init: Codebook, sample: PathSampl
     return sgd_run(config, init, sample, r)
 
 
-def default_config_for(space: DiscretePathSpace, r: float, seed: int = 0,
-                       max_iters: int | None = None, tol: float = 1e-9) -> OptimizerConfig:
-    """Lloyd where the closed-form centroid exists, SGD otherwise."""
-    if space.p == 2.0 and r >= 2.0:
-        return OptimizerConfig(method="lloyd", max_iters=max_iters or 200, tol=tol, seed=seed)
-    return OptimizerConfig(method="sgd", max_iters=max_iters or 20 * 1000, tol=tol, seed=seed)
+def default_config_for(space: DiscretePathSpace, r: float, seed: int = 0) -> OptimizerConfig:
+    """The one place the method is chosen: Lloyd where the closed-form centroid
+    exists (p = 2, r >= 2), SGD otherwise, with the method's DEFAULT_MAX_ITERS."""
+    method = "lloyd" if space.p == 2.0 and r >= 2.0 else "sgd"
+    return OptimizerConfig(method=method, max_iters=DEFAULT_MAX_ITERS[method], seed=seed)
 
 
 def splitting_init(sample: PathSample, space: DiscretePathSpace, n: int, r: float,

@@ -453,8 +453,8 @@ class SupExampleReport:
 def sup_counterexample(n_funcs: int = 12) -> SupExampleReport:
     """Sup-norm coverage of the bump family: h scores exactly 1/2, smooth
     probes stay above 1/2 by a margin of 0.02."""
-    if n_funcs < 1:
-        raise OracleError("need at least one bump")
+    if n_funcs < 3:
+        raise OracleError(f"need n_funcs >= 3, got {n_funcs}")
     grid = sup_example_grid(n_funcs)
     p = default_probs(n_funcs)
 

@@ -7,6 +7,7 @@ from fquant import Codebook, distortion, sample_paths, stationarity_residual
 from fquant.cli import main
 from fquant.config import load_config, parse_config_text
 from fquant.errors import ConfigError
+from fquant.optimize import DEFAULT_MAX_ITERS, default_config_for
 
 BM_CFG = """
 [process]
@@ -139,6 +140,37 @@ def test_bad_space_or_exponent_exit_2(tmp_path, capsys, old, new, section):
     assert record["message"].startswith(section)
 
 
+@pytest.mark.parametrize("section, line", [("optimizer", "max_iter = 1"),
+                                           ("optimizer", "empty_cell_policy = split_largest"),
+                                           ("bounds", "cap = 4096")],
+                         ids=["typo", "empty_cell_policy", "cap"])
+def test_unknown_key_exit_2(tmp_path, capsys, section, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BM_CFG + f"[{section}]\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert f"[{section}] {line.split()[0]}" in record["message"]
+
+
+@pytest.mark.parametrize("p, r", [(2.0, 2.0), (3.0, 3.0), (2.0, 1.5)])
+def test_build_optimizer_defaults_to_default_config_for(tmp_path, p, r):
+    path = tmp_path / "q.cfg"
+    path.write_text(BM_CFG.replace("p = 2.0", f"p = {p}").replace("r = 2.0", f"r = {r}")
+                    .replace("method = lloyd\nmax_iters = 60\ntol = 1e-10\n", ""))
+    cfg = load_config(str(path))
+    assert cfg.optimizer == {}
+    assert cfg.build_optimizer(5) == default_config_for(cfg.build_space(), r, 5)
+
+
+def test_build_optimizer_method_brings_its_max_iters(tmp_path):
+    path = tmp_path / "q.cfg"
+    path.write_text(BM_CFG.replace("method = lloyd\nmax_iters = 60\n", "method = sgd\n"))
+    opt = load_config(str(path)).build_optimizer(5)
+    assert (opt.method, opt.max_iters, opt.tol) == ("sgd", DEFAULT_MAX_ITERS["sgd"], 1e-10)
+
+
 def test_no_config_flag_usage(capsys):
     rc = main(["quantize"])
     assert rc == 2
@@ -213,6 +245,17 @@ def test_quantize_reports_match_public_functions(tmp_path, text, capsys):
         written = json.loads((out / name).read_text())
         assert written.pop("config_hash") == cfg.config_hash
         assert written == json.loads(rep.to_json()), name
+
+
+def test_quantize_without_method_runs_sgd_at_p3(tmp_path, capsys):
+    # no method at p = r = 3: default_config_for picks SGD, as an explicit sgd would
+    outs = []
+    for name, text in (("sgd", SGD_P3_CFG), ("default", SGD_P3_CFG.replace("method = sgd\n", ""))):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        outs.append(tmp_path / name)
+        assert main(["quantize", "--config", str(path), "--out", str(outs[-1])]) == 0
+    assert (outs[0] / "codebook.bin").read_bytes() == (outs[1] / "codebook.bin").read_bytes()
 
 
 def test_quantize_seed_override_changes_results(bm_config, tmp_path):

@@ -92,10 +92,10 @@ def test_lloyd_r4_single_coincident_path_keeps_atom(unit_space):
                                rtol=1e-12)
 
 
-def _hand_iterated(init, sample, r, iterations, policy="split_largest"):
+def _hand_iterated(init, sample, r, iterations):
     stages = [init]
     for _ in range(iterations):
-        stages.append(lloyd_step(stages[-1], sample, r, policy))
+        stages.append(lloyd_step(stages[-1], sample, r))
     return stages
 
 
@@ -412,3 +412,5 @@ def test_default_config_dispatch(unit_space):
     assert default_config_for(unit_space, 2.0).method == "lloyd"
     assert default_config_for(unit_space.with_p(2.5), 2.5).method == "sgd"
     assert default_config_for(unit_space, 1.5).method == "sgd"
+    assert default_config_for(unit_space, 2.0).max_iters == 200
+    assert default_config_for(unit_space, 1.5).max_iters == 20_000

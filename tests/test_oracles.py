@@ -115,6 +115,12 @@ def test_sup_counterexample_all_checks_pass():
     assert set(rep.lr_values) == {1.0, 2.0, 4.0}
 
 
+@pytest.mark.parametrize("n_funcs", [0, 1, 2])
+def test_sup_counterexample_needs_three_bumps(n_funcs):
+    with pytest.raises(OracleError, match=f"n_funcs >= 3, got {n_funcs}"):
+        sup_counterexample(n_funcs=n_funcs)
+
+
 def test_bump_functions_shape():
     grid = sup_example_grid(6)
     h = step_function_values(grid)

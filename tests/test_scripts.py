@@ -6,10 +6,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fquant import ProcessSpec
+from fquant.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+CONFIG_COMMANDS = {"bm_n8.cfg": "quantize", "bm2d_bounds.cfg": "bounds"}
+
+
+@pytest.mark.parametrize("config", sorted((SCRIPTS / "configs").glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_shipped_config_passes_dry_run(config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([CONFIG_COMMANDS[config.name], "--config", str(config), "--out", str(out),
+                 "--dry-run"]) == 0
+    assert "config ok" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_run_brownian_quantizer():
