@@ -21,8 +21,7 @@ from .diagnostics import (StationarityReport, _integrand_means, _stationarity_fr
 from .errors import DivergenceError, FquantError, OptimizeError
 from .path_space import DiscretePathSpace, PathSample, lp_norm_values
 from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _distortion_from,
-                            _weighted_sq_norms, assign, distortion, pairwise_distances,
-                            quant_error)
+                            _weighted_sq_norms, assign, distortion, pairwise_distances)
 from .rng import derive_rng
 
 DEFAULT_MAX_ITERS = {"lloyd": 200, "sgd": 20_000}
@@ -206,9 +205,9 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     c0 = config.sgd_c0 if config.sgd_c0 is not None else 0.1 * scale ** (2.0 - r)
     decay = config.sgd_decay if config.sgd_decay is not None else 1.0 / len(sample)
     eval_every = max(1, config.max_iters // 25)
-
+    draws = rng.integers(len(sample), size=config.max_iters)  # same stream as one per step
     for k in range(config.max_iters):
-        x = sample.values[rng.integers(len(sample))]
+        x = sample.values[draws[k]]
         diff = values - x[None, :, :]
         dist_all = lp_norm_values(space, diff)
         i = int(np.argmin(dist_all))
@@ -293,15 +292,14 @@ def splitting_init(sample: PathSample, space: DiscretePathSpace, n: int, r: floa
     cb = Codebook(space=space, values=mean_path[None])
     base = config or default_config_for(space, r, seed=seed)
 
-    def optimized(start: Codebook) -> tuple[Codebook, float]:
+    def optimized(start: Codebook) -> tuple[Codebook, DistortionReport]:
         out, trace = optimize_codebook(base, start, sample, r)
-        return out, trace.distortions[-1] ** (1.0 / r)  # scored on out itself
+        return out, trace.final_distortion  # scored on out itself
 
     # for p = r = 2 the mean is already the exact one-point fixed point
-    cb, err = (cb, quant_error(cb, sample, r)) if space.p == 2.0 and r == 2.0 else optimized(cb)
-    stages, errors = [cb], [err]
+    cb, rep = (cb, distortion(cb, sample, r)) if space.p == 2.0 and r == 2.0 else optimized(cb)
+    stages, errors = [cb], [rep.value ** (1.0 / r)]
     for size in range(2, n + 1):
-        rep = distortion(cb, sample, r)
         donor = int(np.argmax(rep.per_cell_distortion))
         draw = sample.values[rng.integers(len(sample))]
         draw_norm = float(np.abs(draw).max())
@@ -310,13 +308,13 @@ def splitting_init(sample: PathSample, space: DiscretePathSpace, n: int, r: floa
         # a zero draw (or a zero error) leaves the clone on its donor: no split
         grown = (None if np.array_equal(candidate, cb.values[donor])
                  else optimized(_grow(cb, candidate)))
-        if grown is None or grown[1] >= errors[-1]:
+        if grown is None or grown[1].value ** (1.0 / r) >= errors[-1]:
             # deterministic fallback: capture the donor cell's farthest path
             candidate = _split_toward_farthest(cb.values, sample, assign(cb, sample), donor)
             grown = optimized(_grow(cb, candidate))
-        cb, err = grown
+        cb, rep = grown
         stages.append(cb)
-        errors.append(err)
+        errors.append(rep.value ** (1.0 / r))
     return stages if return_stages else cb
 
 

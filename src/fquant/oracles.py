@@ -4,7 +4,8 @@ Each oracle reconstructs a sequence-space or C([0,1]) construction with a
 known best value, evaluates it by independent routes (closed forms / vertex
 enumeration / coordinate medians / linear programming), and reports named
 checks that the CLI aggregates into a manifest.  Every LP value carries a
-duality certificate checked in numpy outside the solver.
+duality certificate checked in numpy outside the solver.  scipy (HiGHS) is
+imported only when an LP runs, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import OracleError
 
@@ -148,6 +148,7 @@ def _center_lp(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cost: np.
     Each bound is the row pair (P x)_j - z <= v_nj, -(P x)_j - z <= -v_nj, ordered by
     atom n, then coordinate j.
     """
+    from scipy.optimize import linprog
     K, M = law.atoms.shape
     k, n_slack = P.shape[1], slack_cost.size
     A = np.zeros((K, M, 2, k + n_slack))

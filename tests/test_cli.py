@@ -322,6 +322,20 @@ def test_bounds_lp_holds(tmp_path):
     assert rep["lower"] <= rep["joint"] + 3 * rep["sigma_joint"] + 3 * rep["sigma_lower"]
 
 
+def test_quantize_cold_start_loads_no_scipy(tmp_path, fresh_python):
+    # scipy is for the oracle LPs alone; a quantize run must not pay its import
+    tiny = (BM_CFG.replace("m = 96", "m = 16").replace("n = 4", "n = 2")
+            .replace("n_paths = 1500", "n_paths = 200"))
+    (tmp_path / "tiny.cfg").write_text(tiny)
+    out = fresh_python(
+        "import sys\n"
+        "import fquant, fquant.cli\n"
+        "rc = fquant.cli.main(['quantize', '--config', 'tiny.cfg', '--out', 'q'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert out.splitlines()[-1] == "0 []"
+    assert (tmp_path / "q" / "codebook.bin").is_file()
+
+
 def test_diagnose_roundtrip(bm_config, tmp_path):
     out = tmp_path / "q"
     assert main(["quantize", "--config", str(bm_config), "--out", str(out)]) == 0

@@ -10,6 +10,7 @@ from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
 from fquant.path_space import Path
 from fquant.quantize_core import pairwise_distances
+from fquant.rng import derive_rng
 
 
 def constant_sample(space, levels):
@@ -315,6 +316,32 @@ def test_splitting_init_strictly_decreasing(unit_space, bm_sample):
     final = stages[-1]
     assert np.unique(final.values.reshape(final.n, -1), axis=0).shape[0] == final.n
     assert np.all(assign(final, bm_sample).cell_masses() > 0)
+
+
+@pytest.mark.parametrize("p, scored", [(2.0, 1), (3.0, 0)])
+def test_splitting_init_reads_stage_reports_from_the_optimizer(bm_sample, monkeypatch,
+                                                               p, scored):
+    # each optimized stage's report comes from its trace; only the p = r = 2
+    # mean, which no optimizer runs on, is scored by splitting_init itself
+    calls = []
+
+    def counted(codebook, smp, r):
+        calls.append(codebook.n)
+        return distortion(codebook, smp, r)
+
+    monkeypatch.setattr(optimize, "distortion", counted)
+    space = uniform_space(1.0, bm_sample.m, p=p)
+    cfg = OptimizerConfig(method="sgd", max_iters=200, seed=1, sgd_c0=0.01) if p == 3.0 else None
+    stages = splitting_init(bm_sample, space, 4, p, seed=2, config=cfg, return_stages=True)
+    assert calls == [1] * scored and [cb.n for cb in stages] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("seed, N", [(0, 400), (3, 1000), (11, 4000)])
+def test_sgd_batched_draws_equal_per_step_draws(seed, N):
+    # sgd_run draws its path indices in one call; that must be the stream of one draw per step
+    batched = derive_rng(seed, "sgd").integers(N, size=2000)
+    per_step = derive_rng(seed, "sgd")
+    assert batched.tolist() == [int(per_step.integers(N)) for _ in range(2000)]
 
 
 def test_splitting_fallback_makes_one_pass(monkeypatch):

@@ -200,17 +200,32 @@ def test_center_lps_certify_on_random_laws(seed, k, dim):
 
 def _captured_lp(monkeypatch, solve) -> dict:
     """Run solve() and return the last linprog call's arguments (c, A_ub, b_ub,
-    bounds, method) and its result (res)."""
+    bounds, method) and its result (res).  The LP imports linprog from
+    scipy.optimize on each call, so the spy replaces it there."""
+    import scipy.optimize
     seen = {}
 
     def spy(c, **kw):
         seen.update(c=c, res=linprog(c, **kw), **kw)
         return seen["res"]
 
-    linprog = oracles.linprog
-    monkeypatch.setattr(oracles, "linprog", spy)
+    linprog = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
     solve()
     return seen
+
+
+def test_first_lp_in_a_fresh_process_is_certified(fresh_python):
+    # the LP imports scipy on its first call; that call must solve and certify as any other
+    out = fresh_python(
+        "import sys\n"
+        "from fquant import oracles\n"
+        "assert 'scipy' not in sys.modules\n"
+        "_, value, cert = oracles.l1_center_lp(oracles._l1_three_point_law(16))\n"
+        "print(repr(value), repr(cert))\n")
+    value, cert = map(float, out.split())
+    assert cert <= 1e-12
+    assert value == pytest.approx(l1_center_lp(oracles._l1_three_point_law(16))[1], abs=1e-12)
 
 
 @pytest.mark.parametrize("case", ["c0", "l1_plane", "l1_full", "sharp2_m5"])
