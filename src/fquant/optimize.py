@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import (StationarityReport, _integrand_means, _stationarity_from,
                           distortion_and_stationarity)
 from .errors import DivergenceError, FquantError, OptimizeError
-from .path_space import DiscretePathSpace, PathSample, lp_norm_values
+from .path_space import DiscretePathSpace, PathSample, _lp_norms
 from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _distortion_from,
                             _weighted_sq_norms, assign, distortion, pairwise_distances)
 from .rng import derive_rng
@@ -44,8 +44,10 @@ class OptimizerConfig:
             raise FquantError("max_iters must be >= 1")
         if not self.tol > 0:
             raise FquantError("tol must be > 0")
-        if self.sgd_c0 is not None and not self.sgd_c0 > 0:
-            raise FquantError("sgd_c0 must be > 0")
+        if self.sgd_c0 is not None and not 0 < self.sgd_c0 < np.inf:
+            raise FquantError("sgd_c0 must be finite and > 0")
+        if self.sgd_decay is not None and not 0 <= self.sgd_decay < np.inf:
+            raise FquantError("sgd_decay must be finite and >= 0")
 
 
 @dataclass
@@ -206,19 +208,19 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     decay = config.sgd_decay if config.sgd_decay is not None else 1.0 / len(sample)
     eval_every = max(1, config.max_iters // 25)
     draws = rng.integers(len(sample), size=config.max_iters)  # same stream as one per step
+    steps = c0 / (1.0 + decay * np.arange(config.max_iters))
+    diff = np.empty_like(values)
     for k in range(config.max_iters):
-        x = sample.values[draws[k]]
-        diff = values - x[None, :, :]
-        dist_all = lp_norm_values(space, diff)
-        i = int(np.argmin(dist_all))
+        np.subtract(values, sample.values[draws[k]], out=diff)
+        dist_all = _lp_norms(space, diff)
+        i = dist_all.argmin()
         dist = dist_all[i]
         if dist > 0.0:
             g = diff[i]
             grad = (np.abs(g) / dist) ** (p - 1.0) * np.sign(g)
-            step = c0 / (1.0 + decay * k)
-            values[i] -= step * r * dist ** (r - 1.0) * grad
-        trace.iterations = k + 1
+            values[i] -= steps[k] * r * dist ** (r - 1.0) * grad
         if (k + 1) % eval_every == 0 or k + 1 == config.max_iters:
+            trace.iterations = k + 1
             if not np.all(np.isfinite(values)):
                 trace.exit_reason = "diverged"
                 raise DivergenceError(f"non-finite atoms at iteration {k + 1}", trace=trace)

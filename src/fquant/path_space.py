@@ -198,8 +198,13 @@ def _check_shape(space: DiscretePathSpace, values: np.ndarray, what: str = "path
 def lp_norm_values(space: DiscretePathSpace, values: np.ndarray) -> np.ndarray:
     """||f||_p for a (..., d, m) stack of path values; returns (...) array."""
     _check_shape(space, values)
+    return _lp_norms(space, values)
+
+
+def _lp_norms(space: DiscretePathSpace, values: np.ndarray) -> np.ndarray:
+    """lp_norm_values without the shape check, for per-step loops."""
     acc = np.abs(values) ** space.p @ space.weights
-    return np.maximum(acc.sum(axis=-1), 0.0) ** (1.0 / space.p)
+    return np.add.reduce(acc, axis=-1) ** (1.0 / space.p)
 
 
 def lp_norm(space: DiscretePathSpace, f: Path) -> float:

@@ -6,7 +6,8 @@ Distances between sample paths and atoms are computed brute force for every
 product; callers making many passes over a sample supply its squared norms
 once.  Pairs where the expansion cancels are recomputed directly, so a path
 equal to an atom is at distance exactly 0.  Other p and the sup norm loop over
-atoms on the same rows, reducing |x - a_i| by a weighted power sum or by max.
+atoms on the same rows, reducing |x - a_i| by max or by a weighted sum of p-th
+powers, taken by binary powering at integral p (p = 3: a square and a multiply).
 Every consumer reads a pass through one VoronoiAssignment object.
 """
 
@@ -122,19 +123,19 @@ def _chunked_pass(codebook: Codebook, sample: PathSample, per_row: int, block) -
     return out
 
 
-def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce) -> np.ndarray:
-    """(N, n) reduce(|x - a_i|) over flattened (N, d*m) rows, one atom at a time
-    into one reused buffer per row chunk; reduce may overwrite the buffer."""
+def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce, n_bufs: int = 1) -> np.ndarray:
+    """(N, n) reduce(|x - a_i|, *scratch) over flattened (N, d*m) rows, one atom at a time;
+    |x - a_i| and n_bufs - 1 scratch buffers, made once per row chunk, may be overwritten."""
     _check_sample(codebook.space, sample)
     xf = sample.values.reshape(len(sample), -1)
     af = codebook.values.reshape(codebook.n, -1)
 
     def block(rows):
-        buf = np.empty_like(xf[rows])
-        return np.stack([reduce(np.abs(np.subtract(xf[rows], a, out=buf), out=buf))
+        buf, *scratch = np.empty((n_bufs,) + xf[rows].shape)
+        return np.stack([reduce(np.abs(np.subtract(xf[rows], a, out=buf), out=buf), *scratch)
                          for a in af], axis=1)
 
-    return _chunked_pass(codebook, sample, xf.shape[1] + codebook.n, block)
+    return _chunked_pass(codebook, sample, n_bufs * xf.shape[1] + codebook.n, block)
 
 
 def pairwise_distances(codebook: Codebook, sample: PathSample,
@@ -146,7 +147,17 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
     space, atoms, x = codebook.space, codebook.values, sample.values
     if space.p != 2.0:
         wf, p = np.tile(space.weights, space.d), space.p
-        acc = _per_atom_pass(codebook, sample, lambda buf: np.power(buf, p, out=buf) @ wf)
+        if not p.is_integer():
+            acc = _per_atom_pass(codebook, sample, lambda buf: np.power(buf, p, out=buf) @ wf)
+        else:
+            def power_sum(buf, out):  # buf ** p by left-to-right binary powering, then @ wf
+                res = buf
+                for bit in bin(int(p))[3:]:
+                    res = np.multiply(res, res, out=out)
+                    if bit == "1":
+                        np.multiply(res, buf, out=out)
+                return res @ wf
+            acc = _per_atom_pass(codebook, sample, power_sum, n_bufs=2)
         return np.power(acc, 1.0 / p, out=acc)
     _check_sample(space, sample)
     if sample_sq is None:

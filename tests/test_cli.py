@@ -154,6 +154,22 @@ def test_unknown_key_exit_2(tmp_path, capsys, section, line):
     assert f"[{section}] {line.split()[0]}" in record["message"]
 
 
+@pytest.mark.parametrize("line", ["decay = -0.5", "decay = -1e-3", "decay = nan",
+                                  "decay = inf", "c0 = inf"],
+                         ids=["decay_neg_half", "decay_neg_small", "decay_nan", "decay_inf",
+                              "c0_inf"])
+def test_bad_sgd_schedule_exit_2(tmp_path, capsys, line):
+    # a negative decay can zero the step denominator 1 + decay * k (-0.5 at step 2)
+    path = tmp_path / "bad.cfg"
+    path.write_text(BM_CFG.replace("p = 2.0", "p = 3.0").replace("r = 2.0", "r = 3.0")
+                    .replace("method = lloyd\nmax_iters = 60", f"method = sgd\nmax_iters = 50\n{line}"))
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"].startswith(f"[optimizer] sgd_{line.split()[0]} must be finite")
+
+
 @pytest.mark.parametrize("p, r", [(2.0, 2.0), (3.0, 3.0), (2.0, 1.5)])
 def test_build_optimizer_defaults_to_default_config_for(tmp_path, p, r):
     path = tmp_path / "q.cfg"

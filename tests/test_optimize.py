@@ -8,7 +8,7 @@ from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
 from fquant import diagnostics, optimize, quantize_core, stationarity_residual
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
-from fquant.path_space import Path
+from fquant.path_space import Path, lp_norm_values
 from fquant.quantize_core import pairwise_distances
 from fquant.rng import derive_rng
 
@@ -194,6 +194,35 @@ def test_sgd_scaled_problem_reproduces_iterates(unit_space, bm_sample):
     init2 = Codebook(space=unit_space, values=2.0 * bm_sample.values[:3])
     out2, _ = sgd_run(cfg, init2, doubled, r=2.0)
     np.testing.assert_array_equal(out2.values, 2.0 * out1.values)
+
+
+@pytest.mark.parametrize("p, r", [(1.5, 2.0), (3.0, 3.0)])
+def test_sgd_step_loop_matches_per_step_reference(bm_sample, p, r):
+    # the step loop written one step at a time: one draw, a fresh difference,
+    # the public norm, np.argmin and a Python-float step; sgd_run must give the
+    # same atoms bit for bit
+    space = uniform_space(1.0, bm_sample.m, p=p)
+    c0, decay, seed, steps = 0.02, 1e-3, 4, 300
+    cfg = OptimizerConfig(method="sgd", max_iters=steps, tol=1e-30, seed=seed,
+                          sgd_c0=c0, sgd_decay=decay)
+    init = Codebook(space=space, values=bm_sample.values[:3].copy())
+    cb, trace = sgd_run(cfg, init, bm_sample, r)
+    assert trace.exit_reason == "max_iters"
+    rng = derive_rng(seed, "sgd")
+    values = init.values.copy()
+    for k in range(steps):
+        x = bm_sample.values[int(rng.integers(len(bm_sample)))]
+        diff = values - x[None]
+        dist_all = lp_norm_values(space, diff)
+        i = int(np.argmin(dist_all))
+        dist = dist_all[i]
+        if dist > 0.0:
+            g = diff[i]
+            grad = (np.abs(g) / dist) ** (p - 1.0) * np.sign(g)
+            step = c0 / (1.0 + decay * k)
+            values[i] -= step * r * dist ** (r - 1.0) * grad
+    assert not np.array_equal(values, init.values)
+    np.testing.assert_array_equal(cb.values, values)
 
 
 def test_sgd_divergence_carries_trace(unit_space, bm_sample):

@@ -96,8 +96,9 @@ def test_p2_gemm_distances_match_direct_on_weighted_space(rng):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
 def test_general_p_distances_match_direct_across_chunks(rng, monkeypatch, p):
-    # flattened d = 2 rows, non-uniform weights, row chunks of 3 paths (the
-    # last one ragged); coincident pairs are exactly 0
+    # flattened d = 2 rows, non-uniform weights, row chunks of 3 paths (1 path
+    # at integral p, whose pass holds a second buffer; the last chunk ragged);
+    # coincident pairs are exactly 0
     space = exp_weighted_space(2.0, 33, b=1.5, p=p, d=2)
     x = rng.normal(size=(40, 2, space.m))
     atoms = np.concatenate([x[[3, 17]], rng.normal(size=(4, 2, space.m))])
@@ -110,6 +111,39 @@ def test_general_p_distances_match_direct_across_chunks(rng, monkeypatch, p):
     np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0.0)
     assert fast[3, 0] == 0.0 and fast[17, 1] == 0.0
     assert np.count_nonzero(fast == 0.0) == 2
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 4.0, 5.0])
+def test_general_p_pass_matches_np_power_reference(monkeypatch, p):
+    # Brownian paths on an exp-weighted d = 2 grid, so no |x - a| is dyadic.
+    # The reference raises the same flattened rows by np.power and reduces them
+    # by the same matrix-vector product, so only the power differs: binary
+    # powering at integral p, np.power's own bits elsewhere
+    space = exp_weighted_space(1.0, 37, b=1.5, p=p, d=2)
+    sample = sample_paths(ProcessSpec("brownian"), space, 300, seed=3)
+    atoms = np.concatenate([sample.values[[5]], 0.5 * sample.values[[40, 41, 200]]])
+    cb = Codebook(space=space, values=atoms)
+    xf = sample.values.reshape(len(sample), -1)
+    wf = np.tile(space.weights, space.d)
+    ref = np.stack([(np.power(np.abs(xf - a), p) @ wf) ** (1.0 / p)
+                    for a in atoms.reshape(cb.n, -1)], axis=1)
+    fast = pairwise_distances(cb, sample)
+    if p.is_integer():
+        np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=0.0)
+    else:
+        np.testing.assert_array_equal(fast, ref)
+    np.testing.assert_array_equal(VoronoiAssignment(fast).cell_index,
+                                  VoronoiAssignment(ref).cell_index)
+    assert fast[5, 0] == 0.0 and np.count_nonzero(fast == 0.0) == 1
+    # chunks of that many paths (about twice that at p = 2.5, which keeps no
+    # scratch buffer), the last one ragged.  No entry's power depends on the
+    # chunk, but BLAS sums a matrix-vector product in row blocks, so a row's
+    # last bits can move with the chunk size (up to 3 ulp here)
+    for rows in (1, 7, 64):
+        monkeypatch.setattr(quantize_core, "_CHUNK_BUDGET", rows * (2 * xf.shape[1] + cb.n))
+        chunked = pairwise_distances(cb, sample)
+        np.testing.assert_allclose(chunked, fast, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(chunked.argmin(axis=1), fast.argmin(axis=1))
 
 
 def test_assign_single_atom(unit_space, bm_sample):
