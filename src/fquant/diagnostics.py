@@ -2,6 +2,11 @@
 error monotonicity across sizes, path-regularity (Hoelder) fits, boundary
 pinning.
 
+The first-order condition behind the stationarity residual and the distortion
+differential is one kernel: per row chunk of the sample, |a_i - x|^(p-1) sign(a_i - x)
+is summed into each path's cell by a one-hot product weighted by ||x - a_i||^(r-p)
+(0 for a path equal to its atom), so its scratch follows the chunk budget, not N.
+
 All analyses are read-only; degenerate inputs produce flags in the reports
 rather than exceptions.
 """
@@ -16,7 +21,7 @@ import numpy as np
 from .errors import FquantError
 from .path_space import PathSample
 from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _distortion_from,
-                            assign, distortion, pairwise_distances)
+                            _row_chunks, assign, distortion, pairwise_distances)
 
 
 @dataclass(frozen=True)
@@ -50,18 +55,26 @@ class StationarityReport:
 
 def _integrand_means(codebook: Codebook, sample: PathSample, vor: VoronoiAssignment,
                      r: float) -> np.ndarray:
-    """(n, d, m) integrand means M_i (see stationarity_residual) from a distance
-    pass; paths equal to their atom drop out."""
-    p = codebook.space.p
-    out = np.zeros_like(codebook.values)
-    for i in range(codebook.n):
-        sel = (vor.cell_index == i) & (vor.best > 0.0)
-        diff = codebook.values[i][None] - sample.values[sel]   # a_i - x
-        kernel = np.abs(diff) ** (p - 1.0) * np.sign(diff)
-        if r != p:
-            kernel *= (vor.best[sel] ** (r - p))[:, None, None]
-        out[i] = kernel.sum(axis=0) / len(sample)
-    return out
+    """(n, d, m) integrand means M_i of stationarity_residual, by the module docstring's kernel."""
+    p, n, N = codebook.space.p, codebook.n, len(sample)
+    xf = sample.values.reshape(N, -1)
+    af = codebook.values.reshape(n, -1)
+    out = np.zeros_like(af)
+    for rows in _row_chunks(N, 3 * af.shape[1] + n):
+        cells, best = vor.cell_index[rows], vor.best[rows]
+        phi = af[cells]
+        phi -= xf[rows]
+        if p == 1.0:
+            np.sign(phi, out=phi)
+        elif p < 2.0:
+            np.copysign(np.abs(phi) ** (p - 1.0), phi, out=phi)
+        elif p > 2.0:  # as d |d|^(p-2): no sign pass, and at p = 3 no power pass
+            phi *= np.abs(phi) if p == 3.0 else np.abs(phi) ** (p - 2.0)
+        hit = best > 0.0  # weigh only these rows: 0 ** (r - p) is inf for r < p
+        onehot = np.zeros((n, len(cells)))
+        onehot[cells[hit], np.flatnonzero(hit)] = 1.0 if r == p else best[hit] ** (r - p)
+        out += onehot @ phi
+    return (out / N).reshape(codebook.values.shape)
 
 
 def stationarity_residual(codebook: Codebook, sample: PathSample, r: float) -> StationarityReport:

@@ -23,7 +23,7 @@ from .errors import DimensionMismatchError, FquantError
 from .path_space import (DiscretePathSpace, Path, PathSample, pack_paths,
                          paths_to_csv, unpack_paths)
 
-_CHUNK_BUDGET = 2 ** 22  # floats of scratch per chunk of sample rows
+_CHUNK_BUDGET = 2 ** 20  # floats of scratch per chunk of sample rows
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,14 @@ class Codebook:
         if not np.all(np.isfinite(values)):
             raise FquantError("codebook atoms must be finite")
         object.__setattr__(self, "values", values)
-        # pairwise-distinct atoms: duplicate insertion is rejected.  A stable
-        # row sort groups equal atoms in index order; report the lowest pair.
-        n = values.shape[0]
-        if n > 1:
-            flat = values.reshape(n, -1)
-            order = np.lexsort(flat.T[::-1])
-            same = np.all(flat[order[1:]] == flat[order[:-1]], axis=1)
-            if np.any(same):
-                heads = np.flatnonzero(same & ~np.r_[False, same[:-1]])
-                g = heads[np.argmin(order[heads])]
-                raise FquantError(f"duplicate atoms at indices {order[g]} and {order[g + 1]}")
+        # distinct atoms, compared as byte rows: + 0.0 turns -0.0 into 0.0 so bytes match ==
+        flat = values.reshape(len(values), -1) + 0.0
+        rows = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+        order = rows.argsort(kind="stable")  # equal atoms end up adjacent, in index order
+        same = rows[order[1:]] == rows[order[:-1]]
+        if np.any(same):  # report the lowest pair
+            k = np.argmin(np.where(same, order[:-1], len(order)))
+            raise FquantError(f"duplicate atoms at indices {order[k]} and {order[k + 1]}")
 
     @property
     def n(self) -> int:
@@ -88,11 +85,19 @@ def _check_sample(space: DiscretePathSpace, sample: PathSample):
         raise DimensionMismatchError(space.shape, sample.values.shape[1:], what="sample path")
 
 
+def _row_chunks(n_rows: int, per_row: int):
+    """Consecutive row slices of at most _CHUNK_BUDGET // per_row rows (at least one)."""
+    chunk = max(1, _CHUNK_BUDGET // per_row)
+    return (slice(lo, lo + chunk) for lo in range(0, n_rows, chunk))
+
+
 def _weighted_sq_norms(space: DiscretePathSpace, sample: PathSample) -> np.ndarray:
     """(N,) weighted squared L^2 norms of the sample paths, the p = 2 pass input."""
     _check_sample(space, sample)
     flat = sample.values.reshape(len(sample), -1)
-    return (flat * flat) @ np.tile(space.weights, space.d)
+    wf = np.tile(space.weights, space.d)
+    return np.concatenate([np.square(flat[rows]) @ wf
+                           for rows in _row_chunks(len(sample), flat.shape[1])])
 
 
 def _dist_block(x: np.ndarray, atoms: np.ndarray, space: DiscretePathSpace,
@@ -114,28 +119,18 @@ def _dist_block(x: np.ndarray, atoms: np.ndarray, space: DiscretePathSpace,
     return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
 
 
-def _chunked_pass(codebook: Codebook, sample: PathSample, per_row: int, block) -> np.ndarray:
-    """(N, n) matrix filled by block(rows) over row chunks of per_row scratch floats."""
-    chunk = max(1, _CHUNK_BUDGET // per_row)
-    out = np.empty((len(sample), codebook.n))
-    for lo in range(0, len(sample), chunk):
-        out[lo:lo + chunk] = block(slice(lo, lo + chunk))
-    return out
-
-
 def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce, n_bufs: int = 1) -> np.ndarray:
     """(N, n) reduce(|x - a_i|, *scratch) over flattened (N, d*m) rows, one atom at a time;
     |x - a_i| and n_bufs - 1 scratch buffers, made once per row chunk, may be overwritten."""
     _check_sample(codebook.space, sample)
     xf = sample.values.reshape(len(sample), -1)
     af = codebook.values.reshape(codebook.n, -1)
-
-    def block(rows):
+    out = np.empty((len(sample), codebook.n))
+    for rows in _row_chunks(len(sample), n_bufs * xf.shape[1] + codebook.n):
         buf, *scratch = np.empty((n_bufs,) + xf[rows].shape)
-        return np.stack([reduce(np.abs(np.subtract(xf[rows], a, out=buf), out=buf), *scratch)
-                         for a in af], axis=1)
-
-    return _chunked_pass(codebook, sample, n_bufs * xf.shape[1] + codebook.n, block)
+        for i, a in enumerate(af):
+            out[rows, i] = reduce(np.abs(np.subtract(xf[rows], a, out=buf), out=buf), *scratch)
+    return out
 
 
 def pairwise_distances(codebook: Codebook, sample: PathSample,
@@ -162,9 +157,10 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
     _check_sample(space, sample)
     if sample_sq is None:
         sample_sq = _weighted_sq_norms(space, sample)
-    # the p = 2 block's scratch is about five (rows, n) arrays
-    return _chunked_pass(codebook, sample, 5 * codebook.n,
-                         lambda rows: _dist_block(x[rows], atoms, space, sample_sq[rows]))
+    out = np.empty((len(sample), codebook.n))
+    for rows in _row_chunks(len(sample), 5 * codebook.n):  # the block's scratch: ~5 (rows, n)
+        out[rows] = _dist_block(x[rows], atoms, space, sample_sq[rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -256,7 +252,8 @@ def distortion(codebook: Codebook, sample: PathSample, r: float) -> DistortionRe
 
 
 def quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:
-    """distortion^(1/r): an upper Monte Carlo estimate of the optimal error."""
+    """distortion^(1/r) on this sample.  On the sample the codebook was fitted to, it is
+    biased low as an estimate of the codebook's error on the process."""
     return distortion(codebook, sample, r).value ** (1.0 / r)
 
 

@@ -1,9 +1,15 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
-                    boundary_pinning, holder_fit, lloyd_run, monotonicity_check,
-                    sample_paths, stationarity_residual, uniform_space)
+                    boundary_pinning, distortion_differential, holder_fit, lloyd_run,
+                    monotonicity_check, quant_error, sample_paths, stationarity_residual,
+                    uniform_space)
+from fquant import quantize_core
+from fquant.diagnostics import _integrand_means
 from fquant.errors import FquantError
 
 
@@ -75,6 +81,69 @@ def test_stationarity_p1_matches_sign_reference_on_brownian(unit_space, bm_sampl
     rep = stationarity_residual(cb, bm_sample, r=r)
     assert np.array_equal(rep.residuals, np.abs(means).max(axis=2))
     assert rep.max_residual > 0.0
+
+
+def _per_cell_integrand_means(cb, sample, vor, r):
+    """Reference: the integrand means one masked cell at a time, with the scale
+    sum |w phi| / N of each entry."""
+    p = cb.space.p
+    means, scale = np.zeros_like(cb.values), np.zeros_like(cb.values)
+    for i in range(cb.n):
+        sel = (vor.cell_index == i) & (vor.best > 0.0)
+        diff = cb.values[i][None] - sample.values[sel]   # a_i - x
+        kernel = np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        if r != p:
+            kernel *= (vor.best[sel] ** (r - p))[:, None, None]
+        means[i] = kernel.sum(axis=0) / len(sample)
+        scale[i] = np.abs(kernel).sum(axis=0) / len(sample)
+    return means, scale
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0])
+def test_integrand_means_match_per_cell_reference(p, chunk_rows, monkeypatch):
+    # d = 2; atom 0 is a sample path (a path equal to its atom); atom 3 is far
+    # from every path (an empty cell)
+    space = uniform_space(1.0, 33, p=p, d=2)
+    sample = sample_paths(ProcessSpec("brownian"), space, 301, seed=5)
+    values = np.stack([sample.values[0], sample.values[1] + 0.1,
+                       sample.values[2] - 0.2, np.full((2, 33), 50.0)])
+    cb = Codebook(space=space, values=values)
+    vor = assign(cb, sample)
+    assert vor.best[0] == 0.0 and vor.counts[3] == 0
+    if chunk_rows is not None:
+        monkeypatch.setattr(quantize_core, "_CHUNK_BUDGET",
+                            chunk_rows * (3 * 2 * space.m + cb.n))
+    cases = [(r, False) for r in (p, p + 1.0)]
+    if p > 1.0:
+        cases.append((p - 0.5 if p > 1.5 else 1.0, True))   # r < p: the differential
+    for r, differential in cases:
+        means, scale = _per_cell_integrand_means(cb, sample, vor, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if differential:
+                got = distortion_differential(cb, sample, r) / r
+            else:
+                got = _integrand_means(cb, sample, vor, r)
+        assert np.all(np.abs(got - means) <= 1e-12 * scale), (r, np.abs(got - means).max())
+        assert np.all(got[3] == 0.0)
+
+
+def test_first_order_condition_memory_is_bounded_by_the_chunk(monkeypatch):
+    # a 2 MiB chunk budget against a 41 MB sample: neither call may copy the sample
+    monkeypatch.setattr(quantize_core, "_CHUNK_BUDGET", 2 ** 18)
+    space = uniform_space(1.0, 256)
+    sample = sample_paths(ProcessSpec("brownian"), space, 20_000, seed=9)
+    cb = Codebook(space=space, values=sample.values.mean(axis=0)[None] + 0.01)
+    limit = 0.1 * sample.values.nbytes
+    for call in (stationarity_residual, quant_error):
+        tracemalloc.start()
+        try:
+            call(cb, sample, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, f"{call.__name__}: traced peak {peak} B > {limit:.0f} B"
 
 
 def test_stationarity_tie_and_hit_mass(unit_space):

@@ -56,6 +56,37 @@ def test_codebook_signed_zero_atoms_are_duplicates(unit_space):
         Codebook(space=unit_space, values=values)
 
 
+def _lexsort_duplicate_pair(values):
+    # reference: a stable row sort groups equal atoms in index order; the lowest pair
+    flat = values.reshape(len(values), -1)
+    order = np.lexsort(flat.T[::-1])
+    same = np.all(flat[order[1:]] == flat[order[:-1]], axis=1)
+    if not np.any(same):
+        return None
+    heads = np.flatnonzero(same & ~np.r_[False, same[:-1]])
+    g = heads[np.argmin(order[heads])]
+    return order[g], order[g + 1]
+
+
+_DUPLICATE_POOL = np.random.default_rng(7).normal(size=(6, 1, 65))
+_DUPLICATE_POOL[0, 0, :3] = 0.0
+_DUPLICATE_POOL[1] = _DUPLICATE_POOL[0]
+_DUPLICATE_POOL[1, 0, :3] = -0.0     # equal to atom 0 as floats, not as bytes
+_DUPLICATE_POOL[4] = _DUPLICATE_POOL[2]
+_DUPLICATE_POOL[4, 0, 9] = np.nextafter(_DUPLICATE_POOL[2, 0, 9], np.inf)  # distinct by 1 ulp
+
+
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=12))
+def test_codebook_duplicate_check_matches_lexsort_reference(unit_space, rows):
+    values = _DUPLICATE_POOL[rows]
+    pair = _lexsort_duplicate_pair(values)
+    if pair is None:
+        Codebook(space=unit_space, values=values)
+    else:
+        with pytest.raises(FquantError, match=rf"duplicate atoms at indices {pair[0]} and {pair[1]}$"):
+            Codebook(space=unit_space, values=values)
+
+
 def test_codebook_binary_roundtrip(unit_space, rng):
     cb = Codebook(space=unit_space, values=rng.normal(size=(3, 1, unit_space.m)))
     back = Codebook.from_binary(cb.to_binary(), unit_space)
