@@ -212,12 +212,9 @@ def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
     msp = space.marginal()
     measure = distortion if norm == "lp" else sup_distortion
 
-    def err2(cb, smp):
-        return measure(cb, smp, exponent).error_with_stderr()
-
     def best(cands, smp):
-        # ((error, stderr), codebook) of the first lowest-error candidate
-        return min(((err2(cb, smp), cb) for cb in cands), key=lambda t: t[0][0])
+        # (report, codebook) of the first lowest-distortion candidate
+        return min(((measure(cb, smp, exponent), cb) for cb in cands), key=lambda t: t[0].value)
 
     marg_samples = [sample.coordinate(j) for j in range(d)]
     small = [splitting_init(marg_samples[j], msp, sizes[j], exponent, seed + j, config=opt)
@@ -226,35 +223,31 @@ def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
 
     grown = splitting_init(sample, space, n, exponent, seed, config=opt)
     refined, _ = optimize_codebook(opt, product, sample, exponent)
-    (e_joint, se_joint), joint_cb = best([product, grown, refined], sample)
+    joint, joint_cb = best([product, grown, refined], sample)
 
-    e_full = []
+    full = []
     for j in range(d):
         cands = [splitting_init(marg_samples[j], msp, n, exponent, seed + 100 + j,
                                 config=opt),
                  Codebook(space=msp, values=_dedup(joint_cb.values[:, j:j + 1, :]))]
-        e_full.append(best(cands, marg_samples[j])[0])
-    e_small = [err2(small[j], marg_samples[j]) for j in range(d)]
+        full.append(best(cands, marg_samples[j])[0])
+    small_reps = [measure(small[j], marg_samples[j], exponent) for j in range(d)]
 
-    lower = (sum if norm == "lp" else max)(e ** exponent for e, _ in e_full)
-    upper = sum(e ** exponent for e, _ in e_small)
-    joint_pow = e_joint ** exponent
-    sig = 3.0 * _power_se(e_joint, se_joint, exponent)
-    sig_low = 3.0 * _rss(_power_se(e, se, exponent) for e, se in e_full)
-    sig_up = 3.0 * _rss(_power_se(e, se, exponent) for e, se in e_small)
-    holds = bool(lower <= joint_pow + sig + sig_low and joint_pow <= upper + sig + sig_up)
+    lower = (sum if norm == "lp" else max)(rep.value for rep in full)
+    upper = sum(rep.value for rep in small_reps)
+    sig = joint.stderr
+    sig_low = _rss(rep.stderr for rep in full)
+    sig_up = _rss(rep.stderr for rep in small_reps)
+    holds = bool(lower <= joint.value + 3.0 * (sig + sig_low)
+                 and joint.value <= upper + 3.0 * (sig + sig_up))
     return {
         "norm": norm, "exponent": exponent, "n": n, "sizes": sizes,
-        "lower": lower, "joint": joint_pow, "upper": upper,
-        "sigma_joint": sig / 3.0, "sigma_lower": sig_low / 3.0, "sigma_upper": sig_up / 3.0,
+        "lower": lower, "joint": joint.value, "upper": upper,
+        "sigma_joint": sig, "sigma_lower": sig_low, "sigma_upper": sig_up,
         "holds": holds,
-        "marginal_errors_n": [e for e, _ in e_full],
-        "marginal_errors_small": [e for e, _ in e_small],
+        "marginal_errors_n": [rep.value ** (1.0 / exponent) for rep in full],
+        "marginal_errors_small": [rep.value ** (1.0 / exponent) for rep in small_reps],
     }
-
-
-def _power_se(e: float, se: float, k: float) -> float:
-    return k * e ** (k - 1.0) * se if e > 0 else 0.0
 
 
 def _rss(values) -> float:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import FquantError
 from .path_space import PathSample
-from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _distortion_from,
-                            _row_chunks, assign, distortion, pairwise_distances)
+from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _row_chunks,
+                            assign, distortion)
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ class StationarityReport:
         }, sort_keys=True)
 
 
-def _integrand_means(codebook: Codebook, sample: PathSample, vor: VoronoiAssignment,
-                     r: float) -> np.ndarray:
+def _integrand_means(vor: VoronoiAssignment, r: float) -> np.ndarray:
     """(n, d, m) integrand means M_i of stationarity_residual, by the module docstring's kernel."""
-    p, n, N = codebook.space.p, codebook.n, len(sample)
-    xf = sample.values.reshape(N, -1)
+    codebook = vor.codebook
+    p, n, N = codebook.space.p, codebook.n, len(vor.sample)
+    xf = vor.sample.values.reshape(N, -1)
     af = codebook.values.reshape(n, -1)
     out = np.zeros_like(af)
     for rows in _row_chunks(N, 3 * af.shape[1] + n):
@@ -92,28 +92,27 @@ def stationarity_residual(codebook: Codebook, sample: PathSample, r: float) -> S
     is the sup over grid nodes.  The codebook is admissible when every cell has
     mass and the tie mass is at most 1e-3.
     """
-    return _stationarity_from(codebook, sample, assign(codebook, sample), r)
+    return _stationarity_from(assign(codebook, sample), r)
 
 
 def distortion_and_stationarity(codebook: Codebook, sample: PathSample, r: float
                                 ) -> tuple[DistortionReport, StationarityReport | None]:
     """distortion and, where r >= p, stationarity_residual from one distance pass."""
-    vor = VoronoiAssignment(pairwise_distances(codebook, sample))
-    stat = _stationarity_from(codebook, sample, vor, r) if r >= codebook.space.p else None
-    return _distortion_from(vor, r), stat
+    vor = assign(codebook, sample)
+    stat = _stationarity_from(vor, r) if r >= codebook.space.p else None
+    return vor.distortion(r), stat
 
 
-def _stationarity_from(codebook: Codebook, sample: PathSample, vor: VoronoiAssignment,
-                       r: float) -> StationarityReport:
+def _stationarity_from(vor: VoronoiAssignment, r: float) -> StationarityReport:
     """stationarity_residual from the codebook's distance pass."""
-    space = codebook.space
+    space = vor.codebook.space
     p = space.p
     if r < p:
         raise FquantError(f"stationarity condition needs r >= p, got r={r}, p={p}")
     cell_masses = vor.cell_masses()
-    atom_hits = vor.cell_sums(vor.best == 0.0) / len(sample)
+    atom_hits = vor.cell_sums(vor.best == 0.0) / len(vor.dists)
 
-    means = _integrand_means(codebook, sample, vor, r)
+    means = _integrand_means(vor, r)
     if p == 1.0:
         residuals = np.abs(means).max(axis=2)
     else:

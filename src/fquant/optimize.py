@@ -20,8 +20,8 @@ from .diagnostics import (StationarityReport, _integrand_means, _stationarity_fr
                           distortion_and_stationarity)
 from .errors import DivergenceError, FquantError, OptimizeError
 from .path_space import DiscretePathSpace, PathSample, _lp_norms
-from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _distortion_from,
-                            _weighted_sq_norms, assign, distortion, pairwise_distances)
+from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _weighted_sq_norms,
+                            assign, distortion, pairwise_distances)
 from .rng import derive_rng
 
 DEFAULT_MAX_ITERS = {"lloyd": 200, "sgd": 20_000}
@@ -73,48 +73,43 @@ class OptimizeTrace:
         return "\n".join(lines) + "\n"
 
 
-def _split_toward_farthest(values: np.ndarray, sample: PathSample,
-                           vor: VoronoiAssignment, donor: int) -> np.ndarray:
+def _split_toward_farthest(vor: VoronoiAssignment, donor: int) -> np.ndarray:
     """The donor atom moved halfway toward the farthest path in its cell."""
     in_donor = np.flatnonzero(vor.cell_index == donor)
     far = in_donor[int(np.argmax(vor.best[in_donor]))]
     if vor.best[far] <= 0:
         raise OptimizeError("cannot split: donor cell has zero radius "
                             "(fewer distinct paths than atoms?)")
-    return values[donor] + 0.5 * (sample.values[far] - values[donor])
+    atom = vor.codebook.values[donor]
+    return atom + 0.5 * (vor.sample.values[far] - atom)
 
 
-def _repair_empty_cells(values: np.ndarray, sample: PathSample,
-                        space: DiscretePathSpace, r: float,
-                        events: list, iteration: int, vor: VoronoiAssignment | None):
+def _repair_empty_cells(vor: VoronoiAssignment, r: float, events: list,
+                        iteration: int) -> VoronoiAssignment:
     """Re-split each atom whose cell is empty from the cell of largest distortion
-    share; returns (values, pass of values).  vor is the pass of values, or None;
-    it is redone when an atom moves."""
-    for _ in range(values.shape[0] + 1):
-        if vor is None:
-            vor = assign(Codebook(space=space, values=values), sample)
+    share; returns the pass of the repaired codebook, redone whenever an atom moves."""
+    for _ in range(vor.n_cells + 1):
         empty = np.flatnonzero(vor.counts == 0)
         if empty.size == 0:
-            return values, vor
+            return vor
         dead = int(empty[0])
         events.append((iteration, dead))
         donor = int(np.argmax(vor.cell_sums(vor.best ** r)))
-        new_atom = _split_toward_farthest(values, sample, vor, donor)
-        values = values.copy()
-        values[dead] = new_atom
-        vor = None
+        values = vor.codebook.values.copy()
+        values[dead] = _split_toward_farthest(vor, donor)
+        vor = assign(vor.codebook.with_values(values), vor.sample)
     raise OptimizeError("empty-cell repair did not converge")
 
 
-def _centroids(values: np.ndarray, sample: PathSample, vor: VoronoiAssignment,
-               r: float) -> np.ndarray:
+def _centroids(vor: VoronoiAssignment, r: float) -> np.ndarray:
     """Cell centroids with path weights ||x - a_i||^(r-2), as one (n, N) @ (N, d*m)
     product.  A cell of zero total weight holds only its atom's copies: kept."""
-    n, N = values.shape[0], len(sample)
+    values = vor.codebook.values
+    n, N = vor.n_cells, len(vor.dists)
     weights = np.ones(N) if r == 2.0 else vor.best ** (r - 2.0)
     onehot = np.zeros((n, N))
     onehot[vor.cell_index, np.arange(N)] = weights
-    sums = onehot @ sample.values.reshape(N, -1)
+    sums = onehot @ vor.sample.values.reshape(N, -1)
     total = vor.cell_sums(weights)[:, None]
     out = values.reshape(n, -1).copy()
     np.divide(sums, total, out=out, where=total > 0)
@@ -135,10 +130,9 @@ def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
         raise OptimizeError(f"lloyd_step requires a p=2 space, got p={space.p}")
     if r < 2.0:
         raise OptimizeError(f"lloyd_step requires r >= 2, got r={r}")
-    events = _events if _events is not None else []
-    values, vor = _repair_empty_cells(codebook.values, sample, space, r,
-                                      events, _iteration, _pass)
-    return Codebook(space=space, values=_centroids(values, sample, vor, r))
+    vor = _repair_empty_cells(_pass if _pass is not None else assign(codebook, sample), r,
+                              _events if _events is not None else [], _iteration)
+    return Codebook(space=space, values=_centroids(vor, r))
 
 
 def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
@@ -149,22 +143,20 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     step's assignment and, at exit, the residual's.  Sample norms are taken once.
     """
     trace = OptimizeTrace()
-    cb = init
-    sq = _weighted_sq_norms(cb.space, sample)
-    vor = VoronoiAssignment(pairwise_distances(cb, sample, sample_sq=sq))
-    trace.final_distortion = _distortion_from(vor, r)
+    sq = _weighted_sq_norms(init.space, sample)
+    vor = VoronoiAssignment(init, sample, pairwise_distances(init, sample, sample_sq=sq))
+    trace.final_distortion = vor.distortion(r)
     prev = trace.final_distortion.value
     trace.distortions.append(prev)
     for k in range(config.max_iters):
-        nxt = lloyd_step(cb, sample, r, _events=trace.empty_cell_events,
+        nxt = lloyd_step(vor.codebook, sample, r, _events=trace.empty_cell_events,
                          _iteration=k, _pass=vor)
-        vor = VoronoiAssignment(pairwise_distances(nxt, sample, sample_sq=sq))
-        trace.final_distortion = _distortion_from(vor, r)
+        unchanged = np.array_equal(nxt.values, vor.codebook.values)
+        vor = VoronoiAssignment(nxt, sample, pairwise_distances(nxt, sample, sample_sq=sq))
+        trace.final_distortion = vor.distortion(r)
         cur = trace.final_distortion.value
         trace.distortions.append(cur)
         trace.iterations = k + 1
-        unchanged = np.array_equal(nxt.values, cb.values)
-        cb = nxt
         if unchanged:
             trace.exit_reason = "fixed_point"
             break
@@ -174,8 +166,8 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
         prev = cur
     else:
         trace.exit_reason = "max_iters"
-    trace.final_stationarity = _stationarity_from(cb, sample, vor, r)
-    return cb, trace
+    trace.final_stationarity = _stationarity_from(vor, r)
+    return vor.codebook, trace
 
 
 def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
@@ -198,8 +190,8 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     values = init.values.copy()
     trace = OptimizeTrace()
 
-    vor = VoronoiAssignment(pairwise_distances(init, sample))
-    d0 = _distortion_from(vor, r).value
+    vor = assign(init, sample)
+    d0 = vor.distortion(r).value
     trace.distortions.append(d0)
     scale = d0 ** (1.0 / r) if d0 > 0 else 1.0
     if r == 1.0 and np.any(vor.best == 0.0):
@@ -260,7 +252,7 @@ def distortion_differential(codebook: Codebook, sample: PathSample,
         raise OptimizeError(f"the distortion differential needs p > 1, got p={p}")
     if r < 1.0:
         raise OptimizeError(f"r must be >= 1, got {r}")
-    return r * _integrand_means(codebook, sample, assign(codebook, sample), r)
+    return r * _integrand_means(assign(codebook, sample), r)
 
 
 def optimize_codebook(config: OptimizerConfig, init: Codebook, sample: PathSample,
@@ -312,7 +304,7 @@ def splitting_init(sample: PathSample, space: DiscretePathSpace, n: int, r: floa
                  else optimized(_grow(cb, candidate)))
         if grown is None or grown[1].value ** (1.0 / r) >= errors[-1]:
             # deterministic fallback: capture the donor cell's farthest path
-            candidate = _split_toward_farthest(cb.values, sample, assign(cb, sample), donor)
+            candidate = _split_toward_farthest(assign(cb, sample), donor)
             grown = optimized(_grow(cb, candidate))
         cb, rep = grown
         stages.append(cb)

@@ -27,7 +27,7 @@ _SCALAR_ONLY = ("gamma", "compound_poisson", "stable_levy")
 
 FBM_JITTER = 1e-12
 
-_OU_BLOCK = 2 ** 18  # floats per transposed block of path rows in the OU recursion
+_OU_BLOCK = 2 ** 18  # floats per block of path rows: the OU recursion, the bridge's pinning
 
 JUMP_LAWS = {
     "normal": lambda rng, size: rng.standard_normal(size),
@@ -122,12 +122,20 @@ def _brownian_values(rng, n_paths: int, space: DiscretePathSpace) -> np.ndarray:
     return out
 
 
+def _row_blocks(out: np.ndarray):
+    """Consecutive (rows, m) views of the (N, d, m) array out, _OU_BLOCK floats each."""
+    flat = out.reshape(-1, out.shape[-1])
+    rows = max(1, _OU_BLOCK // flat.shape[1])
+    return (flat[lo:lo + rows] for lo in range(0, len(flat), rows))
+
+
 def _bridge_values(rng, n_paths: int, space: DiscretePathSpace) -> np.ndarray:
     if space.grid[-1] <= 0:
         raise SimulationError("brownian bridge needs a grid ending at t_end > 0")
     out = _brownian_values(rng, n_paths, space)
-    end = out[..., -1].copy()
-    out -= end[..., None] * (space.grid / space.grid[-1])
+    ramp = space.grid / space.grid[-1]
+    for block in _row_blocks(out):  # the product's scratch is one block, not the sample
+        block -= block[:, -1:] * ramp
     out[..., -1] = 0.0
     return out
 
@@ -139,13 +147,11 @@ def _ou_values(rng, n_paths: int, space: DiscretePathSpace, c: float) -> np.ndar
     sig = np.sqrt(1.0 - phi * phi)
     # the recursion runs along time; on a transposed block each step reads and
     # writes contiguous rows instead of strided columns
-    flat = out.reshape(-1, space.m)
-    rows = max(1, _OU_BLOCK // space.m)
-    for start in range(0, flat.shape[0], rows):
-        block = flat[start:start + rows].T.copy()
+    for rows in _row_blocks(out):
+        block = rows.T.copy()
         for k in range(space.m - 1):
             block[k + 1] = phi[k] * block[k] + sig[k] * block[k + 1]
-        flat[start:start + rows] = block.T
+        rows[...] = block.T
     return out
 
 

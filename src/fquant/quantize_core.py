@@ -8,7 +8,7 @@ once.  Pairs where the expansion cancels are recomputed directly, so a path
 equal to an atom is at distance exactly 0.  Other p and the sup norm loop over
 atoms on the same rows, reducing |x - a_i| by max or by a weighted sum of p-th
 powers, taken by binary powering at integral p (p = 3: a square and a multiply).
-Every consumer reads a pass through one VoronoiAssignment object.
+Every consumer reads a pass, with its codebook and sample, through one VoronoiAssignment.
 """
 
 from __future__ import annotations
@@ -165,9 +165,11 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
 
 @dataclass(frozen=True)
 class VoronoiAssignment:
-    """Voronoi partition of one (N, n) distance pass: each path's cell (nearest atom, exact
-    ties to the lowest index), best distance and tie flag, and per-cell sums, derived lazily."""
+    """Voronoi partition of a sample by a codebook, from their (N, n) distance pass: each path's
+    cell (nearest atom, exact ties to the lowest index), best distance, tie flag and sums."""
 
+    codebook: Codebook
+    sample: PathSample
     dists: np.ndarray  # (N, n)
 
     @property
@@ -201,10 +203,21 @@ class VoronoiAssignment:
     def tie_mass(self) -> float:
         return float(self.tie_flags.mean())
 
+    def distortion(self, r: float) -> "DistortionReport":
+        """Empirical mean of min_i ||x - a_i||^r over this pass, decomposed over its cells."""
+        if r <= 0:
+            raise FquantError(f"distortion order r must be > 0, got {r}")
+        N = len(self.dists)
+        contrib = self.best ** r
+        per_cell = self.cell_sums(contrib) / N
+        stderr = float(contrib.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+        return DistortionReport(value=float(per_cell.sum()), per_cell_mass=self.cell_masses(),
+                                per_cell_distortion=per_cell, stderr=stderr, r=float(r))
+
 
 def assign(codebook: Codebook, sample: PathSample) -> VoronoiAssignment:
     """Map each path to its nearest atom; exact distance ties go to the lowest index."""
-    return VoronoiAssignment(pairwise_distances(codebook, sample))
+    return VoronoiAssignment(codebook, sample, pairwise_distances(codebook, sample))
 
 
 @dataclass(frozen=True)
@@ -234,21 +247,9 @@ class DistortionReport:
         return err, self.stderr / (self.r * self.value ** ((self.r - 1.0) / self.r))
 
 
-def _distortion_from(vor: VoronoiAssignment, r: float) -> DistortionReport:
-    """Distortion report from a distance pass."""
-    if r <= 0:
-        raise FquantError(f"distortion order r must be > 0, got {r}")
-    N = len(vor.dists)
-    contrib = vor.best ** r
-    per_cell = vor.cell_sums(contrib) / N
-    stderr = float(contrib.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    return DistortionReport(value=float(per_cell.sum()), per_cell_mass=vor.cell_masses(),
-                            per_cell_distortion=per_cell, stderr=stderr, r=float(r))
-
-
 def distortion(codebook: Codebook, sample: PathSample, r: float) -> DistortionReport:
     """Empirical mean of min_i ||x - a_i||^r, decomposed over Voronoi cells."""
-    return _distortion_from(assign(codebook, sample), r)
+    return assign(codebook, sample).distortion(r)
 
 
 def quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:
@@ -264,8 +265,8 @@ def sup_pairwise_distances(codebook: Codebook, sample: PathSample) -> np.ndarray
 
 def sup_distortion(codebook: Codebook, sample: PathSample, r: float) -> DistortionReport:
     """Empirical E min_i ||X - a_i||_sup^r: the sup-norm analogue of distortion."""
-    vor = VoronoiAssignment(sup_pairwise_distances(codebook, sample))
-    return _distortion_from(vor, r)
+    vor = VoronoiAssignment(codebook, sample, sup_pairwise_distances(codebook, sample))
+    return vor.distortion(r)
 
 
 def quantize_paths(codebook: Codebook, sample: PathSample) -> PathSample:

@@ -124,7 +124,7 @@ def test_integrand_means_match_per_cell_reference(p, chunk_rows, monkeypatch):
             if differential:
                 got = distortion_differential(cb, sample, r) / r
             else:
-                got = _integrand_means(cb, sample, vor, r)
+                got = _integrand_means(vor, r)
         assert np.all(np.abs(got - means) <= 1e-12 * scale), (r, np.abs(got - means).max())
         assert np.all(got[3] == 0.0)
 

@@ -5,11 +5,13 @@ from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
                     distortion, distortion_differential, dual_pairing,
                     lloyd_run, lloyd_step, product_quantizer, quant_error,
                     sample_paths, sgd_run, splitting_init, uniform_space)
-from fquant import diagnostics, optimize, quantize_core, stationarity_residual
+from fquant import optimize, quantize_core, stationarity_residual
+from fquant.diagnostics import distortion_and_stationarity
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
 from fquant.path_space import Path, lp_norm_values
-from fquant.quantize_core import pairwise_distances
+from fquant.quantize_core import (VoronoiAssignment, pairwise_distances, sup_distortion,
+                                  sup_pairwise_distances)
 from fquant.rng import derive_rng
 
 
@@ -258,8 +260,7 @@ def test_sgd_run_one_pass_per_evaluation(bm_sample, monkeypatch, tol, evals):
         calls.append(codebook.values.copy())
         return pairwise_distances(codebook, sample, *args, **kwargs)
 
-    for module in (optimize, diagnostics):
-        monkeypatch.setattr(module, "pairwise_distances", counted)
+    monkeypatch.setattr(quantize_core, "pairwise_distances", counted)
     cfg = OptimizerConfig(method="sgd", max_iters=100, tol=tol, seed=3, sgd_c0=0.01)
     init = Codebook(space=space, values=bm_sample.values[:3].copy())
     cb, trace = sgd_run(cfg, init, bm_sample, r=3.0)
@@ -373,44 +374,92 @@ def test_sgd_batched_draws_equal_per_step_draws(seed, N):
     assert batched.tolist() == [int(per_step.integers(N)) for _ in range(2000)]
 
 
-def test_splitting_fallback_makes_one_pass(monkeypatch):
-    # paths 1000 + v with v orthogonal to constants: the greedy clone of the
-    # mean moves along the mean, captures no path, and SGD steps too small to
-    # change that leave the split no better, so the fallback fires
+def _fallback_sample():
+    """Paths 1000 + v with v orthogonal to constants: the greedy clone of the mean
+    moves along the mean and captures no path, and SGD steps too small to change
+    that (FALLBACK_SGD) leave the split no better, so the fallback fires."""
     space = uniform_space(1.0, 16)
     bm = sample_paths(ProcessSpec("brownian"), space, 200, seed=5)
     v = bm.values - ((bm.values @ space.weights) / space.total_mass)[..., None]
-    sample = PathSample(values=1000.0 + v, seed=0, process_tag="offset")
+    return space, PathSample(values=1000.0 + v, seed=0, process_tag="offset")
+
+
+FALLBACK_SGD = OptimizerConfig(method="sgd", max_iters=25, seed=1, sgd_c0=1e-9)
+
+
+def test_splitting_fallback_makes_one_pass(monkeypatch):
+    space, sample = _fallback_sample()
     events = []
 
     def counted(codebook, smp, *args, **kwargs):
         events.append(("pass", codebook.n))
         return pairwise_distances(codebook, smp, *args, **kwargs)
 
-    def fallback_assign(codebook, smp):
-        events.append(("fallback", codebook.n))
-        return assign(codebook, smp)
+    def fallback(vor, donor):
+        events.append(("fallback", vor.codebook.n))
+        return split(vor, donor)
 
     def optimized(config, start, smp, r):
         events.append(("optimize", start))
         return optimize_codebook(config, start, smp, r)
 
-    optimize_codebook = optimize.optimize_codebook
-    for module in (quantize_core, optimize):
-        monkeypatch.setattr(module, "pairwise_distances", counted)
-    monkeypatch.setattr(optimize, "assign", fallback_assign)
+    optimize_codebook, split = optimize.optimize_codebook, optimize._split_toward_farthest
+    monkeypatch.setattr(quantize_core, "pairwise_distances", counted)
+    monkeypatch.setattr(optimize, "_split_toward_farthest", fallback)
     monkeypatch.setattr(optimize, "optimize_codebook", optimized)
-    cfg = OptimizerConfig(method="sgd", max_iters=25, seed=1, sgd_c0=1e-9)
-    splitting_init(sample, space, 2, 2.0, seed=1, config=cfg)
+    splitting_init(sample, space, 2, 2.0, seed=1, config=FALLBACK_SGD)
     k = events.index(("fallback", 1))
-    # between the fallback and the re-optimization: exactly one pass, on the donor codebook
-    assert events[k + 1] == ("pass", 1) and events[k + 2][0] == "optimize"
-    grown = events[k + 2][1]
+    rejected = max(i for i in range(k) if events[i][0] == "optimize")
+    # after the rejected split's optimizer: exactly one pass, on the donor codebook,
+    # then the fallback split and the re-optimization
+    assert events[rejected:k].count(("pass", 1)) == 1 and events[k - 1] == ("pass", 1)
+    assert events[k + 1][0] == "optimize"
+    grown = events[k + 1][1]
     # the parent arithmetic: donor + 0.5 * (farthest path in its cell - donor)
     cb = Codebook(space=space, values=grown.values[:1])
     best = pairwise_distances(cb, sample)[:, 0]
     far = sample.values[int(np.argmax(best))]
     np.testing.assert_array_equal(grown.values[1], cb.values[0] + 0.5 * (far - cb.values[0]))
+
+
+def test_every_pass_is_the_pass_of_its_own_codebook(unit_space, bm_sample, monkeypatch):
+    # each VoronoiAssignment built holds the distances of the codebook and sample it carries
+    built, splits = [], []
+    construct, split = VoronoiAssignment.__init__, optimize._split_toward_farthest
+
+    def spy(self, codebook, sample, dists):
+        construct(self, codebook, sample, dists)
+        built.append(self)
+
+    def counted_split(vor, donor):
+        splits.append(donor)
+        return split(vor, donor)
+
+    def check(name, dist=pairwise_distances):
+        assert built, name
+        for vor in built:
+            np.testing.assert_array_equal(vor.dists, dist(vor.codebook, vor.sample), err_msg=name)
+        built.clear()
+        splits.clear()
+
+    monkeypatch.setattr(VoronoiAssignment, "__init__", spy)
+    monkeypatch.setattr(optimize, "_split_toward_farthest", counted_split)
+    lloyd = OptimizerConfig(method="lloyd", max_iters=30, tol=1e-12)
+    _, trace = lloyd_run(lloyd, constant_codebook(unit_space, [-0.3, 0.3, 50.0]), bm_sample)
+    assert trace.empty_cell_events
+    check("lloyd_run, repairing an empty cell")
+    p3 = uniform_space(1.0, bm_sample.m, p=3.0)
+    sgd = OptimizerConfig(method="sgd", max_iters=100, seed=3, sgd_c0=0.01)
+    sgd_run(sgd, Codebook(space=p3, values=bm_sample.values[:3].copy()), bm_sample, r=3.0)
+    check("sgd_run, p = 3")
+    space, offset = _fallback_sample()
+    splitting_init(offset, space, 2, 2.0, seed=1, config=FALLBACK_SGD)
+    assert splits
+    check("splitting_init, falling back")
+    distortion_and_stationarity(Codebook(space=p3, values=bm_sample.values[:3]), bm_sample, 3.0)
+    check("distortion_and_stationarity")
+    sup_distortion(constant_codebook(unit_space, [-0.5, 0.5]), bm_sample, 2.0)
+    check("sup_distortion", sup_pairwise_distances)
 
 
 def test_optimizer_trace_carries_final_reports(unit_space, bm_sample):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,7 +9,8 @@ from fquant import (PathSample, ProcessSpec, exp_weighted_space,
                     uniform_space)
 from fquant.errors import FquantError, SimulationError
 from fquant import process_sim
-from fquant.process_sim import _compound_poisson_increments, _ou_values, standard_stable
+from fquant.process_sim import (_bridge_values, _brownian_values, _compound_poisson_increments,
+                                _ou_values, standard_stable)
 from fquant.rng import derive_rng
 
 
@@ -90,6 +93,31 @@ def test_ou_blocked_recursion_matches_strided_loop(monkeypatch):
     for k in range(space.m - 1):
         ref[..., k + 1] = phi[k] * ref[..., k] + sig[k] * ref[..., k + 1]
     np.testing.assert_array_equal(out, ref)
+
+
+def test_bridge_blocked_pinning_matches_whole_product(monkeypatch):
+    space = exp_weighted_space(4.0, 33, b=1.0, d=2)
+    # 3 path rows per block: the 14 rows of (n_paths * d, m) end in a partial block
+    monkeypatch.setattr(process_sim, "_OU_BLOCK", 3 * space.m)
+    out = _bridge_values(np.random.default_rng(5), 7, space)
+    ref = _brownian_values(np.random.default_rng(5), 7, space)
+    ref -= ref[..., -1:] * (space.grid / space.grid[-1])
+    ref[..., -1] = 0.0
+    np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.parametrize("kind", ["brownian", "bridge"])
+def test_sampler_memory_is_the_sample(kind):
+    # a 41 MB sample: the bridge's pinning may not hold a second copy of it
+    space = uniform_space(1.0, 256)
+    tracemalloc.start()
+    try:
+        sample = sample_paths(ProcessSpec(kind), space, 20_000, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = 1.1 * sample.values.nbytes
+    assert peak <= limit, f"{kind}: traced peak {peak} B > {limit:.0f} B"
 
 
 def test_fbm_half_matches_brownian_increments():

@@ -163,8 +163,8 @@ def test_general_p_pass_matches_np_power_reference(monkeypatch, p):
         np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=0.0)
     else:
         np.testing.assert_array_equal(fast, ref)
-    np.testing.assert_array_equal(VoronoiAssignment(fast).cell_index,
-                                  VoronoiAssignment(ref).cell_index)
+    np.testing.assert_array_equal(VoronoiAssignment(cb, sample, fast).cell_index,
+                                  VoronoiAssignment(cb, sample, ref).cell_index)
     assert fast[5, 0] == 0.0 and np.count_nonzero(fast == 0.0) == 1
     # chunks of that many paths (about twice that at p = 2.5, which keeps no
     # scratch buffer), the last one ragged.  No entry's power depends on the
@@ -209,7 +209,7 @@ def test_voronoi_assignment_matches_per_pair_reference(unit_space, norm):
     levels = [-1.0, -0.5, -0.25, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.0, 1.5, -0.375]
     cb, sample = constant_codebook(space, atoms), constant_sample(space, levels)
     if norm == "sup":
-        vor = VoronoiAssignment(sup_pairwise_distances(cb, sample))
+        vor = VoronoiAssignment(cb, sample, sup_pairwise_distances(cb, sample))
         ref = [[sup_norm(Path(x - a)) for a in cb.values] for x in sample.values]
     else:
         vor = assign(cb, sample)
