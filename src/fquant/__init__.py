@@ -2,13 +2,12 @@
 
 from .path_space import (DiscretePathSpace, Path, PathSample, dual_pairing,
                          exp_weighted_space, lp_dist, lp_norm, norm_gradient,
-                         sup_norm, uniform_space, weighted_space)
+                         uniform_space, weighted_space)
 from .process_sim import (MomentCheck, ProcessSpec, intrinsic_semimetric,
                           moment_check, sample_paths)
 from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment,
                             assign, codebook_from_paths, cross_exponent_bounds,
-                            distortion, quant_error, quantize_paths,
-                            sup_distortion)
+                            distortion, quant_error, quantize_paths)
 from .optimize import (OptimizerConfig, OptimizeTrace, default_config_for,
                        distortion_differential, lloyd_run, lloyd_step,
                        optimize_codebook, product_quantizer, sgd_run,
@@ -23,13 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscretePathSpace", "Path", "PathSample", "uniform_space", "weighted_space",
-    "exp_weighted_space", "lp_norm", "lp_dist", "sup_norm", "norm_gradient",
-    "dual_pairing",
+    "exp_weighted_space", "lp_norm", "lp_dist", "norm_gradient", "dual_pairing",
     "ProcessSpec", "sample_paths", "intrinsic_semimetric", "moment_check",
     "MomentCheck",
     "Codebook", "VoronoiAssignment", "DistortionReport", "assign", "distortion",
-    "quant_error", "quantize_paths",
-    "cross_exponent_bounds", "codebook_from_paths", "sup_distortion",
+    "quant_error", "quantize_paths", "cross_exponent_bounds", "codebook_from_paths",
     "OptimizerConfig", "OptimizeTrace", "lloyd_step", "lloyd_run", "sgd_run",
     "optimize_codebook", "splitting_init", "product_quantizer", "default_config_for",
     "distortion_differential",

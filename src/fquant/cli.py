@@ -21,7 +21,7 @@ from .config import ExperimentConfig, load_config, print_schema
 from .errors import ConfigError, FquantError
 from .optimize import optimize_codebook, product_quantizer, splitting_init
 from .process_sim import sample_paths
-from .quantize_core import Codebook, distortion, sup_distortion
+from .quantize_core import Codebook, distortion
 
 ORACLE_NAMES = ("c0", "l1", "sharp2", "supnorm", "closed_form")
 
@@ -172,7 +172,8 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     sizes = cfg.bounds.get("marginal_sizes", [2] * space.d)
     if not isinstance(sizes, list):
         sizes = [sizes]
-    sizes = [int(s) for s in sizes]
+    if not all(type(s) is int and s >= 1 for s in sizes):
+        raise ConfigError(f"[bounds] marginal_sizes must be integers >= 1, got {sizes}")
     if len(sizes) != space.d:
         raise ConfigError(f"[bounds] marginal_sizes needs {space.d} entries, got {sizes}")
     norm = str(cfg.bounds.get("norm", "lp"))
@@ -210,11 +211,15 @@ def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
     d = space.d
     exponent = space.p if norm == "lp" else r
     msp = space.marginal()
-    measure = distortion if norm == "lp" else sup_distortion
+
+    def measure(cb, smp):
+        if norm == "sup":
+            cb = Codebook(space=cb.space.with_p(np.inf), values=cb.values)
+        return distortion(cb, smp, exponent)
 
     def best(cands, smp):
         # (report, codebook) of the first lowest-distortion candidate
-        return min(((measure(cb, smp, exponent), cb) for cb in cands), key=lambda t: t[0].value)
+        return min(((measure(cb, smp), cb) for cb in cands), key=lambda t: t[0].value)
 
     marg_samples = [sample.coordinate(j) for j in range(d)]
     small = [splitting_init(marg_samples[j], msp, sizes[j], exponent, seed + j, config=opt)
@@ -231,7 +236,7 @@ def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
                                 config=opt),
                  Codebook(space=msp, values=_dedup(joint_cb.values[:, j:j + 1, :]))]
         full.append(best(cands, marg_samples[j])[0])
-    small_reps = [measure(small[j], marg_samples[j], exponent) for j in range(d)]
+    small_reps = [measure(small[j], marg_samples[j]) for j in range(d)]
 
     lower = (sum if norm == "lp" else max)(rep.value for rep in full)
     upper = sum(rep.value for rep in small_reps)

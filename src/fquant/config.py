@@ -34,7 +34,7 @@ x0 = 0.0               # start value (brownian only)
 [space]
 m = 128                # grid nodes (>= 2)
 t_end = 1.0            # grid spans [0, t_end]
-p = 2.0                # norm exponent (>= 1)
+p = 2.0                # norm exponent (finite, >= 1)
 d = 1                  # coordinate dimension
 measure = lebesgue     # lebesgue | exp:<b>  (quadrature for e^{-b t} dt)
 
@@ -139,6 +139,8 @@ class ExperimentConfig:
             m = int(sp.get("m", 128))
             t_end = float(sp.get("t_end", 1.0))
             p = float(sp.get("p", 2.0))
+            if p == float("inf"):  # no optimizer runs at p = inf
+                raise ValueError("p must be finite; [bounds] norm = sup measures the sup norm")
             d = int(sp.get("d", 1))
             if measure == "lebesgue":
                 return uniform_space(t_end, m, p=p, d=d)

@@ -107,8 +107,8 @@ def _stationarity_from(vor: VoronoiAssignment, r: float) -> StationarityReport:
     """stationarity_residual from the codebook's distance pass."""
     space = vor.codebook.space
     p = space.p
-    if r < p:
-        raise FquantError(f"stationarity condition needs r >= p, got r={r}, p={p}")
+    if not p <= r < np.inf:
+        raise FquantError(f"stationarity condition needs p <= r < inf, got r={r}, p={p}")
     cell_masses = vor.cell_masses()
     atom_hits = vor.cell_sums(vor.best == 0.0) / len(vor.dists)
 

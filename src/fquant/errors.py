@@ -19,7 +19,7 @@ class ZeroPathError(FquantError):
 
 
 class NonSmoothNormError(FquantError):
-    """Gradient requested for an exponent at which the norm is not smooth (p = 1)."""
+    """Gradient requested for an exponent at which the norm is not smooth (p = 1 or inf)."""
 
 
 class SimulationError(FquantError):

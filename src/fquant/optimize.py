@@ -25,6 +25,7 @@ from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _weig
 from .rng import derive_rng
 
 DEFAULT_MAX_ITERS = {"lloyd": 200, "sgd": 20_000}
+PRODUCT_CAP = 4096  # most atoms product_quantizer builds
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,8 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     check scores the distortion and the residual from one distance pass.
     """
     space = init.space
-    if space.p <= 1.0:
-        raise OptimizeError(f"sgd_run requires p > 1, got p={space.p}")
+    if not 1.0 < space.p < np.inf:
+        raise OptimizeError(f"sgd_run requires 1 < p < inf, got p={space.p}")
     if r < 1.0:
         raise OptimizeError(f"sgd_run requires r >= 1, got r={r}")
     p = space.p
@@ -243,13 +244,13 @@ def distortion_differential(codebook: Codebook, sample: PathSample,
         diff[i] = (r / N) sum_{x in cell i, x != a_i}
                   ||x - a_i||_p^(r-p) |a_i - x|^(p-1) sign(a_i - x)
 
-    which is r times the stationarity integrand mean.  Needs p > 1 and an
+    which is r times the stationarity integrand mean.  Needs 1 < p < inf and an
     admissible codebook (no ties, and no coincident path when r = 1).
     """
     space = codebook.space
     p = space.p
-    if p <= 1.0:
-        raise OptimizeError(f"the distortion differential needs p > 1, got p={p}")
+    if not 1.0 < p < np.inf:
+        raise OptimizeError(f"the distortion differential needs 1 < p < inf, got p={p}")
     if r < 1.0:
         raise OptimizeError(f"r must be >= 1, got {r}")
     return r * _integrand_means(assign(codebook, sample), r)
@@ -317,7 +318,7 @@ def _grow(cb: Codebook, new_atom: np.ndarray) -> Codebook:
     return Codebook(space=cb.space, values=values)
 
 
-def product_quantizer(marginal_codebooks: list[Codebook], cap: int = 4096) -> Codebook:
+def product_quantizer(marginal_codebooks: list[Codebook]) -> Codebook:
     """Cartesian product of single-coordinate codebooks.
 
     The product of marginal quantizers is the standard upper-bound construction
@@ -337,8 +338,8 @@ def product_quantizer(marginal_codebooks: list[Codebook], cap: int = 4096) -> Co
             raise FquantError("marginal codebooks must share grid, weights and p")
     sizes = [cb.n for cb in marginal_codebooks]
     total = int(np.prod(sizes))
-    if total > cap:
-        raise OptimizeError(f"product codebook size {total} exceeds cap {cap}")
+    if total > PRODUCT_CAP:
+        raise OptimizeError(f"product codebook size {total} exceeds cap {PRODUCT_CAP}")
     d = len(marginal_codebooks)
     m = ref.m
     values = np.empty((total, d, m))

@@ -25,7 +25,7 @@ class DiscretePathSpace:
     grid     : (m,) strictly increasing time points
     weights  : (m,) strictly positive quadrature masses approximating the
                underlying measure on the time interval
-    p        : norm exponent, real >= 1 (p = infinity lives in sup_norm only)
+    p        : norm exponent, real >= 1 or infinity (the grid sup norm max |f_jk|)
     d        : coordinate dimension
     """
 
@@ -51,8 +51,8 @@ class DiscretePathSpace:
             raise FquantError("grid must be strictly increasing")
         if np.any(weights <= 0):
             raise FquantError("quadrature weights must be strictly positive")
-        if not 1 <= self.p < np.inf:
-            raise FquantError(f"norm exponent p must be finite and >= 1, got {self.p}")
+        if not 1 <= self.p <= np.inf:
+            raise FquantError(f"norm exponent p must be >= 1, got {self.p}")
         if self.d < 1:
             raise FquantError(f"coordinate dimension d must be >= 1, got {self.d}")
 
@@ -198,6 +198,8 @@ def _check_shape(space: DiscretePathSpace, values: np.ndarray, what: str = "path
 def lp_norm_values(space: DiscretePathSpace, values: np.ndarray) -> np.ndarray:
     """||f||_p for a (..., d, m) stack of path values; returns (...) array."""
     _check_shape(space, values)
+    if space.p == np.inf:
+        return np.abs(values).max(axis=(-2, -1))
     return _lp_norms(space, values)
 
 
@@ -208,7 +210,7 @@ def _lp_norms(space: DiscretePathSpace, values: np.ndarray) -> np.ndarray:
 
 
 def lp_norm(space: DiscretePathSpace, f: Path) -> float:
-    """The grid L^p norm ( sum_j sum_k |f_{jk}|^p w_k )^{1/p}."""
+    """The grid L^p norm ( sum_j sum_k |f_{jk}|^p w_k )^{1/p}; max_{jk} |f_{jk}| at p = inf."""
     return float(lp_norm_values(space, f.values))
 
 
@@ -219,20 +221,15 @@ def lp_dist(space: DiscretePathSpace, f: Path, g: Path) -> float:
     return float(lp_norm_values(space, f.values - g.values))
 
 
-def sup_norm(f: Path) -> float:
-    """Uniform norm over grid nodes and coordinates: max |f_{jk}|."""
-    return float(np.abs(f.values).max())
-
-
 def norm_gradient(space: DiscretePathSpace, f: Path) -> Path:
-    """Duality map of the L^p norm at f (p > 1, f != 0).
+    """Duality map of the L^p norm at f (1 < p < inf, f != 0).
 
     Entry (j, k) is (|f_{jk}| / ||f||_p)^{p-1} sign f_{jk}; as an element of
     the conjugate space it pairs with g through the weighted grid sum
     sum_{jk} grad_{jk} g_{jk} w_k, and pairing with f itself returns ||f||_p.
     """
-    if space.p == 1.0:
-        raise NonSmoothNormError("the L^1 norm has no gradient; p must be > 1")
+    if not 1.0 < space.p < np.inf:
+        raise NonSmoothNormError(f"the L^{space.p:g} norm has no gradient; need 1 < p < inf")
     _check_shape(space, f.values)
     norm = lp_norm(space, f)
     if norm == 0.0:

@@ -73,6 +73,8 @@ class ProcessSpec:
             val = float(p[name])
             if not np.isfinite(val) or not ok(val):
                 raise FquantError(f"{self.kind}: {msg}, got {val}")
+        if self.kind == "compound_poisson":
+            _resolve_jump_law(p)
         if self.kind == "diffusion_euler":
             if not callable(p.get("drift")) or not callable(p.get("diffusion")):
                 raise FquantError("diffusion_euler requires drift and diffusion callables")
@@ -278,8 +280,6 @@ def intrinsic_semimetric(sample: PathSample, q: float, s_idx: int, t_idx: int) -
     """Monte Carlo estimate of rho_X^q(s, t) = (E |X_s - X_t|_q^q)^(1 / max(q, 1))."""
     if q <= 0:
         raise FquantError(f"semimetric order q must be > 0, got {q}")
-    if len(sample) < 1:
-        raise FquantError("empty sample")
     m = sample.m
     if not (-m <= s_idx < m and -m <= t_idx < m):
         raise FquantError(f"node indices ({s_idx}, {t_idx}) outside grid of size {m}")

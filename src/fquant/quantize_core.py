@@ -5,9 +5,10 @@ Distances between sample paths and atoms are computed brute force for every
 ||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> takes the cross term as one matrix
 product; callers making many passes over a sample supply its squared norms
 once.  Pairs where the expansion cancels are recomputed directly, so a path
-equal to an atom is at distance exactly 0.  Other p and the sup norm loop over
-atoms on the same rows, reducing |x - a_i| by max or by a weighted sum of p-th
-powers, taken by binary powering at integral p (p = 3: a square and a multiply).
+equal to an atom is at distance exactly 0.  Other p loop over atoms on the same
+rows, reducing |x - a_i| by a weighted sum of p-th powers, taken by binary
+powering at integral p (p = 3: a square and a multiply), or at p = inf, the grid
+sup norm, by its max.
 Every consumer reads a pass, with its codebook and sample, through one VoronoiAssignment.
 """
 
@@ -140,6 +141,8 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
     sample_sq: the sample's _weighted_sq_norms, for callers making many p = 2 passes.
     """
     space, atoms, x = codebook.space, codebook.values, sample.values
+    if space.p == np.inf:
+        return _per_atom_pass(codebook, sample, lambda buf: buf.max(axis=1))
     if space.p != 2.0:
         wf, p = np.tile(space.weights, space.d), space.p
         if not p.is_integer():
@@ -205,8 +208,8 @@ class VoronoiAssignment:
 
     def distortion(self, r: float) -> "DistortionReport":
         """Empirical mean of min_i ||x - a_i||^r over this pass, decomposed over its cells."""
-        if r <= 0:
-            raise FquantError(f"distortion order r must be > 0, got {r}")
+        if not 0 < r < np.inf:
+            raise FquantError(f"distortion order r must be finite and > 0, got {r}")
         N = len(self.dists)
         contrib = self.best ** r
         per_cell = self.cell_sums(contrib) / N
@@ -258,17 +261,6 @@ def quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:
     return distortion(codebook, sample, r).value ** (1.0 / r)
 
 
-def sup_pairwise_distances(codebook: Codebook, sample: PathSample) -> np.ndarray:
-    """(N, n) sup-norm distances max_{j,k} |x_{jk} - a_{jk}|, chunked over paths."""
-    return _per_atom_pass(codebook, sample, lambda buf: buf.max(axis=1))
-
-
-def sup_distortion(codebook: Codebook, sample: PathSample, r: float) -> DistortionReport:
-    """Empirical E min_i ||X - a_i||_sup^r: the sup-norm analogue of distortion."""
-    vor = VoronoiAssignment(codebook, sample, sup_pairwise_distances(codebook, sample))
-    return vor.distortion(r)
-
-
 def quantize_paths(codebook: Codebook, sample: PathSample) -> PathSample:
     """Replace each path by its assigned atom (the quantized version of the sample)."""
     cells = assign(codebook, sample).cell_index
@@ -286,9 +278,9 @@ def cross_exponent_bounds(sample: PathSample, space: DiscretePathSpace,
     monotonicity make lower <= quant_error(codebook, sample, r) <= upper an
     algebraic identity on any fixed sample.
     """
-    if r < 1:
-        raise FquantError(f"cross-exponent bounds need r >= 1, got {r}")
     p = space.p
+    if not 1 <= r < np.inf or p == np.inf:
+        raise FquantError(f"cross-exponent bounds need finite p and r >= 1, got p={p}, r={r}")
     mass = space.total_mass
     lo_exp, hi_exp = min(p, r), max(p, r)
     cb_lo = Codebook(space=space.with_p(lo_exp), values=codebook.values)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import fquant
 from fquant import Codebook, distortion, sample_paths, stationarity_residual
 from fquant.cli import main
 from fquant.config import load_config, parse_config_text
@@ -327,15 +328,52 @@ def test_bounds_requires_multidimensional(bm_config, tmp_path, capsys):
     assert "d >= 2" in record["message"]
 
 
-def test_bounds_lp_holds(tmp_path):
+def _bounds_holds(tmp_path, norm):
     cfg = tmp_path / "b.cfg"
-    cfg.write_text(BOUNDS_CFG)
+    cfg.write_text(BOUNDS_CFG.replace("norm = lp", f"norm = {norm}"))
     out = tmp_path / "bounds_out"
     rc = main(["bounds", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     rep = json.loads((out / "bounds.json").read_text())
+    assert rep["norm"] == norm
     assert rep["holds"]
     assert rep["lower"] <= rep["joint"] + 3 * rep["sigma_joint"] + 3 * rep["sigma_lower"]
+
+
+def test_bounds_lp_holds(tmp_path):
+    _bounds_holds(tmp_path, "lp")
+
+
+def test_bounds_sup_holds(tmp_path):
+    _bounds_holds(tmp_path, "sup")
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+@pytest.mark.parametrize("sizes", ["a,b", "0,4", "-1,2"])
+def test_bad_marginal_sizes_exit_2(tmp_path, capsys, sizes, dry_run):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(BOUNDS_CFG.replace("marginal_sizes = 2,2", f"marginal_sizes = {sizes}"))
+    out = tmp_path / "out"
+    argv = ["bounds", "--config", str(cfg), "--out", str(out)] + ["--dry-run"] * dry_run
+    assert main(argv) == 2
+    assert "config ok" not in capsys.readouterr().out
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("[bounds] marginal_sizes")
+    assert not (out / "bounds.json").exists()
+
+
+def test_unknown_jump_law_exit_2(tmp_path, capsys):
+    path = tmp_path / "cp.cfg"
+    path.write_text(BM_CFG.replace("kind = brownian", "kind = compound_poisson\nlam = 2.0\n"
+                                   "jump_law = foo"))
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"].startswith("[process]") and "foo" in record["message"]
+    with pytest.raises(ConfigError, match=r"^\[process\]"):
+        load_config(str(path))
 
 
 def test_quantize_cold_start_loads_no_scipy(tmp_path, fresh_python):
@@ -350,6 +388,13 @@ def test_quantize_cold_start_loads_no_scipy(tmp_path, fresh_python):
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     assert out.splitlines()[-1] == "0 []"
     assert (tmp_path / "q" / "codebook.bin").is_file()
+
+
+def test_every_export_resolves():
+    # a stale name in __all__ breaks `from fquant import *`
+    namespace = {}
+    exec("from fquant import *", namespace)
+    assert [name for name in fquant.__all__ if name not in namespace] == []
 
 
 def test_diagnose_roundtrip(bm_config, tmp_path):

@@ -52,6 +52,10 @@ def test_stationarity_requires_r_at_least_p(unit_space, bm_sample):
     with pytest.raises(FquantError):
         stationarity_residual(Codebook(space=unit_space.with_p(3.0), values=cb.values),
                               bm_sample, r=2.0)
+    for p in (2.0, np.inf):  # no first-order condition at r = inf
+        with pytest.raises(FquantError):
+            stationarity_residual(Codebook(space=unit_space.with_p(p), values=cb.values),
+                                  bm_sample, r=np.inf)
 
 
 def test_stationarity_p1_uses_sign_and_sup(unit_space):

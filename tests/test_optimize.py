@@ -10,8 +10,7 @@ from fquant.diagnostics import distortion_and_stationarity
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
 from fquant.path_space import Path, lp_norm_values
-from fquant.quantize_core import (VoronoiAssignment, pairwise_distances, sup_distortion,
-                                  sup_pairwise_distances)
+from fquant.quantize_core import VoronoiAssignment, pairwise_distances
 from fquant.rng import derive_rng
 
 
@@ -302,9 +301,17 @@ def test_lloyd_exit_residual_is_final_codebooks(unit_space, bm_sample):
 
 def test_sgd_requires_smooth_norm(unit_space, bm_sample):
     cfg = OptimizerConfig(method="sgd", max_iters=10)
-    cb = Codebook(space=unit_space.with_p(1.0), values=bm_sample.values[:2].copy())
-    with pytest.raises(OptimizeError):
-        sgd_run(cfg, cb, bm_sample, r=2.0)
+    for p in (1.0, np.inf):
+        cb = Codebook(space=unit_space.with_p(p), values=bm_sample.values[:2].copy())
+        with pytest.raises(OptimizeError):
+            sgd_run(cfg, cb, bm_sample, r=2.0)
+
+
+def test_distortion_differential_requires_smooth_norm(unit_space, bm_sample):
+    for p in (1.0, np.inf):
+        cb = Codebook(space=unit_space.with_p(p), values=bm_sample.values[:2].copy())
+        with pytest.raises(OptimizeError):
+            distortion_differential(cb, bm_sample, 2.0)
 
 
 def test_sgd_r1_rejects_coincident_paths(unit_space, bm_sample):
@@ -435,10 +442,11 @@ def test_every_pass_is_the_pass_of_its_own_codebook(unit_space, bm_sample, monke
         splits.append(donor)
         return split(vor, donor)
 
-    def check(name, dist=pairwise_distances):
+    def check(name):
         assert built, name
         for vor in built:
-            np.testing.assert_array_equal(vor.dists, dist(vor.codebook, vor.sample), err_msg=name)
+            np.testing.assert_array_equal(vor.dists, pairwise_distances(vor.codebook, vor.sample),
+                                          err_msg=name)
         built.clear()
         splits.clear()
 
@@ -458,8 +466,8 @@ def test_every_pass_is_the_pass_of_its_own_codebook(unit_space, bm_sample, monke
     check("splitting_init, falling back")
     distortion_and_stationarity(Codebook(space=p3, values=bm_sample.values[:3]), bm_sample, 3.0)
     check("distortion_and_stationarity")
-    sup_distortion(constant_codebook(unit_space, [-0.5, 0.5]), bm_sample, 2.0)
-    check("sup_distortion", sup_pairwise_distances)
+    distortion(constant_codebook(unit_space.with_p(np.inf), [-0.5, 0.5]), bm_sample, 2.0)
+    check("distortion, p = inf")
 
 
 def test_optimizer_trace_carries_final_reports(unit_space, bm_sample):
@@ -486,10 +494,11 @@ def test_product_quantizer_identity_and_sizes(unit_space, rng):
     np.testing.assert_array_equal(prod.values[1 * 3 + 2, 1], cb2.values[2, 0])
 
 
-def test_product_quantizer_cap_and_grid_checks(unit_space, rng):
+def test_product_quantizer_cap_and_grid_checks(unit_space, rng, monkeypatch):
+    monkeypatch.setattr(optimize, "PRODUCT_CAP", 4)
     cb1 = Codebook(space=unit_space, values=rng.normal(size=(3, 1, unit_space.m)))
     with pytest.raises(OptimizeError):
-        product_quantizer([cb1, cb1.with_values(cb1.values + 1.0)], cap=4)
+        product_quantizer([cb1, cb1.with_values(cb1.values + 1.0)])
     other = uniform_space(2.0, unit_space.m)
     cb_other = Codebook(space=other, values=rng.normal(size=(2, 1, other.m)))
     with pytest.raises(Exception):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fquant import (DiscretePathSpace, Path, PathSample, dual_pairing, lp_dist,
-                    lp_norm, norm_gradient, sup_norm, uniform_space)
+from fquant import (DiscretePathSpace, Path, PathSample, dual_pairing, exp_weighted_space,
+                    lp_dist, lp_norm, norm_gradient, uniform_space)
 from fquant.errors import (DimensionMismatchError, FquantError,
                            NonSmoothNormError, ZeroPathError)
 from fquant.oracles import bump_function_values, step_function_values, sup_example_grid
@@ -21,6 +21,9 @@ def test_space_invariants_rejected():
         DiscretePathSpace(grid=[0.0, 0.0], weights=[0.5, 0.5], p=2.0)
     with pytest.raises(FquantError):
         DiscretePathSpace(grid=[0.0, 1.0], weights=[0.5, 0.5], p=0.5)
+    with pytest.raises(FquantError):
+        DiscretePathSpace(grid=[0.0, 1.0], weights=[0.5, 0.5], p=np.nan)
+    assert DiscretePathSpace(grid=[0.0, 1.0], weights=[0.5, 0.5], p=np.inf).p == np.inf
 
 
 def test_uniform_space_total_mass():
@@ -69,19 +72,33 @@ def test_lp_dist_symmetry(unit_space, rng):
 
 
 def test_sup_norm_trivials():
-    assert sup_norm(Path(values=np.zeros((2, 8)))) == 0.0
+    assert lp_norm(uniform_space(1.0, 8, p=np.inf, d=2), Path(values=np.zeros((2, 8)))) == 0.0
     vals = np.random.default_rng(3).uniform(-0.9, 0.9, size=(2, 16))
     vals[1, 5] = -3.0
-    assert sup_norm(Path(values=vals)) == 3.0
+    assert lp_norm(uniform_space(1.0, 16, p=np.inf, d=2), Path(values=vals)) == 3.0
 
 
 def test_sup_norm_bump_minus_step_is_half():
     # the C([0,1]) family: every bump sits exactly 1/2 away from the step
     grid = sup_example_grid(6)
+    space = DiscretePathSpace(grid=grid, weights=np.ones_like(grid), p=np.inf)
     h = step_function_values(grid)
     for n in range(1, 7):
         f = bump_function_values(n, grid)
-        assert sup_norm(Path(values=(f - h)[None, :])) == 0.5
+        assert lp_norm(space, Path(values=(f - h)[None, :])) == 0.5
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 8.0, 64.0])
+def test_sup_norm_is_the_limit_of_the_family(rng, p):
+    # w_min^(1/p) ||f||_inf <= ||f||_p <= (d T)^(1/p) ||f||_inf, T the total mass,
+    # so ||f||_p -> ||f||_inf as p -> inf on a grid with strictly positive weights
+    space = exp_weighted_space(2.0, 33, b=1.5, p=p, d=2)
+    for _ in range(20):
+        f = Path(values=rng.normal(size=(2, 33)) * rng.exponential(size=(2, 33)))
+        sup = lp_norm(space.with_p(np.inf), f)
+        norm = lp_norm(space, f)
+        assert space.weights.min() ** (1.0 / p) * sup <= norm * (1 + 1e-12)
+        assert norm <= (2 * space.total_mass) ** (1.0 / p) * sup * (1 + 1e-12)
 
 
 def test_norm_gradient_p2_identity_on_sphere(unit_space, rng):
@@ -111,6 +128,8 @@ def test_norm_gradient_errors(unit_space):
         norm_gradient(unit_space, Path.zero(unit_space))
     with pytest.raises(NonSmoothNormError):
         norm_gradient(unit_space.with_p(1.0), Path.constant(unit_space, 1.0))
+    with pytest.raises(NonSmoothNormError):
+        norm_gradient(unit_space.with_p(np.inf), Path.constant(unit_space, 1.0))
 
 
 def test_norm_gradient_finite_difference(unit_space, rng):
@@ -129,7 +148,7 @@ def test_norm_gradient_finite_difference(unit_space, rng):
 @given(c=st.one_of(st.just(0.0),
                    st.floats(min_value=1e-6, max_value=100.0),
                    st.floats(min_value=-100.0, max_value=-1e-6)),
-       p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0, np.inf]),
        seed=st.integers(min_value=0, max_value=2 ** 16))
 def test_homogeneity(c, p, seed):
     space = uniform_space(1.0, 33, p=p)
@@ -139,7 +158,7 @@ def test_homogeneity(c, p, seed):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
-@given(p=st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+@given(p=st.sampled_from([1.0, 1.5, 2.0, 4.0, np.inf]),
        seed=st.integers(min_value=0, max_value=2 ** 16))
 def test_triangle_inequality(p, seed):
     space = uniform_space(1.0, 33, p=p)

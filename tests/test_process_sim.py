@@ -29,6 +29,14 @@ def test_spec_validation():
         ProcessSpec("bridge", x0=1.0)  # bridge is pinned at zero
 
 
+def test_unknown_jump_law_rejected_at_spec():
+    with pytest.raises(FquantError, match="unknown jump law 'foo'"):
+        ProcessSpec("compound_poisson", params={"lam": 1.0, "jump_law": "foo"})
+    ProcessSpec("compound_poisson", params={"lam": 1.0, "jump_law": "uniform"})
+    ProcessSpec("compound_poisson", params={"lam": 1.0,
+                                            "jump_law": lambda rng, size: rng.normal(size=size)})
+
+
 def test_seed_determinism(unit_space):
     spec = ProcessSpec("brownian")
     a = sample_paths(spec, unit_space, 50, seed=42)

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from fquant import (Codebook, Path, PathSample, ProcessSpec, VoronoiAssignment, assign,
                     codebook_from_paths, cross_exponent_bounds, distortion,
                     exp_weighted_space, lp_dist, quant_error, quantize_paths,
-                    sample_paths, stationarity_residual, sup_distortion, sup_norm,
-                    uniform_space)
+                    sample_paths, stationarity_residual, uniform_space)
 from fquant import quantize_core
 from fquant.errors import FquantError
-from fquant.quantize_core import (_weighted_sq_norms, pairwise_distances,
-                                  sup_pairwise_distances)
+from fquant.quantize_core import _weighted_sq_norms, pairwise_distances
 
 
 def constant_codebook(space, levels):
@@ -204,16 +202,12 @@ def test_assign_constant_levels(unit_space):
 def test_voronoi_assignment_matches_per_pair_reference(unit_space, norm):
     # constant paths at dyadic levels: exact ties (0.25 between 0 and 0.5, ...)
     # and paths equal to atoms (all of the atoms, one of them twice)
-    space = unit_space.with_p(3.0 if norm == "p3" else 2.0)
+    space = unit_space.with_p({"p2": 2.0, "p3": 3.0, "sup": np.inf}[norm])
     atoms = [-0.5, 0.0, 0.5, 1.0]
     levels = [-1.0, -0.5, -0.25, 0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.0, 1.5, -0.375]
     cb, sample = constant_codebook(space, atoms), constant_sample(space, levels)
-    if norm == "sup":
-        vor = VoronoiAssignment(cb, sample, sup_pairwise_distances(cb, sample))
-        ref = [[sup_norm(Path(x - a)) for a in cb.values] for x in sample.values]
-    else:
-        vor = assign(cb, sample)
-        ref = [[lp_dist(space, Path(x), Path(a)) for a in cb.values] for x in sample.values]
+    vor = assign(cb, sample)
+    ref = [[lp_dist(space, Path(x), Path(a)) for a in cb.values] for x in sample.values]
     cells = [row.index(min(row)) for row in ref]
     np.testing.assert_array_equal(vor.dists, ref)
     np.testing.assert_array_equal(vor.cell_index, cells)
@@ -224,7 +218,7 @@ def test_voronoi_assignment_matches_per_pair_reference(unit_space, norm):
     assert vor.tie_mass == 3 / len(levels)
     np.testing.assert_array_equal(vor.cell_masses(), vor.counts / len(levels))
     if norm == "sup":
-        rep = sup_distortion(cb, sample, 2.0)
+        rep = distortion(cb, sample, 2.0)
         np.testing.assert_array_equal(rep.per_cell_mass, vor.cell_masses())
         return
     r = space.p
@@ -332,6 +326,12 @@ def test_cross_exponent_bounds_sandwich(unit_space, bm_sample, rng):
     assert unit_space.total_mass == pytest.approx(1.0, rel=1e-12)
 
 
+def test_cross_exponent_bounds_rejects_bad_exponents(unit_space, bm_sample):
+    for space, r in ((unit_space, 0.5), (unit_space, np.inf), (unit_space.with_p(np.inf), 2.0)):
+        with pytest.raises(FquantError):
+            cross_exponent_bounds(bm_sample, space, constant_codebook(space, [-0.5, 0.5]), r)
+
+
 def test_cross_exponent_bounds_nonunit_mass(rng):
     space = uniform_space(3.0, 65, p=3.0)
     sample = PathSample(values=rng.normal(size=(50, 1, 65)), seed=0, process_tag="t")
@@ -344,23 +344,23 @@ def test_cross_exponent_bounds_nonunit_mass(rng):
 
 
 def test_sup_distances_exact_across_chunks(rng, monkeypatch):
-    space = uniform_space(1.0, 17, d=2)
+    space = uniform_space(1.0, 17, d=2).with_p(np.inf)
     x = rng.normal(size=(25, 2, 17))
     atoms = np.concatenate([x[[4]], rng.normal(size=(3, 2, 17))])
     cb = Codebook(space=space, values=atoms)
     monkeypatch.setattr(quantize_core, "_CHUNK_BUDGET", 4 * (2 * 17 + cb.n))
-    dists = sup_pairwise_distances(cb, PathSample(values=x, seed=0, process_tag="t"))
+    dists = pairwise_distances(cb, PathSample(values=x, seed=0, process_tag="t"))
     manual = np.abs(x[:, None] - atoms[None]).max(axis=(2, 3))
     np.testing.assert_array_equal(dists, manual)
     assert dists[4, 0] == 0.0
 
 
 def test_sup_distortion_matches_manual(unit_space, bm_sample):
-    cb = constant_codebook(unit_space, [-0.5, 0.0, 0.7])
-    dists = sup_pairwise_distances(cb, bm_sample)
+    cb = constant_codebook(unit_space.with_p(np.inf), [-0.5, 0.0, 0.7])
+    dists = pairwise_distances(cb, bm_sample)
     manual = np.abs(bm_sample.values[:, None] - cb.values[None]).max(axis=(2, 3))
     np.testing.assert_array_equal(dists, manual)
-    rep = sup_distortion(cb, bm_sample, 2.0)
+    rep = distortion(cb, bm_sample, 2.0)
     assert rep.value == pytest.approx((manual.min(axis=1) ** 2).mean(), rel=1e-12)
 
 
@@ -381,8 +381,9 @@ def test_assignment_is_argmin_property(n_atoms, n_paths, seed):
 def test_empty_codebook_error(unit_space, bm_sample):
     with pytest.raises(FquantError):
         Codebook(space=unit_space, values=np.zeros((0, 1, unit_space.m)))
-    with pytest.raises(FquantError):
-        distortion(constant_codebook(unit_space, [0.0]), bm_sample, r=0.0)
+    for r in (0.0, np.inf, np.nan):
+        with pytest.raises(FquantError):
+            distortion(constant_codebook(unit_space, [0.0]), bm_sample, r=r)
 
 
 def test_codebook_from_paths(unit_space):
