@@ -19,7 +19,7 @@ import numpy as np
 from . import diagnostics, oracles
 from .config import ExperimentConfig, load_config, print_schema
 from .errors import ConfigError, FquantError
-from .optimize import optimize_codebook, product_quantizer, splitting_init
+from .optimize import _runs_at, optimize_codebook, product_quantizer, splitting_init
 from .process_sim import sample_paths
 from .quantize_core import Codebook, distortion
 
@@ -66,6 +66,11 @@ def _stamp_csv(payload: str, cfg_hash: str) -> str:
     return f"# config_hash={cfg_hash}\n{payload}"
 
 
+def _check_method(opt, p: float, r: float) -> None:
+    if not _runs_at(opt.method, p, r):  # checked before anything is sampled
+        raise ConfigError(f"[optimizer] method = {opt.method} does not run at p = {p:g}, r = {r:g}")
+
+
 def _write_reports(out_dir: FsPath, cfg: ExperimentConfig, codebook: Codebook,
                    rep, stat, files: list[str]):
     """Write the codebook's distortion, stationarity (if any) and Hoelder reports."""
@@ -85,13 +90,13 @@ def _write_reports(out_dir: FsPath, cfg: ExperimentConfig, codebook: Codebook,
 def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
                  dry_run: bool = False) -> int:
     space = cfg.build_space()
-    spec = cfg.build_process_spec()
     opt = cfg.build_optimizer(seed)
+    _check_method(opt, space.p, cfg.r)
     if dry_run:
         print(f"config ok: hash={cfg.config_hash} n={cfg.n} r={cfg.r} "
               f"m={space.m} d={space.d} n_paths={cfg.n_paths}")
         return EXIT_OK
-    sample = sample_paths(spec, space, cfg.n_paths, seed)
+    sample = sample_paths(cfg.build_process_spec(), space, cfg.n_paths, seed)
     codebook = splitting_init(sample, space, cfg.n, cfg.r, seed, config=opt)
     codebook, trace = optimize_codebook(opt, codebook, sample, cfg.r)
 
@@ -182,13 +187,13 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     n = cfg.n
     if int(np.prod(sizes)) > n:
         raise ConfigError(f"[bounds] product of marginal sizes {sizes} exceeds n={n}")
+    opt = cfg.build_optimizer(seed)
+    _check_method(opt, space.p, _bounds_exponent(space, cfg.r, norm))
     if dry_run:
         print(f"config ok: bounds d={space.d} n={n} sizes={sizes} norm={norm}")
         return EXIT_OK
 
-    spec = cfg.build_process_spec()
-    opt = cfg.build_optimizer(seed)
-    sample = sample_paths(spec, space, cfg.n_paths, seed)
+    sample = sample_paths(cfg.build_process_spec(), space, cfg.n_paths, seed)
     report = marginal_bounds_report(sample, space, n, sizes, cfg.r, seed, opt, norm=norm)
     report["config_hash"] = cfg.config_hash
     _write(out_dir, "bounds.json", json.dumps(report, sort_keys=True) + "\n")
@@ -197,6 +202,10 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     print(f"bounds[{norm}]: lower={report['lower']:.6g} joint={report['joint']:.6g} "
           f"upper={report['upper']:.6g} holds={report['holds']} -> {out_dir}")
     return EXIT_OK if report["holds"] else EXIT_RUN
+
+
+def _bounds_exponent(space, r: float, norm: str) -> float:  # the sandwich's exponent
+    return space.p if norm == "lp" else r
 
 
 def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
@@ -209,7 +218,7 @@ def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
     (reported against 3 Monte Carlo standard errors).
     """
     d = space.d
-    exponent = space.p if norm == "lp" else r
+    exponent = _bounds_exponent(space, r, norm)
     msp = space.marginal()
 
     def measure(cb, smp):
@@ -268,13 +277,12 @@ def _dedup(values: np.ndarray) -> np.ndarray:
 def run_diagnose(cfg: ExperimentConfig, seed: int, codebook_path: str,
                  out_dir: FsPath, dry_run: bool = False) -> int:
     space = cfg.build_space()
-    spec = cfg.build_process_spec()
     with open(codebook_path, "rb") as fh:
         codebook = Codebook.from_binary(fh.read(), space)
     if dry_run:
         print(f"config ok: diagnose {codebook.n} atoms on m={space.m}, d={space.d}")
         return EXIT_OK
-    sample = sample_paths(spec, space, cfg.n_paths, seed)
+    sample = sample_paths(cfg.build_process_spec(), space, cfg.n_paths, seed)
     files = []
     rep, stat = diagnostics.distortion_and_stationarity(codebook, sample, cfg.r)
     _write_reports(out_dir, cfg, codebook, rep, stat, files)
@@ -325,47 +333,31 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage()
         return EXIT_CONFIG
 
-    out_dir = FsPath(getattr(args, "out", None) or "out")
-    if args.command == "oracle":
-        try:
-            return run_oracles(list(args.selection) + (["all"] if args.all else []),
-                               out_dir, m_sharp=args.m)
-        except ConfigError as exc:
-            _error_record(out_dir, "oracle", exc)
-            return EXIT_CONFIG
-        except (FquantError, np.linalg.LinAlgError) as exc:
-            _error_record(out_dir, "oracle", exc)
-            return EXIT_RUN
-
-    if not getattr(args, "config", None):
+    if args.command != "oracle" and not args.config:
         print("error: --config is required (see --print-schema)", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
+    # a config that fails to load reports to --out, or to stderr without one
+    stage, out_dir = "config", FsPath(args.out) if args.out else None
     try:
+        if args.command == "oracle":
+            stage, out_dir = "oracle", out_dir or FsPath("out")
+            return run_oracles(list(args.selection) + (["all"] if args.all else []),
+                               out_dir, m_sharp=args.m)
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        _error_record(FsPath(args.out) if args.out else None, "config", exc)
-        return EXIT_CONFIG
-    seed = args.seed if args.seed is not None else cfg.seed
-    if getattr(args, "out", None) is None and cfg.output.get("dir"):
-        out_dir = FsPath(str(cfg.output["dir"]))
-
-    try:
+        seed = args.seed if args.seed is not None else cfg.seed
+        stage, out_dir = args.command, out_dir or FsPath(str(cfg.output.get("dir") or "out"))
         if args.command == "quantize":
             return run_quantize(cfg, seed, out_dir, dry_run=args.dry_run)
         if args.command == "bounds":
             return run_bounds(cfg, seed, out_dir, dry_run=args.dry_run)
-        if args.command == "diagnose":
-            return run_diagnose(cfg, seed, args.codebook, out_dir,
-                                dry_run=args.dry_run)
+        return run_diagnose(cfg, seed, args.codebook, out_dir, dry_run=args.dry_run)
     except (ConfigError, OSError) as exc:
-        _error_record(out_dir, args.command, exc)
+        _error_record(out_dir, stage, exc)
         return EXIT_CONFIG
     except (FquantError, np.linalg.LinAlgError) as exc:
-        _error_record(out_dir, args.command, exc)
+        _error_record(out_dir, stage, exc)
         return EXIT_RUN
-    parser.print_usage()
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

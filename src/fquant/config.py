@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import ConfigError
 from .optimize import DEFAULT_MAX_ITERS, OptimizerConfig, default_config_for
 from .path_space import DiscretePathSpace, exp_weighted_space, uniform_space
-from .process_sim import KINDS, ProcessSpec
+from .process_sim import _KIND_TABLE, KINDS, ProcessSpec
 
 SCHEMA = """\
 # fquant experiment config: sectioned key = value lines, '#' comments.
@@ -22,7 +22,8 @@ SCHEMA = """\
 [process]
 kind = brownian        # one of: brownian, bridge, ou, fbm, diffusion_euler,
                        #         gamma, compound_poisson, stable_levy
-                       # (diffusion_euler needs callables and is API-only)
+                       # (diffusion_euler needs callables and is API-only;
+                       #  gamma, compound_poisson and stable_levy need d = 1)
 H = 0.75               # fbm only
 c = 1.0                # ou only: covariance exp(-c|s-t|)
 a = 1.0                # gamma only: rate
@@ -43,7 +44,8 @@ n = 8                  # codebook size
 r = 2.0                # distortion exponent (>= 1)
 
 [optimizer]
-method = lloyd         # lloyd | sgd; default: lloyd where p = 2 and r >= 2, else sgd
+method = lloyd         # lloyd (runs at p = 2, r >= 2) | sgd (1 < p < inf, r >= 1);
+                       # default: lloyd where it runs, else sgd
 max_iters = 200        # default: 200 for lloyd, 20000 for sgd
 tol = 1e-9
 c0 = 0.1               # optional: SGD step numerator
@@ -112,6 +114,8 @@ def parse_config_text(text: str) -> dict:
 
 def _convert(kind, section: str, key: str, value):
     try:
+        if kind is int and type(value) is not int:  # no truncation of 2.7, True or 2.0
+            raise TypeError("must be an integer")
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"[{section}] {key} = {value!r}: {exc}") from exc
@@ -136,16 +140,18 @@ class ExperimentConfig:
         sp = self.space
         measure = str(sp.get("measure", "lebesgue"))
         try:
-            m = int(sp.get("m", 128))
+            m = _convert(int, "space", "m", sp.get("m", 128))
             t_end = float(sp.get("t_end", 1.0))
             p = float(sp.get("p", 2.0))
             if p == float("inf"):  # no optimizer runs at p = inf
                 raise ValueError("p must be finite; [bounds] norm = sup measures the sup norm")
-            d = int(sp.get("d", 1))
+            d = _convert(int, "space", "d", sp.get("d", 1))
             if measure == "lebesgue":
                 return uniform_space(t_end, m, p=p, d=d)
             if measure.startswith("exp:"):
                 return exp_weighted_space(t_end, m, b=float(measure[4:]), p=p, d=d)
+        except ConfigError:
+            raise
         except Exception as exc:
             raise ConfigError(f"[space] {exc}") from exc
         raise ConfigError(f"unknown measure {measure!r}; use 'lebesgue' or 'exp:<b>'")
@@ -155,13 +161,9 @@ class ExperimentConfig:
         kind = pr.pop("kind", None)
         if kind not in KINDS:
             raise ConfigError(f"[process] kind must be one of {KINDS}, got {kind!r}")
-        if kind == "diffusion_euler":
-            raise ConfigError("diffusion_euler needs drift/diffusion callables; "
-                              "build its ProcessSpec in code, not from a config file")
         x0 = _convert(float, "process", "x0", pr.pop("x0", 0.0))
-        params = {k: v for k, v in pr.items()}
         try:
-            return ProcessSpec(kind=kind, params=params, x0=x0)
+            return ProcessSpec(kind=kind, params=pr, x0=x0)
         except Exception as exc:
             raise ConfigError(f"[process] {exc}") from exc
 
@@ -175,7 +177,8 @@ class ExperimentConfig:
                 cfg = replace(cfg, method=str(op["method"]))
             return replace(
                 cfg,
-                max_iters=int(op.get("max_iters", DEFAULT_MAX_ITERS[cfg.method])),
+                max_iters=_convert(int, "optimizer", "max_iters",
+                                   op.get("max_iters", DEFAULT_MAX_ITERS[cfg.method])),
                 tol=float(op.get("tol", cfg.tol)),
                 sgd_c0=float(op["c0"]) if "c0" in op else cfg.sgd_c0,
                 sgd_decay=float(op["decay"]) if "decay" in op else cfg.sgd_decay,
@@ -208,8 +211,10 @@ class ExperimentConfig:
             raise ConfigError(f"[quantizer] n must be >= 1, got {self.n}")
         if self.n_paths < 1:
             raise ConfigError("[sample] n_paths must be >= 1")
-        self.build_space()
-        self.build_process_spec()
+        space = self.build_space()
+        kind = self.build_process_spec().kind
+        if _KIND_TABLE[kind].d1_only and space.d != 1:
+            raise ConfigError(f"[process] {kind} is implemented for d = 1 only, got d = {space.d}")
         self.build_optimizer(self.seed)
 
 

@@ -2,12 +2,11 @@
 descent on the distortion differential, greedy splitting initialization, and
 cartesian product quantizers.
 
-Lloyd is available exactly where the weighted-centroid fixed point exists
-(p = 2, r >= 2); every other smooth (p, r) pair goes through SGD.  That rule
-lives only in ``default_config_for``, and each method's default iteration
-budget only in ``DEFAULT_MAX_ITERS``.  Empty cells are treated as bad iterates,
-not valid states: before each centroid update the atom of an empty cell is
-re-split from the cell carrying the largest distortion share.
+Where each method runs is written only in ``_runs_at``, and each method's
+default iteration budget only in ``DEFAULT_MAX_ITERS``.  Empty cells are
+treated as bad iterates, not valid states: before each centroid update the
+atom of an empty cell is re-split from the cell carrying the largest
+distortion share.
 """
 
 from __future__ import annotations
@@ -74,6 +73,11 @@ class OptimizeTrace:
         return "\n".join(lines) + "\n"
 
 
+def _runs_at(method: str, p: float, r: float) -> bool:
+    """Lloyd runs where the weighted-centroid fixed point exists, SGD where the norm is smooth."""
+    return (p == 2.0 and r >= 2.0) if method == "lloyd" else (1.0 < p < np.inf and r >= 1.0)
+
+
 def _split_toward_farthest(vor: VoronoiAssignment, donor: int) -> np.ndarray:
     """The donor atom moved halfway toward the farthest path in its cell."""
     in_donor = np.flatnonzero(vor.cell_index == donor)
@@ -127,10 +131,8 @@ def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
     stationarity equation in closed form.
     """
     space = codebook.space
-    if space.p != 2.0:
-        raise OptimizeError(f"lloyd_step requires a p=2 space, got p={space.p}")
-    if r < 2.0:
-        raise OptimizeError(f"lloyd_step requires r >= 2, got r={r}")
+    if not _runs_at("lloyd", space.p, r):
+        raise OptimizeError(f"lloyd_step does not run at p={space.p}, r={r}")
     vor = _repair_empty_cells(_pass if _pass is not None else assign(codebook, sample), r,
                               _events if _events is not None else [], _iteration)
     return Codebook(space=space, values=_centroids(vor, r))
@@ -182,10 +184,8 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     check scores the distortion and the residual from one distance pass.
     """
     space = init.space
-    if not 1.0 < space.p < np.inf:
-        raise OptimizeError(f"sgd_run requires 1 < p < inf, got p={space.p}")
-    if r < 1.0:
-        raise OptimizeError(f"sgd_run requires r >= 1, got r={r}")
+    if not _runs_at("sgd", space.p, r):
+        raise OptimizeError(f"sgd_run does not run at p={space.p}, r={r}")
     p = space.p
     rng = derive_rng(config.seed, "sgd")
     values = init.values.copy()
@@ -247,12 +247,9 @@ def distortion_differential(codebook: Codebook, sample: PathSample,
     which is r times the stationarity integrand mean.  Needs 1 < p < inf and an
     admissible codebook (no ties, and no coincident path when r = 1).
     """
-    space = codebook.space
-    p = space.p
-    if not 1.0 < p < np.inf:
-        raise OptimizeError(f"the distortion differential needs 1 < p < inf, got p={p}")
-    if r < 1.0:
-        raise OptimizeError(f"r must be >= 1, got {r}")
+    p = codebook.space.p
+    if not _runs_at("sgd", p, r):  # SGD descends this differential
+        raise OptimizeError(f"the distortion differential does not exist at p={p}, r={r}")
     return r * _integrand_means(assign(codebook, sample), r)
 
 
@@ -264,9 +261,9 @@ def optimize_codebook(config: OptimizerConfig, init: Codebook, sample: PathSampl
 
 
 def default_config_for(space: DiscretePathSpace, r: float, seed: int = 0) -> OptimizerConfig:
-    """The one place the method is chosen: Lloyd where the closed-form centroid
-    exists (p = 2, r >= 2), SGD otherwise, with the method's DEFAULT_MAX_ITERS."""
-    method = "lloyd" if space.p == 2.0 and r >= 2.0 else "sgd"
+    """The one place the method is chosen: Lloyd where it runs, SGD otherwise,
+    with the method's DEFAULT_MAX_ITERS."""
+    method = "lloyd" if _runs_at("lloyd", space.p, r) else "sgd"
     return OptimizerConfig(method=method, max_iters=DEFAULT_MAX_ITERS[method], seed=seed)
 
 

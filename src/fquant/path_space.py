@@ -262,6 +262,8 @@ def pack_paths(values: np.ndarray, seed: int = 0) -> bytes:
 
 def unpack_paths(data: bytes) -> tuple[np.ndarray, int]:
     """Inverse of pack_paths; returns ((N, d, m) values, seed)."""
+    if len(data) < _HEADER.size:
+        raise FquantError(f"binary payload has {len(data)} bytes, less than its header")
     d, m, n, seed = _HEADER.unpack_from(data, 0)
     expected = _HEADER.size + 8 * n * d * m
     if len(data) != expected:

@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import FquantError, SimulationError
 from .path_space import DiscretePathSpace, PathSample, lp_norm_values
 from .rng import derive_rng
-
-KINDS = ("brownian", "bridge", "ou", "fbm", "diffusion_euler", "gamma",
-         "compound_poisson", "stable_levy")
-
-# Levy samplers are implemented for real-valued processes only.
-_SCALAR_ONLY = ("gamma", "compound_poisson", "stable_levy")
 
 FBM_JITTER = 1e-12
 
@@ -58,22 +53,15 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise FquantError(f"unknown process kind {self.kind!r}; known: {KINDS}")
-        p = self.params
-        checks = {
-            "fbm": ("H", lambda v: 0.0 < v < 1.0, "H must be in (0,1)"),
-            "stable_levy": ("rho", lambda v: 0.0 < v < 2.0, "rho must be in (0,2)"),
-            "compound_poisson": ("lam", lambda v: v > 0.0, "lam must be > 0"),
-            "gamma": ("a", lambda v: v > 0.0, "a must be > 0"),
-            "ou": ("c", lambda v: v > 0.0, "c must be > 0"),
-        }
-        if self.kind in checks:
-            name, ok, msg = checks[self.kind]
+        p, row = self.params, _KIND_TABLE[self.kind]
+        if row.param is not None:
+            name, ok, msg = row.param
             if name not in p:
                 raise FquantError(f"{self.kind} requires parameter {name!r}")
             val = float(p[name])
             if not np.isfinite(val) or not ok(val):
                 raise FquantError(f"{self.kind}: {msg}, got {val}")
-        if self.kind == "compound_poisson":
+        if row.jumps:
             _resolve_jump_law(p)
         if self.kind == "diffusion_euler":
             if not callable(p.get("drift")) or not callable(p.get("diffusion")):
@@ -85,19 +73,12 @@ class ProcessSpec:
     @property
     def tag(self) -> str:
         """Canonical identifier of the law; doubles as the sample's process_tag."""
-        if self.kind == "fbm":
-            return f"fbm(H={self.params['H']:g})"
-        if self.kind == "ou":
-            return f"ou(c={self.params['c']:g})"
-        if self.kind == "gamma":
-            return f"gamma(a={self.params['a']:g})"
-        if self.kind == "stable_levy":
-            return f"stable_levy(rho={self.params['rho']:g})"
-        if self.kind == "compound_poisson":
-            law = self.params.get("jump_law", "normal")
-            name = law if isinstance(law, str) else getattr(law, "__name__", "custom")
-            return f"compound_poisson(lam={self.params['lam']:g},jumps={name})"
-        return self.kind
+        row = _KIND_TABLE[self.kind]
+        if row.param is None:
+            return self.kind
+        name, law = row.param[0], self.params.get("jump_law", "normal")
+        jumps = f",jumps={law if isinstance(law, str) else getattr(law, '__name__', 'custom')}"
+        return f"{self.kind}({name}={self.params[name]:g}{jumps if row.jumps else ''})"
 
 
 def _x0_column(spec: ProcessSpec, d: int) -> np.ndarray:
@@ -124,6 +105,12 @@ def _brownian_values(rng, n_paths: int, space: DiscretePathSpace) -> np.ndarray:
     return out
 
 
+def _brownian_paths(rng, n_paths: int, space: DiscretePathSpace, spec: ProcessSpec) -> np.ndarray:
+    out = _brownian_values(rng, n_paths, space)
+    out += _x0_column(spec, space.d)
+    return out
+
+
 def _row_blocks(out: np.ndarray):
     """Consecutive (rows, m) views of the (N, d, m) array out, _OU_BLOCK floats each."""
     flat = out.reshape(-1, out.shape[-1])
@@ -131,7 +118,7 @@ def _row_blocks(out: np.ndarray):
     return (flat[lo:lo + rows] for lo in range(0, len(flat), rows))
 
 
-def _bridge_values(rng, n_paths: int, space: DiscretePathSpace) -> np.ndarray:
+def _bridge_values(rng, n_paths: int, space: DiscretePathSpace, spec: ProcessSpec) -> np.ndarray:
     if space.grid[-1] <= 0:
         raise SimulationError("brownian bridge needs a grid ending at t_end > 0")
     out = _brownian_values(rng, n_paths, space)
@@ -142,10 +129,10 @@ def _bridge_values(rng, n_paths: int, space: DiscretePathSpace) -> np.ndarray:
     return out
 
 
-def _ou_values(rng, n_paths: int, space: DiscretePathSpace, c: float) -> np.ndarray:
+def _ou_values(rng, n_paths: int, space: DiscretePathSpace, spec: ProcessSpec) -> np.ndarray:
     out = np.empty((n_paths, space.d, space.m))
     rng.standard_normal(out=out.reshape(-1))
-    phi = np.exp(-c * np.diff(space.grid))
+    phi = np.exp(-float(spec.params["c"]) * np.diff(space.grid))
     sig = np.sqrt(1.0 - phi * phi)
     # the recursion runs along time; on a transposed block each step reads and
     # writes contiguous rows instead of strided columns
@@ -162,12 +149,12 @@ def fbm_covariance(t: np.ndarray, H: float) -> np.ndarray:
     return 0.5 * (np.abs(s) ** (2 * H) + np.abs(u) ** (2 * H) - np.abs(s - u) ** (2 * H))
 
 
-def _fbm_values(rng, n_paths: int, space: DiscretePathSpace, H: float) -> np.ndarray:
+def _fbm_values(rng, n_paths: int, space: DiscretePathSpace, spec: ProcessSpec) -> np.ndarray:
     grid = space.grid
     if grid[0] < 0:
         raise SimulationError("fbm needs a grid with t >= 0")
     pos = grid > 0
-    cov = fbm_covariance(grid[pos], H)
+    cov = fbm_covariance(grid[pos], float(spec.params["H"]))
     cov[np.diag_indices_from(cov)] += FBM_JITTER
     try:
         chol = np.linalg.cholesky(cov)
@@ -196,9 +183,9 @@ def _diffusion_values(rng, n_paths: int, space: DiscretePathSpace, spec: Process
     return out
 
 
-def _gamma_values(rng, n_paths: int, space: DiscretePathSpace, a: float) -> np.ndarray:
+def _gamma_values(rng, n_paths: int, space: DiscretePathSpace, spec: ProcessSpec) -> np.ndarray:
     steps = _steps_from_zero(space.grid)
-    inc = rng.gamma(np.broadcast_to(steps, (n_paths, 1, space.m)), 1.0 / a)
+    inc = rng.gamma(np.broadcast_to(steps, (n_paths, 1, space.m)), 1.0 / float(spec.params["a"]))
     return np.cumsum(inc, axis=-1)
 
 
@@ -223,10 +210,10 @@ def _resolve_jump_law(params: dict):
 
 
 def _compound_poisson_values(rng, n_paths: int, space: DiscretePathSpace,
-                             params: dict) -> np.ndarray:
+                             spec: ProcessSpec) -> np.ndarray:
     steps = _steps_from_zero(space.grid)
-    inc, _ = _compound_poisson_increments(rng, float(params["lam"]), steps, n_paths,
-                                          _resolve_jump_law(params))
+    inc, _ = _compound_poisson_increments(rng, float(spec.params["lam"]), steps, n_paths,
+                                          _resolve_jump_law(spec.params))
     return np.cumsum(inc, axis=-1)[:, None, :]
 
 
@@ -240,10 +227,34 @@ def standard_stable(rng, rho: float, size) -> np.ndarray:
             * (np.cos((1.0 - rho) * v) / w) ** ((1.0 - rho) / rho))
 
 
-def _stable_values(rng, n_paths: int, space: DiscretePathSpace, rho: float) -> np.ndarray:
+def _stable_values(rng, n_paths: int, space: DiscretePathSpace, spec: ProcessSpec) -> np.ndarray:
+    rho = float(spec.params["rho"])
     steps = _steps_from_zero(space.grid)
     inc = standard_stable(rng, rho, (n_paths, 1, space.m)) * steps ** (1.0 / rho)
     return np.cumsum(inc, axis=-1)
+
+
+class _Kind(NamedTuple):
+    sampler: Callable           # (rng, n_paths, space, spec) -> (N, d, m) values
+    param: tuple | None = None  # (name, test, message) of the one real parameter
+    d1_only: bool = False       # the Levy samplers are implemented for d = 1 only
+    jumps: bool = False         # a jump law, named in the tag
+
+
+_KIND_TABLE = {
+    "brownian": _Kind(_brownian_paths),
+    "bridge": _Kind(_bridge_values),
+    "ou": _Kind(_ou_values, ("c", lambda v: v > 0.0, "c must be > 0")),
+    "fbm": _Kind(_fbm_values, ("H", lambda v: 0.0 < v < 1.0, "H must be in (0,1)")),
+    "diffusion_euler": _Kind(_diffusion_values),
+    "gamma": _Kind(_gamma_values, ("a", lambda v: v > 0.0, "a must be > 0"), d1_only=True),
+    "compound_poisson": _Kind(_compound_poisson_values,
+                              ("lam", lambda v: v > 0.0, "lam must be > 0"),
+                              d1_only=True, jumps=True),
+    "stable_levy": _Kind(_stable_values,
+                         ("rho", lambda v: 0.0 < v < 2.0, "rho must be in (0,2)"), d1_only=True),
+}
+KINDS = tuple(_KIND_TABLE)
 
 
 def sample_paths(spec: ProcessSpec, space: DiscretePathSpace, n_paths: int,
@@ -251,29 +262,12 @@ def sample_paths(spec: ProcessSpec, space: DiscretePathSpace, n_paths: int,
     """Draw n_paths i.i.d. discrete paths of the process on the space's grid."""
     if n_paths < 1:
         raise SimulationError(f"n_paths must be >= 1, got {n_paths}")
-    if spec.kind in _SCALAR_ONLY and space.d != 1:
+    row = _KIND_TABLE[spec.kind]
+    if row.d1_only and space.d != 1:
         raise SimulationError(f"{spec.kind} is implemented for d=1 spaces only")
     rng = derive_rng(seed, f"sample:{spec.tag}")
-    if spec.kind == "brownian":
-        values = _brownian_values(rng, n_paths, space)
-        values += _x0_column(spec, space.d)
-    elif spec.kind == "bridge":
-        values = _bridge_values(rng, n_paths, space)
-    elif spec.kind == "ou":
-        values = _ou_values(rng, n_paths, space, float(spec.params["c"]))
-    elif spec.kind == "fbm":
-        values = _fbm_values(rng, n_paths, space, float(spec.params["H"]))
-    elif spec.kind == "diffusion_euler":
-        values = _diffusion_values(rng, n_paths, space, spec)
-    elif spec.kind == "gamma":
-        values = _gamma_values(rng, n_paths, space, float(spec.params["a"]))
-    elif spec.kind == "compound_poisson":
-        values = _compound_poisson_values(rng, n_paths, space, spec.params)
-    elif spec.kind == "stable_levy":
-        values = _stable_values(rng, n_paths, space, float(spec.params["rho"]))
-    else:  # pragma: no cover - guarded by ProcessSpec
-        raise SimulationError(f"unhandled kind {spec.kind}")
-    return PathSample(values=values, seed=seed, process_tag=spec.tag)
+    return PathSample(values=row.sampler(rng, n_paths, space, spec), seed=seed,
+                      process_tag=spec.tag)
 
 
 def intrinsic_semimetric(sample: PathSample, q: float, s_idx: int, t_idx: int) -> float:

@@ -406,3 +406,112 @@ def test_diagnose_roundtrip(bm_config, tmp_path):
     assert rc == 0
     stat = json.loads((out2 / "stationarity.json").read_text())
     assert stat["max_residual"] < 1e-8
+
+
+def _edited(text: str, edits: dict) -> str:
+    for old, new in edits.items():
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
+
+
+D2 = {"\nd = 1\n": "\nd = 2\n"}
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+@pytest.mark.parametrize("edits, section", [
+    ({"p = 2.0": "p = 3.0", "r = 2.0": "r = 3.0"}, "[optimizer]"),
+    ({"r = 2.0": "r = 1.5"}, "[optimizer]"),
+    ({"p = 2.0": "p = 1.0", "method = lloyd\n": ""}, "[optimizer]"),
+    ({"p = 2.0": "p = 1.0", "method = lloyd": "method = sgd"}, "[optimizer]"),
+    ({"kind = brownian": "kind = gamma\na = 1.0", **D2}, "[process]"),
+    ({"kind = brownian": "kind = compound_poisson\nlam = 2.0", **D2}, "[process]"),
+    ({"kind = brownian": "kind = stable_levy\nrho = 1.5", **D2}, "[process]"),
+], ids=["lloyd_p3_r3", "lloyd_r1.5", "p1_no_method", "sgd_p1", "gamma_d2",
+        "compound_poisson_d2", "stable_levy_d2"])
+def test_config_that_cannot_run_exit_2(tmp_path, capsys, edits, section, dry_run):
+    # rejected before anything is sampled, by the rules the run itself applies
+    path = tmp_path / "bad.cfg"
+    path.write_text(_edited(BM_CFG, edits))
+    out = tmp_path / "out"
+    argv = ["quantize", "--config", str(path), "--out", str(out)] + ["--dry-run"] * dry_run
+    assert main(argv) == 2
+    assert "config ok" not in capsys.readouterr().out
+    assert [f.name for f in out.iterdir()] == ["error.json"]
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["message"].startswith(section)
+
+
+def test_diagnose_runs_at_p1(bm_config, tmp_path, capsys):
+    # diagnose runs no optimizer, so no method rule applies to it
+    out = tmp_path / "q"
+    assert main(["quantize", "--config", str(bm_config), "--out", str(out)]) == 0
+    path = tmp_path / "p1.cfg"
+    path.write_text(_edited(BM_CFG, {"p = 2.0": "p = 1.0", "method = lloyd\n": ""}))
+    assert main(["diagnose", "--config", str(path), "--codebook", str(out / "codebook.bin"),
+                 "--out", str(tmp_path / "d")]) == 0
+
+
+@pytest.mark.parametrize("norm, rc", [("lp", 0), ("sup", 2)])
+def test_bounds_method_checked_at_its_exponent(tmp_path, capsys, norm, rc):
+    # the sandwich optimizes at p under norm = lp, and at r under norm = sup
+    path = tmp_path / "b.cfg"
+    path.write_text(_edited(BOUNDS_CFG, {"r = 2.0": "r = 1.5", "norm = lp": f"norm = {norm}"}))
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(path), "--out", str(out), "--dry-run"]) == rc
+    if rc:
+        assert json.loads((out / "error.json").read_text())["message"].startswith("[optimizer]")
+    else:
+        assert "config ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new", [("n = 4", "n = 2.7"), ("n = 4", "n = true"),
+                                      ("n_paths = 1500", "n_paths = 300.9"),
+                                      ("seed = 77", "seed = 1.5"), ("m = 96", "m = 64.9"),
+                                      ("\nd = 1\n", "\nd = 1.0\n"),
+                                      ("max_iters = 60", "max_iters = 2.0")],
+                         ids=["n_float", "n_bool", "n_paths_float", "seed_float", "m_float",
+                              "d_integral_float", "max_iters_integral_float"])
+def test_integer_key_takes_only_an_integer(tmp_path, capsys, old, new):
+    section = {"n": "quantizer", "n_paths": "sample", "seed": "sample", "m": "space",
+               "d": "space", "max_iters": "optimizer"}[old.split()[0]]
+    path = tmp_path / "bad.cfg"
+    path.write_text(BM_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"].startswith(f"[{section}] {new.split()[0]} = ")
+    assert record["message"].count("[") == 1
+
+
+def test_short_codebook_exit_3(bm_config, tmp_path, capsys):
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"xx")
+    out = tmp_path / "d"
+    assert main(["diagnose", "--config", str(bm_config), "--codebook", str(short),
+                 "--out", str(out)]) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "FquantError" and record["stage"] == "diagnose"
+
+
+def test_oracle_unwritable_out_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["oracle", "c0", "--out", str(blocker / "sub")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["stage"] == "oracle"
+
+
+def test_python_m_fquant_entry_point(tmp_path, fresh_python):
+    (tmp_path / "file").write_text("")
+    out = fresh_python(
+        "import subprocess, sys\n"
+        "for argv in (['--print-schema'], ['oracle', 'c0', '--out', 'file/sub']):\n"
+        "    done = subprocess.run([sys.executable, '-m', 'fquant', *argv],\n"
+        "                          capture_output=True, text=True)\n"
+        "    print(done.returncode, done.stderr.strip().splitlines()[-1:])\n")
+    schema, oracle = out.splitlines()
+    assert schema == "0 []"
+    code, err = oracle.split(" ", 1)
+    assert code == "2" and '"stage": "oracle"' in err

@@ -204,6 +204,13 @@ def test_binary_header_layout():
                                   values.reshape(-1))
 
 
+@pytest.mark.parametrize("blob", [b"xx", b"", pack_paths(np.zeros((1, 1, 2)), seed=1)[:31]],
+                         ids=["two_bytes", "empty", "header_less_one"])
+def test_short_payload_is_a_fquant_error(blob):
+    with pytest.raises(FquantError, match="header"):
+        unpack_paths(blob)
+
+
 def test_csv_roundtrip_small(unit_space):
     vals = np.random.default_rng(5).normal(size=(2, 1, unit_space.m))
     text = paths_to_csv(unit_space, vals)

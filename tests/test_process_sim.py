@@ -37,6 +37,31 @@ def test_unknown_jump_law_rejected_at_spec():
                                             "jump_law": lambda rng, size: rng.normal(size=size)})
 
 
+def test_tags_are_pinned():
+    # a tag names the sample's RNG stream: a new tag would change every sample of its kind
+    def jumps(rng, size):
+        return rng.standard_normal(size)
+
+    def drift(t, x):
+        return -x
+
+    cases = [(ProcessSpec("brownian", x0=0.5), "brownian"), (ProcessSpec("bridge"), "bridge"),
+             (ProcessSpec("ou", {"c": 1.5}), "ou(c=1.5)"),
+             (ProcessSpec("fbm", {"H": 0.75}), "fbm(H=0.75)"),
+             (ProcessSpec("diffusion_euler", {"drift": drift, "diffusion": drift}),
+              "diffusion_euler"),
+             (ProcessSpec("gamma", {"a": 2}), "gamma(a=2)"),
+             (ProcessSpec("compound_poisson", {"lam": 3.0}),
+              "compound_poisson(lam=3,jumps=normal)"),
+             (ProcessSpec("compound_poisson", {"lam": 0.25, "jump_law": "uniform"}),
+              "compound_poisson(lam=0.25,jumps=uniform)"),
+             (ProcessSpec("compound_poisson", {"lam": 1.0, "jump_law": jumps}),
+              "compound_poisson(lam=1,jumps=jumps)"),
+             (ProcessSpec("stable_levy", {"rho": 1.5}), "stable_levy(rho=1.5)")]
+    assert [spec.tag for spec, _ in cases] == [tag for _, tag in cases]
+    assert {spec.kind for spec, _ in cases} == set(process_sim.KINDS)
+
+
 def test_seed_determinism(unit_space):
     spec = ProcessSpec("brownian")
     a = sample_paths(spec, unit_space, 50, seed=42)
@@ -94,7 +119,7 @@ def test_ou_blocked_recursion_matches_strided_loop(monkeypatch):
     c, n_paths = 1.5, 7
     # 3 path rows per block: the 14 rows of (n_paths * d, m) end in a partial block
     monkeypatch.setattr(process_sim, "_OU_BLOCK", 3 * space.m)
-    out = _ou_values(np.random.default_rng(5), n_paths, space, c)
+    out = _ou_values(np.random.default_rng(5), n_paths, space, ProcessSpec("ou", {"c": c}))
     ref = np.random.default_rng(5).standard_normal((n_paths, space.d, space.m))
     phi = np.exp(-c * np.diff(space.grid))
     sig = np.sqrt(1.0 - phi * phi)
@@ -107,7 +132,7 @@ def test_bridge_blocked_pinning_matches_whole_product(monkeypatch):
     space = exp_weighted_space(4.0, 33, b=1.0, d=2)
     # 3 path rows per block: the 14 rows of (n_paths * d, m) end in a partial block
     monkeypatch.setattr(process_sim, "_OU_BLOCK", 3 * space.m)
-    out = _bridge_values(np.random.default_rng(5), 7, space)
+    out = _bridge_values(np.random.default_rng(5), 7, space, ProcessSpec("bridge"))
     ref = _brownian_values(np.random.default_rng(5), 7, space)
     ref -= ref[..., -1:] * (space.grid / space.grid[-1])
     ref[..., -1] = 0.0
