@@ -116,9 +116,12 @@ def _convert(kind, section: str, key: str, value):
     try:
         if kind is int and type(value) is not int:  # no truncation of 2.7, True or 2.0
             raise TypeError("must be an integer")
+        if kind is float and isinstance(value, bool):  # true is not 1.0
+            raise TypeError("must be a real number")
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"[{section}] {key} = {value!r}: {exc}") from exc
+        text = str(value).lower() if isinstance(value, bool) else repr(value)
+        raise ConfigError(f"[{section}] {key} = {text}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -141,15 +144,16 @@ class ExperimentConfig:
         measure = str(sp.get("measure", "lebesgue"))
         try:
             m = _convert(int, "space", "m", sp.get("m", 128))
-            t_end = float(sp.get("t_end", 1.0))
-            p = float(sp.get("p", 2.0))
+            t_end = _convert(float, "space", "t_end", sp.get("t_end", 1.0))
+            p = _convert(float, "space", "p", sp.get("p", 2.0))
             if p == float("inf"):  # no optimizer runs at p = inf
                 raise ValueError("p must be finite; [bounds] norm = sup measures the sup norm")
             d = _convert(int, "space", "d", sp.get("d", 1))
             if measure == "lebesgue":
                 return uniform_space(t_end, m, p=p, d=d)
             if measure.startswith("exp:"):
-                return exp_weighted_space(t_end, m, b=float(measure[4:]), p=p, d=d)
+                b = _convert(float, "space", "measure", measure[4:])
+                return exp_weighted_space(t_end, m, b=b, p=p, d=d)
         except ConfigError:
             raise
         except Exception as exc:
@@ -162,6 +166,8 @@ class ExperimentConfig:
         if kind not in KINDS:
             raise ConfigError(f"[process] kind must be one of {KINDS}, got {kind!r}")
         x0 = _convert(float, "process", "x0", pr.pop("x0", 0.0))
+        for key in set(pr) & {row.param[0] for row in _KIND_TABLE.values() if row.param}:
+            pr[key] = _convert(float, "process", key, pr[key])
         try:
             return ProcessSpec(kind=kind, params=pr, x0=x0)
         except Exception as exc:
@@ -179,9 +185,10 @@ class ExperimentConfig:
                 cfg,
                 max_iters=_convert(int, "optimizer", "max_iters",
                                    op.get("max_iters", DEFAULT_MAX_ITERS[cfg.method])),
-                tol=float(op.get("tol", cfg.tol)),
-                sgd_c0=float(op["c0"]) if "c0" in op else cfg.sgd_c0,
-                sgd_decay=float(op["decay"]) if "decay" in op else cfg.sgd_decay,
+                tol=_convert(float, "optimizer", "tol", op.get("tol", cfg.tol)),
+                sgd_c0=_convert(float, "optimizer", "c0", op["c0"]) if "c0" in op else cfg.sgd_c0,
+                sgd_decay=(_convert(float, "optimizer", "decay", op["decay"]) if "decay" in op
+                           else cfg.sgd_decay),
             )
         except ConfigError:
             raise

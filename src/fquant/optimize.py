@@ -111,11 +111,11 @@ def _centroids(vor: VoronoiAssignment, r: float) -> np.ndarray:
     product.  A cell of zero total weight holds only its atom's copies: kept."""
     values = vor.codebook.values
     n, N = vor.n_cells, len(vor.dists)
-    weights = np.ones(N) if r == 2.0 else vor.best ** (r - 2.0)
+    weights = 1.0 if r == 2.0 else vor.best ** (r - 2.0)
     onehot = np.zeros((n, N))
     onehot[vor.cell_index, np.arange(N)] = weights
     sums = onehot @ vor.sample.values.reshape(N, -1)
-    total = vor.cell_sums(weights)[:, None]
+    total = (vor.counts if r == 2.0 else vor.cell_sums(weights))[:, None]
     out = values.reshape(n, -1).copy()
     np.divide(sums, total, out=out, where=total > 0)
     return out.reshape(values.shape)
@@ -142,7 +142,7 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
               r: float = 2.0) -> tuple[Codebook, OptimizeTrace]:
     """Iterate lloyd_step until the relative distortion improvement drops below tol.
 
-    One distance pass per iteration: the pass scoring the new codebook is the next
+    One distance pass per moving iteration: the pass scoring the new codebook is the next
     step's assignment and, at exit, the residual's.  Sample norms are taken once.
     """
     trace = OptimizeTrace()
@@ -155,8 +155,9 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
         nxt = lloyd_step(vor.codebook, sample, r, _events=trace.empty_cell_events,
                          _iteration=k, _pass=vor)
         unchanged = np.array_equal(nxt.values, vor.codebook.values)
-        vor = VoronoiAssignment(nxt, sample, pairwise_distances(nxt, sample, sample_sq=sq))
-        trace.final_distortion = vor.distortion(r)
+        if not unchanged:  # a fixed point keeps its pass and its score
+            vor = VoronoiAssignment(nxt, sample, pairwise_distances(nxt, sample, sample_sq=sq))
+            trace.final_distortion = vor.distortion(r)
         cur = trace.final_distortion.value
         trace.distortions.append(cur)
         trace.iterations = k + 1

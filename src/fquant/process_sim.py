@@ -78,7 +78,9 @@ class ProcessSpec:
             return self.kind
         name, law = row.param[0], self.params.get("jump_law", "normal")
         jumps = f",jumps={law if isinstance(law, str) else getattr(law, '__name__', 'custom')}"
-        return f"{self.kind}({name}={self.params[name]:g}{jumps if row.jumps else ''})"
+        value = self.params[name]
+        text = f"{value:g}" if float(f"{value:g}") == value else repr(float(value))  # one per law
+        return f"{self.kind}({name}={text}{jumps if row.jumps else ''})"
 
 
 def _x0_column(spec: ProcessSpec, d: int) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Codebooks, Voronoi assignment, distortion and quantization-error estimates.
 
 Distances between sample paths and atoms are computed brute force for every
-(path, atom) pair.  At p = 2 paths are flattened to (N, d*m) rows and
+(path, atom) pair, into an atom-major (n, N) buffer; pairwise_distances returns
+its (N, n) view.  At p = 2 paths are flattened to (N, d*m) rows and
 ||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> takes the cross term as one matrix
 product; callers making many passes over a sample supply its squared norms
 once.  Pairs where the expansion cancels are recomputed directly, so a path
 equal to an atom is at distance exactly 0.  Other p loop over atoms on the same
 rows, reducing |x - a_i| by a weighted sum of p-th powers, taken by binary
 powering at integral p (p = 3: a square and a multiply), or at p = inf, the grid
-sup norm, by its max.
-Every consumer reads a pass, with its codebook and sample, through one VoronoiAssignment.
+sup norm, by its max.  Every consumer reads a pass, with its codebook and sample,
+through one VoronoiAssignment, whose reductions over atoms run along atom rows.
 """
 
 from __future__ import annotations
@@ -101,50 +102,32 @@ def _weighted_sq_norms(space: DiscretePathSpace, sample: PathSample) -> np.ndarr
                            for rows in _row_chunks(len(sample), flat.shape[1])])
 
 
-def _dist_block(x: np.ndarray, atoms: np.ndarray, space: DiscretePathSpace,
-                xn: np.ndarray) -> np.ndarray:
-    """(chunk, n) p = 2 distances from path block x to atoms; xn: x's squared norms."""
-    wf = np.tile(space.weights, space.d)
-    xf = x.reshape(len(x), -1)
-    af = atoms.reshape(len(atoms), -1)
-    norms = np.add.outer(xn, (af * af) @ wf)
-    d2 = norms - 2.0 * (xf @ (af * wf).T)
-    # the inner-product expansion cancels catastrophically for (near-)
-    # coincident pairs; recompute those few entries directly so that
-    # identical path/atom pairs come out at exactly zero
-    close = d2 <= 1e-13 * norms
-    if np.any(close):
-        rows, cols = np.nonzero(close)
-        diff = xf[rows] - af[cols]
-        d2[rows, cols] = (diff * diff) @ wf
-    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-
-
 def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce, n_bufs: int = 1) -> np.ndarray:
-    """(N, n) reduce(|x - a_i|, *scratch) over flattened (N, d*m) rows, one atom at a time;
+    """(n, N) reduce(|x - a_i|, *scratch) over flattened (N, d*m) rows, one atom at a time;
     |x - a_i| and n_bufs - 1 scratch buffers, made once per row chunk, may be overwritten."""
     _check_sample(codebook.space, sample)
     xf = sample.values.reshape(len(sample), -1)
     af = codebook.values.reshape(codebook.n, -1)
-    out = np.empty((len(sample), codebook.n))
+    out = np.empty((codebook.n, len(sample)))
     for rows in _row_chunks(len(sample), n_bufs * xf.shape[1] + codebook.n):
         buf, *scratch = np.empty((n_bufs,) + xf[rows].shape)
         for i, a in enumerate(af):
-            out[rows, i] = reduce(np.abs(np.subtract(xf[rows], a, out=buf), out=buf), *scratch)
+            out[i, rows] = reduce(np.abs(np.subtract(xf[rows], a, out=buf), out=buf), *scratch)
     return out
 
 
 def pairwise_distances(codebook: Codebook, sample: PathSample,
                        sample_sq: np.ndarray | None = None) -> np.ndarray:
-    """(N, n) distances from each sample path to each atom, in sample order.
+    """(N, n) distances from each sample path to each atom, in sample order: the
+    transposed view of the atom-major (n, N) pass.
 
     sample_sq: the sample's _weighted_sq_norms, for callers making many p = 2 passes.
     """
-    space, atoms, x = codebook.space, codebook.values, sample.values
+    space, wf = codebook.space, np.tile(codebook.space.weights, codebook.space.d)
     if space.p == np.inf:
-        return _per_atom_pass(codebook, sample, lambda buf: buf.max(axis=1))
+        return _per_atom_pass(codebook, sample, lambda buf: buf.max(axis=1)).T
     if space.p != 2.0:
-        wf, p = np.tile(space.weights, space.d), space.p
+        p = space.p
         if not p.is_integer():
             acc = _per_atom_pass(codebook, sample, lambda buf: np.power(buf, p, out=buf) @ wf)
         else:
@@ -156,14 +139,28 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
                         np.multiply(res, buf, out=out)
                 return res @ wf
             acc = _per_atom_pass(codebook, sample, power_sum, n_bufs=2)
-        return np.power(acc, 1.0 / p, out=acc)
+        return np.power(acc, 1.0 / p, out=acc).T
     _check_sample(space, sample)
     if sample_sq is None:
         sample_sq = _weighted_sq_norms(space, sample)
-    out = np.empty((len(sample), codebook.n))
-    for rows in _row_chunks(len(sample), 5 * codebook.n):  # the block's scratch: ~5 (rows, n)
-        out[rows] = _dist_block(x[rows], atoms, space, sample_sq[rows])
-    return out
+    xf = sample.values.reshape(len(sample), -1)
+    af = codebook.values.reshape(codebook.n, -1)
+    am, an = af * (-2.0 * wf), (af * af) @ wf  # scaling by -2 is exact
+    out = np.empty((codebook.n, len(sample)))
+    for rows in _row_chunks(len(sample), 5 * codebook.n):  # scratch: < 5 (n, rows) floats
+        d2, x = out[:, rows], xf[rows]
+        np.matmul(am, x.T, out=d2)
+        norms = np.add(an[:, None], sample_sq[rows])
+        d2 += norms
+        # the inner-product expansion cancels catastrophically for (near-)
+        # coincident pairs; recompute those few entries directly so that
+        # identical path/atom pairs come out at exactly zero
+        close = d2 <= np.multiply(norms, 1e-13, out=norms)
+        if np.any(close):
+            paths, atoms = np.nonzero(close.T)  # path order: gemv bits move with row order
+            diff = x[paths] - af[atoms]
+            d2[atoms, paths] = (diff * diff) @ wf
+    return np.sqrt(np.maximum(out, 0.0, out=out), out=out).T
 
 
 @dataclass(frozen=True)
@@ -180,16 +177,19 @@ class VoronoiAssignment:
         return self.dists.shape[1]
 
     @cached_property
-    def cell_index(self) -> np.ndarray:
-        return np.argmin(self.dists, axis=1)
+    def cell_index(self) -> np.ndarray:  # the lowest atom row at the best distance, as np.argmin
+        cells = np.full(len(self.dists), self.n_cells - 1)
+        for i in range(self.n_cells - 2, -1, -1):
+            np.putmask(cells, self.dists[:, i] == self.best, i)
+        return cells
 
     @cached_property
-    def best(self) -> np.ndarray:  # (N,) distance from each path to its own atom
-        return self.dists[np.arange(len(self.dists)), self.cell_index]
+    def best(self) -> np.ndarray:  # (N,) distance from each path to its own atom, over atom rows
+        return np.minimum.reduce(self.dists.T)
 
     @cached_property
     def tie_flags(self) -> np.ndarray:
-        return (self.dists == self.best[:, None]).sum(axis=1) > 1
+        return (self.dists.T == self.best).sum(axis=0) > 1
 
     @cached_property
     def counts(self) -> np.ndarray:

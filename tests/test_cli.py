@@ -485,6 +485,35 @@ def test_integer_key_takes_only_an_integer(tmp_path, capsys, old, new):
     assert record["message"].count("[") == 1
 
 
+@pytest.mark.parametrize("old, new", [("t_end = 1.0", "t_end = true"), ("p = 2.0", "p = false"),
+                                      ("r = 2.0", "r = true"), ("tol = 1e-10", "tol = true"),
+                                      ("tol = 1e-10", "c0 = true"),
+                                      ("tol = 1e-10", "decay = false"),
+                                      ("kind = brownian", "kind = brownian\nx0 = true"),
+                                      ("kind = brownian", "kind = ou\nc = true")],
+                         ids=["t_end", "p", "r", "tol", "c0", "decay", "x0", "ou_c"])
+def test_real_key_rejects_a_boolean(tmp_path, capsys, old, new):
+    key, value = new.split("\n")[-1].split(" = ")
+    section = {"t_end": "space", "p": "space", "r": "quantizer", "x0": "process",
+               "c": "process"}.get(key, "optimizer")
+    path = tmp_path / "bad.cfg"
+    path.write_text(BM_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"] == f"[{section}] {key} = {value}: must be a real number"
+
+
+def test_measure_rate_must_be_a_number(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BM_CFG.replace("d = 1", "d = 1\nmeasure = exp:true"))
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert message.startswith("[space] measure = 'true': ") and message.count("[") == 1
+
+
 def test_short_codebook_exit_3(bm_config, tmp_path, capsys):
     short = tmp_path / "short.bin"
     short.write_bytes(b"xx")

@@ -115,6 +115,27 @@ def test_lloyd_run_is_hand_iterated_lloyd_step(unit_space, bm_sample, levels, r)
         assert trace.distortions[k] == distortion(stage, bm_sample, r).value
 
 
+@pytest.mark.parametrize("levels", [[-0.8, 0.0, 0.8], [-1.0, -0.3, 0.3, 1.0]])
+def test_lloyd_fixed_point_is_not_scored_again(unit_space, bm_sample, monkeypatch, levels):
+    # one pass for the start and one per step that moves the codebook: the step that
+    # returns the same atoms keeps the pass it was computed from
+    passes = []
+
+    def counted(codebook, sample, *args, **kwargs):
+        passes.append(codebook.values.copy())
+        return pairwise_distances(codebook, sample, *args, **kwargs)
+
+    monkeypatch.setattr(quantize_core, "pairwise_distances", counted)
+    monkeypatch.setattr(optimize, "pairwise_distances", counted)
+    cfg = OptimizerConfig(method="lloyd", max_iters=200, tol=1e-12)
+    cb, trace = lloyd_run(cfg, constant_codebook(unit_space, levels), bm_sample)
+    assert trace.exit_reason == "fixed_point" and not trace.empty_cell_events
+    assert len(passes) == trace.iterations
+    assert not any(np.array_equal(a, b) for a, b in zip(passes, passes[1:]))
+    np.testing.assert_array_equal(passes[-1], cb.values)
+    assert trace.distortions[-1] == trace.distortions[-2] == trace.final_distortion.value
+
+
 def test_lloyd_empty_cell_repair(unit_space, bm_sample):
     far = constant_codebook(unit_space, [-0.3, 0.3, 50.0])
     stepped = lloyd_step(far, bm_sample, r=2.0)

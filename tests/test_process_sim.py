@@ -228,6 +228,17 @@ def test_stable_levy_heavy_tail_tagging():
     assert high.tag == "heavy-tail: r >= rho"
 
 
+def test_near_equal_parameters_get_distinct_tags():
+    # a tag keeps the short :g text only where it reads back as the same value
+    space = uniform_space(1.0, 65)
+    specs = [ProcessSpec("stable_levy", params={"rho": rho}) for rho in (1.5, 1.5000001)]
+    assert [spec.tag for spec in specs] == ["stable_levy(rho=1.5)", "stable_levy(rho=1.5000001)"]
+    samples = [sample_paths(spec, space, 2000, seed=5) for spec in specs]
+    assert not np.array_equal(samples[0].values, samples[1].values)
+    assert moment_check(samples[0], space, r=1.5).tag == "heavy-tail: r >= rho"
+    assert moment_check(samples[1], space, r=1.5).tag is None
+
+
 def test_levy_kinds_reject_multidimensional():
     space = uniform_space(1.0, 65, d=2)
     with pytest.raises(SimulationError):

@@ -175,6 +175,78 @@ def test_general_p_pass_matches_np_power_reference(monkeypatch, p):
         np.testing.assert_array_equal(chunked.argmin(axis=1), fast.argmin(axis=1))
 
 
+def _path_major_p2_pass(cb, sample, chunk):
+    # the (N, n) p = 2 arithmetic the atom-major pass replaces, chunk rows at a time
+    space = cb.space
+    wf = np.tile(space.weights, space.d)
+    xf, af = sample.values.reshape(len(sample), -1), cb.values.reshape(cb.n, -1)
+    xn = _weighted_sq_norms(space, sample)
+    out = np.empty((len(sample), cb.n))
+    for lo in range(0, len(sample), chunk):
+        x = xf[lo:lo + chunk]
+        norms = np.add.outer(xn[lo:lo + chunk], (af * af) @ wf)
+        d2 = norms - 2.0 * (x @ (af * wf).T)
+        rows, cols = np.nonzero(d2 <= 1e-13 * norms)
+        diff = x[rows] - af[cols]
+        d2[rows, cols] = (diff * diff) @ wf
+        out[lo:lo + chunk] = np.sqrt(np.maximum(d2, 0.0))
+    return out
+
+
+def _tie_sample(space, n_brownian):
+    # Brownian paths, copies of five of them, two paths equal to atoms, and zero paths
+    # at exactly the same distance from the constant atoms +-0.05
+    bm = sample_paths(ProcessSpec("brownian"), space, n_brownian, seed=17).values
+    atoms = np.concatenate([0.5 * bm[[10, 20, 30, 40]], np.full((2,) + space.shape, 0.05)])
+    atoms[-1] *= -1.0
+    x = np.concatenate([bm, bm[:5], atoms[[0, 2]], np.zeros((3,) + space.shape)])
+    return Codebook(space=space, values=atoms), PathSample(values=x, seed=0, process_tag="t")
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default_chunk", "chunk_7"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, np.inf])
+def test_atom_major_pass_matches_path_major_reference(monkeypatch, p, chunk):
+    space = exp_weighted_space(1.0, 33, b=1.5, p=p, d=2)
+    cb, sample = _tie_sample(space, 200)
+    N = len(sample)
+    if chunk is not None:
+        monkeypatch.setattr(quantize_core, "_row_chunks",
+                            lambda n_rows, per_row: (slice(lo, lo + chunk)
+                                                     for lo in range(0, n_rows, chunk)))
+    dists = pairwise_distances(cb, sample)
+    assert dists.shape == (N, cb.n) and dists.T.flags.c_contiguous  # stored atom-major
+    if p == 2.0:
+        ref = _path_major_p2_pass(cb, sample, chunk or N)
+        np.testing.assert_array_equal(dists, ref)
+    cells = np.argmin(dists, axis=1)
+    best = dists[np.arange(N), cells]
+    ties = (dists == best[:, None]).sum(axis=1) > 1
+    for given in (dists, np.ascontiguousarray(dists)):  # a path-major array is strided
+        vor = VoronoiAssignment(cb, sample, given)
+        np.testing.assert_array_equal(vor.cell_index, cells)
+        np.testing.assert_array_equal(vor.best, best)
+        np.testing.assert_array_equal(vor.tie_flags, ties)
+    assert np.count_nonzero(best == 0.0) == 2 and np.all(cells[-5:-3] == [0, 2])
+    assert np.all(ties[-3:]) and np.all(cells[-3:] == 4)
+    np.testing.assert_array_equal(cells[200:205], cells[:5])
+
+
+def test_wide_atom_major_p2_pass_moves_by_a_rounding_of_the_norms(rng):
+    # at n >= 12 and some N (here 13 atoms, 300 paths) OpenBLAS 0.3.31 blocks the
+    # (n, N) product apart from the (N, n) one, so a few entries move in their last
+    # bits: by at most a few ulp of the norms they cancel from, with the same cells
+    space = exp_weighted_space(1.0, 33, b=1.5, d=2)
+    sample = sample_paths(ProcessSpec("brownian"), space, 300, seed=19)
+    cb = Codebook(space=space, values=0.5 * rng.permutation(sample.values)[:13])
+    dists = pairwise_distances(cb, sample)
+    ref = _path_major_p2_pass(cb, sample, len(sample))
+    xn = _weighted_sq_norms(space, sample)
+    an = _weighted_sq_norms(space, PathSample(values=cb.values, seed=0, process_tag="atoms"))
+    np.testing.assert_array_less(np.abs(dists ** 2 - ref ** 2),
+                                 4 * np.finfo(float).eps * np.add.outer(xn, an) + 1e-300)
+    np.testing.assert_array_equal(dists.argmin(axis=1), ref.argmin(axis=1))
+
+
 def test_assign_single_atom(unit_space, bm_sample):
     cb = constant_codebook(unit_space, [0.0])
     va = assign(cb, bm_sample)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,24 @@ def test_run_regularity_sweep(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("brownian  n=4   lags [dt, 8dt]  beta in [")
+
+
+def test_same_outputs(tmp_path):
+    # one tree on both sides is the same; a tree whose manifest reads otherwise is not
+    script = [sys.executable, str(SCRIPTS / "same_outputs.py")]
+    tiny = ["--inputs", "1", "--n-paths", "120"]
+    done = subprocess.run(script + [str(ROOT), str(ROOT)] + tiny,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "16 files compared, 0 differences"
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = other / "src" / "fquant" / "cli.py"
+    cli.write_text(cli.read_text().replace('"exit_reason": trace.exit_reason,',
+                                           '"exit_reason": trace.exit_reason + "!",'))
+    done = subprocess.run(script + [str(ROOT), str(other)] + tiny,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout.splitlines() == ["lloyd_bm/input0: manifest.json: differs",
+                                        "sgd_p3/input0: manifest.json: differs",
+                                        "16 files compared, 2 differences"]
