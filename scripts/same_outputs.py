@@ -2,14 +2,12 @@
 """Check that two source trees write the same `fquant quantize` outputs.
 
     python scripts/same_outputs.py PARENT_TREE CHANGE_TREE [--seed S]
-                                   [--inputs K] [--n-paths N]
 
 Writes the lloyd_bm and sgd_p3 input configs with bench/run.py's make_inputs,
 runs `python -m fquant quantize` on each config once per tree, in a subprocess
 with PYTHONPATH=<tree>/src, and compares the two output directories file by
 file, byte for byte; manifest.json is compared without its `created` stamp.
 Prints one line per difference and a summary, and exits 1 on any difference.
---inputs and --n-paths shrink the workloads (default: the benchmark's sizes).
 """
 
 from __future__ import annotations
@@ -68,8 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("parent", type=Path, help="source tree with src/fquant")
     ap.add_argument("change", type=Path, help="source tree with src/fquant")
     ap.add_argument("--seed", type=int, default=1, help="bench/run.py input seed")
-    ap.add_argument("--inputs", type=int, default=None, help="inputs per workload")
-    ap.add_argument("--n-paths", type=int, default=None, help="paths per input")
     args = ap.parse_args(argv)
     trees = [args.parent.resolve(), args.change.resolve()]
     for tree in trees:
@@ -79,13 +75,9 @@ def main(argv: list[str] | None = None) -> int:
     n_files, n_diffs = 0, 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for workload in WORKLOADS:
-            size = dict(bench.SIZES[workload])
-            if args.inputs is not None:
-                size["inputs"] = args.inputs
-            if args.n_paths is not None:
-                size["n_paths"] = args.n_paths
             work = Path(tmp) / workload
-            for op in bench.make_inputs(workload, args.seed, size, work / "inputs"):
+            for op in bench.make_inputs(workload, args.seed, bench.SIZES[workload],
+                                        work / "inputs"):
                 outs = [work / side / op.key for side in ("parent", "change")]
                 codes = [_quantize(tree, op, out) for tree, out in zip(trees, outs)]
                 compared, diffs = compare(*outs)

@@ -113,11 +113,9 @@ def parse_config_text(text: str) -> dict:
 
 
 def _convert(kind, section: str, key: str, value):
-    try:
-        if kind is int and type(value) is not int:  # no truncation of 2.7, True or 2.0
-            raise TypeError("must be an integer")
-        if kind is float and isinstance(value, bool):  # true is not 1.0
-            raise TypeError("must be a real number")
+    try:  # no truncation of 2.7 or 2.0 to an integer; true is neither 1 nor 1.0
+        if isinstance(value, bool) or (kind is int and type(value) is not int):
+            raise TypeError("must be an integer" if kind is int else "must be a real number")
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         text = str(value).lower() if isinstance(value, bool) else repr(value)
@@ -166,8 +164,8 @@ class ExperimentConfig:
         if kind not in KINDS:
             raise ConfigError(f"[process] kind must be one of {KINDS}, got {kind!r}")
         x0 = _convert(float, "process", "x0", pr.pop("x0", 0.0))
-        for key in set(pr) & {row.param[0] for row in _KIND_TABLE.values() if row.param}:
-            pr[key] = _convert(float, "process", key, pr[key])
+        for name in set(pr) & set((_KIND_TABLE[kind].param or ())[:1]):  # the kind's own, if set
+            pr[name] = _convert(float, "process", name, pr[name])
         try:
             return ProcessSpec(kind=kind, params=pr, x0=x0)
         except Exception as exc:

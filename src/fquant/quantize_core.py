@@ -1,16 +1,16 @@
 """Codebooks, Voronoi assignment, distortion and quantization-error estimates.
 
 Distances between sample paths and atoms are computed brute force for every
-(path, atom) pair, into an atom-major (n, N) buffer; pairwise_distances returns
-its (N, n) view.  At p = 2 paths are flattened to (N, d*m) rows and
+(path, atom) pair, into an (n, N) buffer whose (N, n) view pairwise_distances
+returns.  At p = 2 paths are flattened to (N, d*m) rows and
 ||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> takes the cross term as one matrix
-product; callers making many passes over a sample supply its squared norms
-once.  Pairs where the expansion cancels are recomputed directly, so a path
+product.  Pairs where the expansion cancels are recomputed directly, so a path
 equal to an atom is at distance exactly 0.  Other p loop over atoms on the same
 rows, reducing |x - a_i| by a weighted sum of p-th powers, taken by binary
 powering at integral p (p = 3: a square and a multiply), or at p = inf, the grid
-sup norm, by its max.  Every consumer reads a pass, with its codebook and sample,
-through one VoronoiAssignment, whose reductions over atoms run along atom rows.
+sup norm, by its max.  The buffer has a row per atom, or per path at p = 2 past
+_ATOM_ROWS_MAX atoms.  Every consumer reads a pass, with its codebook and sample,
+through one VoronoiAssignment, whose reductions over atoms run along those rows.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .path_space import (DiscretePathSpace, Path, PathSample, pack_paths,
                          paths_to_csv, unpack_paths)
 
 _CHUNK_BUDGET = 2 ** 20  # floats of scratch per chunk of sample rows
+_ATOM_ROWS_MAX = 16  # atoms; past them np.argmin over a p = 2 pass's path rows is faster
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce, n_bufs: int =
     """(n, N) reduce(|x - a_i|, *scratch) over flattened (N, d*m) rows, one atom at a time;
     |x - a_i| and n_bufs - 1 scratch buffers, made once per row chunk, may be overwritten."""
     _check_sample(codebook.space, sample)
-    xf = sample.values.reshape(len(sample), -1)
-    af = codebook.values.reshape(codebook.n, -1)
+    xf, af = sample.values.reshape(len(sample), -1), codebook.values.reshape(codebook.n, -1)
     out = np.empty((codebook.n, len(sample)))
     for rows in _row_chunks(len(sample), n_bufs * xf.shape[1] + codebook.n):
         buf, *scratch = np.empty((n_bufs,) + xf[rows].shape)
@@ -119,7 +119,7 @@ def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce, n_bufs: int =
 def pairwise_distances(codebook: Codebook, sample: PathSample,
                        sample_sq: np.ndarray | None = None) -> np.ndarray:
     """(N, n) distances from each sample path to each atom, in sample order: the
-    transposed view of the atom-major (n, N) pass.
+    transposed view of the (n, N) pass.
 
     sample_sq: the sample's _weighted_sq_norms, for callers making many p = 2 passes.
     """
@@ -143,14 +143,13 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
     _check_sample(space, sample)
     if sample_sq is None:
         sample_sq = _weighted_sq_norms(space, sample)
-    xf = sample.values.reshape(len(sample), -1)
-    af = codebook.values.reshape(codebook.n, -1)
-    am, an = af * (-2.0 * wf), (af * af) @ wf  # scaling by -2 is exact
-    out = np.empty((codebook.n, len(sample)))
-    for rows in _row_chunks(len(sample), 5 * codebook.n):  # scratch: < 5 (n, rows) floats
+    xf, af = sample.values.reshape(len(sample), -1), codebook.values.reshape(codebook.n, -1)
+    aw, an, n = af * wf, (af * af) @ wf, codebook.n
+    out = np.empty((n, len(sample))) if n <= _ATOM_ROWS_MAX else np.empty((len(sample), n)).T
+    for rows in _row_chunks(len(sample), 5 * n):  # scratch: < 5 (n, rows) floats
         d2, x = out[:, rows], xf[rows]
-        np.matmul(am, x.T, out=d2)
-        norms = np.add(an[:, None], sample_sq[rows])
+        np.multiply((x @ aw.T).T, -2.0, out=d2)  # one BLAS orientation at every n; -2c is exact
+        norms = np.add(an[:, None], sample_sq[rows], out=np.empty_like(d2))
         d2 += norms
         # the inner-product expansion cancels catastrophically for (near-)
         # coincident pairs; recompute those few entries directly so that
@@ -177,15 +176,18 @@ class VoronoiAssignment:
         return self.dists.shape[1]
 
     @cached_property
-    def cell_index(self) -> np.ndarray:  # the lowest atom row at the best distance, as np.argmin
+    def cell_index(self) -> np.ndarray:  # the lowest atom at the best distance, as np.argmin
+        if self.dists.flags.c_contiguous:  # a path-major pass
+            return np.argmin(self.dists, axis=1)
         cells = np.full(len(self.dists), self.n_cells - 1)
         for i in range(self.n_cells - 2, -1, -1):
             np.putmask(cells, self.dists[:, i] == self.best, i)
         return cells
 
     @cached_property
-    def best(self) -> np.ndarray:  # (N,) distance from each path to its own atom, over atom rows
-        return np.minimum.reduce(self.dists.T)
+    def best(self) -> np.ndarray:  # (N,) distance from each path to its own atom
+        d = self.dists
+        return d[np.arange(len(d)), self.cell_index] if d.flags.c_contiguous else d.min(axis=1)
 
     @cached_property
     def tie_flags(self) -> np.ndarray:

@@ -505,6 +505,18 @@ def test_real_key_rejects_a_boolean(tmp_path, capsys, old, new):
     assert record["message"] == f"[{section}] {key} = {value}: must be a real number"
 
 
+def test_only_the_kinds_own_parameter_is_read_as_real(tmp_path, capsys):
+    # a stray parameter of another kind is not read; the kind's own is, whatever else is set
+    for name, kind, code in [("stray", "brownian\nH = true", 0),
+                             ("own", "ou\nH = true\nc = true", 2)]:
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(BM_CFG.replace("kind = brownian", f"kind = {kind}"))
+        out = tmp_path / name
+        assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == code
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert message == "[process] c = true: must be a real number"
+
+
 def test_measure_rate_must_be_a_number(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(BM_CFG.replace("d = 1", "d = 1\nmeasure = exp:true"))

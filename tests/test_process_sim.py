@@ -237,6 +237,9 @@ def test_near_equal_parameters_get_distinct_tags():
     assert not np.array_equal(samples[0].values, samples[1].values)
     assert moment_check(samples[0], space, r=1.5).tag == "heavy-tail: r >= rho"
     assert moment_check(samples[1], space, r=1.5).tag is None
+    # a value that needs more than 6 significant digits is tagged in full: its tag, and so
+    # its sample, differ from those of the :g text it shared before
+    assert ProcessSpec("fbm", params={"H": 0.7071067811865476}).tag == "fbm(H=0.7071067811865476)"
 
 
 def test_levy_kinds_reject_multidimensional():

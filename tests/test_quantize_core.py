@@ -204,24 +204,29 @@ def _tie_sample(space, n_brownian):
 
 
 @pytest.mark.parametrize("chunk", [None, 7], ids=["default_chunk", "chunk_7"])
-@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, np.inf])
-def test_atom_major_pass_matches_path_major_reference(monkeypatch, p, chunk):
+@pytest.mark.parametrize("p, rows_max", [(1.0, None), (2.0, None), (2.0, 0), (2.5, None),
+                                         (3.0, None), (np.inf, None)],
+                         ids=["1", "2", "2-path_rows", "2.5", "3", "inf"])
+def test_distance_pass_matches_path_major_reference(monkeypatch, p, rows_max, chunk):
     space = exp_weighted_space(1.0, 33, b=1.5, p=p, d=2)
     cb, sample = _tie_sample(space, 200)
     N = len(sample)
+    if rows_max is not None:  # a p = 2 pass of path rows, as for codebooks past 16 atoms
+        monkeypatch.setattr(quantize_core, "_ATOM_ROWS_MAX", rows_max)
     if chunk is not None:
         monkeypatch.setattr(quantize_core, "_row_chunks",
                             lambda n_rows, per_row: (slice(lo, lo + chunk)
                                                      for lo in range(0, n_rows, chunk)))
     dists = pairwise_distances(cb, sample)
-    assert dists.shape == (N, cb.n) and dists.T.flags.c_contiguous  # stored atom-major
+    assert dists.shape == (N, cb.n)
+    assert (dists if rows_max == 0 else dists.T).flags.c_contiguous
     if p == 2.0:
         ref = _path_major_p2_pass(cb, sample, chunk or N)
         np.testing.assert_array_equal(dists, ref)
     cells = np.argmin(dists, axis=1)
     best = dists[np.arange(N), cells]
     ties = (dists == best[:, None]).sum(axis=1) > 1
-    for given in (dists, np.ascontiguousarray(dists)):  # a path-major array is strided
+    for given in (np.ascontiguousarray(dists), np.asfortranarray(dists)):  # either layout
         vor = VoronoiAssignment(cb, sample, given)
         np.testing.assert_array_equal(vor.cell_index, cells)
         np.testing.assert_array_equal(vor.best, best)
@@ -231,20 +236,16 @@ def test_atom_major_pass_matches_path_major_reference(monkeypatch, p, chunk):
     np.testing.assert_array_equal(cells[200:205], cells[:5])
 
 
-def test_wide_atom_major_p2_pass_moves_by_a_rounding_of_the_norms(rng):
-    # at n >= 12 and some N (here 13 atoms, 300 paths) OpenBLAS 0.3.31 blocks the
-    # (n, N) product apart from the (N, n) one, so a few entries move in their last
-    # bits: by at most a few ulp of the norms they cancel from, with the same cells
-    space = exp_weighted_space(1.0, 33, b=1.5, d=2)
-    sample = sample_paths(ProcessSpec("brownian"), space, 300, seed=19)
-    cb = Codebook(space=space, values=0.5 * rng.permutation(sample.values)[:13])
-    dists = pairwise_distances(cb, sample)
-    ref = _path_major_p2_pass(cb, sample, len(sample))
-    xn = _weighted_sq_norms(space, sample)
-    an = _weighted_sq_norms(space, PathSample(values=cb.values, seed=0, process_tag="atoms"))
-    np.testing.assert_array_less(np.abs(dists ** 2 - ref ** 2),
-                                 4 * np.finfo(float).eps * np.add.outer(xn, an) + 1e-300)
-    np.testing.assert_array_equal(dists.argmin(axis=1), ref.argmin(axis=1))
+@pytest.mark.parametrize("m, d, n, N", [(33, 2, 13, 300), (33, 2, 12, 250), (17, 1, 16, 1500),
+                                        (65, 1, 64, 500)])
+def test_wide_p2_pass_is_the_path_major_pass(rng, m, d, n, N):
+    # codebooks of 12 or more atoms, where BLAS blocks an (n, N) product apart from the
+    # (N, n) one: the pass takes the (N, n) product in either layout, bit for bit
+    space = exp_weighted_space(1.0, m, b=1.5, d=d)
+    sample = sample_paths(ProcessSpec("brownian"), space, N, seed=19)
+    cb = Codebook(space=space, values=0.5 * rng.permutation(sample.values)[:n])
+    np.testing.assert_array_equal(pairwise_distances(cb, sample),
+                                  _path_major_p2_pass(cb, sample, len(sample)))
 
 
 def test_assign_single_atom(unit_space, bm_sample):

@@ -55,22 +55,23 @@ def test_run_regularity_sweep(monkeypatch, capsys):
     assert lines[0].startswith("brownian  n=4   lags [dt, 8dt]  beta in [")
 
 
-def test_same_outputs(tmp_path):
+def test_same_outputs(tmp_path, monkeypatch, capsys):
     # one tree on both sides is the same; a tree whose manifest reads otherwise is not
-    script = [sys.executable, str(SCRIPTS / "same_outputs.py")]
-    tiny = ["--inputs", "1", "--n-paths", "120"]
-    done = subprocess.run(script + [str(ROOT), str(ROOT)] + tiny,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "16 files compared, 0 differences"
+    spec = importlib.util.spec_from_file_location("same_outputs", SCRIPTS / "same_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    bench = script._bench_run()
+    monkeypatch.setattr(bench, "SIZES", {name: dict(size, inputs=1, n_paths=120)
+                                         for name, size in bench.SIZES.items()})
+    monkeypatch.setattr(script, "_bench_run", lambda: bench)
+    assert script.main([str(ROOT), str(ROOT)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["16 files compared, 0 differences"]
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "src" / "fquant" / "cli.py"
     cli.write_text(cli.read_text().replace('"exit_reason": trace.exit_reason,',
                                            '"exit_reason": trace.exit_reason + "!",'))
-    done = subprocess.run(script + [str(ROOT), str(other)] + tiny,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 1, done.stdout + done.stderr
-    assert done.stdout.splitlines() == ["lloyd_bm/input0: manifest.json: differs",
-                                        "sgd_p3/input0: manifest.json: differs",
-                                        "16 files compared, 2 differences"]
+    assert script.main([str(ROOT), str(other)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["lloyd_bm/input0: manifest.json: differs",
+                                                    "sgd_p3/input0: manifest.json: differs",
+                                                    "16 files compared, 2 differences"]
