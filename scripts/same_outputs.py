@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Check that two source trees write the same `fquant quantize` outputs.
+"""Check that two source trees write the same outputs on the benchmark's ops.
 
     python scripts/same_outputs.py PARENT_TREE CHANGE_TREE [--seed S]
 
-Writes the lloyd_bm and sgd_p3 input configs with bench/run.py's make_inputs,
-runs `python -m fquant quantize` on each config once per tree, in a subprocess
-with PYTHONPATH=<tree>/src, and compares the two output directories file by
-file, byte for byte; manifest.json is compared without its `created` stamp.
+Takes the ops of the lloyd_bm, sgd_p3 and oracle_suite workloads from
+bench/run.py's make_inputs (the `fquant quantize` configs and the
+`fquant oracle --all` call), runs each op once per tree as `python -m fquant`
+in a subprocess with PYTHONPATH=<tree>/src, and compares the two output
+directories file by file, byte for byte; manifest.json is compared without
+its `created` stamp.
 Prints one line per difference and a summary, and exits 1 on any difference.
 """
 
@@ -22,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("lloyd_bm", "sgd_p3")
+WORKLOADS = ("lloyd_bm", "sgd_p3", "oracle_suite")
 
 
 def _bench_run():
@@ -34,7 +36,7 @@ def _bench_run():
     return module
 
 
-def _quantize(tree: Path, op, out: Path) -> int:
+def _run_op(tree: Path, op, out: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [str(out) if arg == str(op.out) else arg for arg in op.argv]
     done = subprocess.run([sys.executable, "-m", "fquant", *argv], env=env,
@@ -79,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             for op in bench.make_inputs(workload, args.seed, bench.SIZES[workload],
                                         work / "inputs"):
                 outs = [work / side / op.key for side in ("parent", "change")]
-                codes = [_quantize(tree, op, out) for tree, out in zip(trees, outs)]
+                codes = [_run_op(tree, op, out) for tree, out in zip(trees, outs)]
                 compared, diffs = compare(*outs)
                 if codes[0] != codes[1]:
                     diffs.append(f"exit codes {codes[0]} and {codes[1]}")

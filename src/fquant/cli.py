@@ -71,6 +71,11 @@ def _check_method(opt, p: float, r: float) -> None:
         raise ConfigError(f"[optimizer] method = {opt.method} does not run at p = {p:g}, r = {r:g}")
 
 
+def _check_atoms(cfg: ExperimentConfig) -> None:
+    if cfg.n > cfg.n_paths:  # fewer paths than atoms leaves a cell empty
+        raise ConfigError(f"[quantizer] n = {cfg.n} exceeds [sample] n_paths = {cfg.n_paths}")
+
+
 def _write_reports(out_dir: FsPath, cfg: ExperimentConfig, codebook: Codebook,
                    rep, stat, files: list[str]):
     """Write the codebook's distortion, stationarity (if any) and Hoelder reports."""
@@ -92,6 +97,7 @@ def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     space = cfg.build_space()
     opt = cfg.build_optimizer(seed)
     _check_method(opt, space.p, cfg.r)
+    _check_atoms(cfg)
     if dry_run:
         print(f"config ok: hash={cfg.config_hash} n={cfg.n} r={cfg.r} "
               f"m={space.m} d={space.d} n_paths={cfg.n_paths}")
@@ -121,6 +127,8 @@ def run_oracles(selection: list[str], out_dir: FsPath, m_sharp: int = 10) -> int
     if unknown:
         raise ConfigError(f"unknown oracle selection {sorted(unknown)}; "
                           f"known: {ORACLE_NAMES}")
+    if "sharp2" in chosen and m_sharp < 2:  # range(2, m_sharp + 1) would run no check
+        raise ConfigError(f"--m must be >= 2 for sharp2, got {m_sharp}")
     checks = []
     values = {}
     if "c0" in chosen:
@@ -189,6 +197,7 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
         raise ConfigError(f"[bounds] product of marginal sizes {sizes} exceeds n={n}")
     opt = cfg.build_optimizer(seed)
     _check_method(opt, space.p, _bounds_exponent(space, cfg.r, norm))
+    _check_atoms(cfg)
     if dry_run:
         print(f"config ok: bounds d={space.d} n={n} sizes={sizes} norm={norm}")
         return EXIT_OK
@@ -314,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("selection", nargs="*",
                    help=f"subset of {ORACLE_NAMES} (default: all)")
     o.add_argument("--all", action="store_true")
-    o.add_argument("--m", type=int, default=10, help="largest sharp-constant support")
+    o.add_argument("--m", type=int, default=10, help="largest sharp-constant support (m >= 2)")
     o.add_argument("--out", default=None)
     common(sub.add_parser("bounds", help="marginal bound sandwich (d >= 2)"))
     dg = sub.add_parser("diagnose", help="diagnostics for a saved codebook")

@@ -42,8 +42,8 @@ class OptimizerConfig:
                               f"use one of {tuple(DEFAULT_MAX_ITERS)}")
         if self.max_iters < 1:
             raise FquantError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise FquantError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise FquantError("tol must be finite and > 0")
         if self.sgd_c0 is not None and not 0 < self.sgd_c0 < np.inf:
             raise FquantError("sgd_c0 must be finite and > 0")
         if self.sgd_decay is not None and not 0 <= self.sgd_decay < np.inf:

@@ -460,13 +460,17 @@ def sup_counterexample(n_funcs: int = 12) -> SupExampleReport:
     p = default_probs(n_funcs)
 
     bumps = np.stack([bump_function_values(n, grid) for n in range(1, n_funcs + 1)])
-    h = step_function_values(grid)
-    sup_dists = np.abs(bumps - h[None, :]).max(axis=1)
+    scratch = np.empty_like(bumps)  # every |f_n - g| goes through this one buffer
+
+    def sup_dists_to(g: np.ndarray) -> np.ndarray:
+        np.subtract(bumps, g, out=scratch)
+        return np.abs(scratch, out=scratch).max(axis=1)
+
+    sup_dists = sup_dists_to(step_function_values(grid))
     value_at_h = float(p @ sup_dists)
     lr_values = {r: float((p @ sup_dists ** r) ** (1.0 / r)) for r in (1.0, 2.0, 4.0)}
 
-    best_probe = min(float(p @ np.abs(bumps - np.polyval(coeffs, grid)[None, :]).max(axis=1))
-                     for coeffs in PROBE_POLYS)
+    best_probe = min(float(p @ sup_dists_to(np.polyval(coeffs, grid))) for coeffs in PROBE_POLYS)
 
     checks = [
         OracleCheck("supnorm.bump_distances_to_h",

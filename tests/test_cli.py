@@ -1,6 +1,7 @@
 import json
+import re
 
-
+import numpy as np
 import pytest
 
 import fquant
@@ -316,6 +317,26 @@ def test_oracle_all_lp_values_certified(tmp_path, capsys):
     assert manifest["all_passed"]
 
 
+@pytest.mark.parametrize("argv", [["sharp2", "--m", "1"], ["sharp2", "--m", "0"],
+                                  ["sharp2", "--m", "-3"], ["--all", "--m", "1"],
+                                  ["c0", "sharp2", "--m", "1"]])
+def test_oracle_sharp2_without_support_exit_2(tmp_path, capsys, argv):
+    # sharp2 checks m = 2..--m; below 2 it would pass with no check at all
+    out = tmp_path / "oracle"
+    assert main(["oracle", *argv, "--out", str(out)]) == 2
+    assert [f.name for f in out.iterdir()] == ["error.json"]
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "oracle"
+    assert record["message"] == f"--m must be >= 2 for sharp2, got {argv[-1]}"
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_oracle_m_unused_without_sharp2(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert main(["oracle", "c0", "--m", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "oracle_manifest.json").read_text())["all_passed"]
+
+
 def test_oracle_unknown_selection(tmp_path, capsys):
     rc = main(["oracle", "riemann", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -427,8 +448,9 @@ D2 = {"\nd = 1\n": "\nd = 2\n"}
     ({"kind = brownian": "kind = gamma\na = 1.0", **D2}, "[process]"),
     ({"kind = brownian": "kind = compound_poisson\nlam = 2.0", **D2}, "[process]"),
     ({"kind = brownian": "kind = stable_levy\nrho = 1.5", **D2}, "[process]"),
+    ({"tol = 1e-10": "tol = 1e400"}, "[optimizer] tol must be finite and > 0"),
 ], ids=["lloyd_p3_r3", "lloyd_r1.5", "p1_no_method", "sgd_p1", "gamma_d2",
-        "compound_poisson_d2", "stable_levy_d2"])
+        "compound_poisson_d2", "stable_levy_d2", "tol_inf"])
 def test_config_that_cannot_run_exit_2(tmp_path, capsys, edits, section, dry_run):
     # rejected before anything is sampled, by the rules the run itself applies
     path = tmp_path / "bad.cfg"
@@ -440,6 +462,35 @@ def test_config_that_cannot_run_exit_2(tmp_path, capsys, edits, section, dry_run
     assert [f.name for f in out.iterdir()] == ["error.json"]
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ConfigError" and record["message"].startswith(section)
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+@pytest.mark.parametrize("command, text", [("quantize", BM_CFG), ("bounds", BOUNDS_CFG)],
+                         ids=["quantize", "bounds"])
+def test_more_atoms_than_paths_exit_2(tmp_path, capsys, command, text, dry_run):
+    # n = 4 atoms on 3 paths would leave a cell empty
+    path = tmp_path / "bad.cfg"
+    path.write_text(re.sub(r"n_paths = \d+", "n_paths = 3", text))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)] + ["--dry-run"] * dry_run
+    assert main(argv) == 2
+    assert "config ok" not in capsys.readouterr().out
+    assert [f.name for f in out.iterdir()] == ["error.json"]
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == command
+    assert record["message"] == "[quantizer] n = 4 exceeds [sample] n_paths = 3"
+
+
+def test_diagnose_takes_more_atoms_than_paths(tmp_path, capsys):
+    # diagnose scores a saved codebook; [quantizer] n does not size it
+    path = tmp_path / "few.cfg"
+    path.write_text(BM_CFG.replace("n_paths = 1500", "n_paths = 3"))
+    space = load_config(str(path)).build_space()
+    saved = tmp_path / "cb.bin"
+    saved.write_bytes(Codebook(space=space, values=np.arange(4.0)[:, None, None] + np.zeros(space.shape)).to_binary())
+    assert main(["diagnose", "--config", str(path), "--codebook", str(saved),
+                 "--out", str(tmp_path / "d"), "--dry-run"]) == 0
+    assert "config ok: diagnose 4 atoms" in capsys.readouterr().out
 
 
 def test_diagnose_runs_at_p1(bm_config, tmp_path, capsys):

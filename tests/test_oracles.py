@@ -115,6 +115,35 @@ def test_sup_counterexample_all_checks_pass():
     assert set(rep.lr_values) == {1.0, 2.0, 4.0}
 
 
+def test_sup_counterexample_matches_direct_sup_norms():
+    # the scratch-buffer distances equal the direct |f_n - g| maxima bit for bit
+    n_funcs = 12
+    rep = sup_counterexample(n_funcs)
+    grid = sup_example_grid(n_funcs)
+    p = default_probs(n_funcs)
+    bumps = np.stack([bump_function_values(n, grid) for n in range(1, n_funcs + 1)])
+    direct = np.abs(bumps - step_function_values(grid)[None, :]).max(axis=1)
+    assert np.array_equal(rep.sup_dists, direct)
+    best = min(float(p @ np.abs(bumps - np.polyval(c, grid)[None, :]).max(axis=1))
+               for c in oracles.PROBE_POLYS)
+    assert rep.best_probe == best
+
+
+def test_sup_counterexample_peak_memory_near_two_bump_arrays():
+    # the bumps plus one scratch buffer; a fresh (n_funcs, m) temporary per
+    # distance would push the peak past three bump arrays
+    import tracemalloc
+    n_funcs = 12
+    bump_bytes = n_funcs * len(sup_example_grid(n_funcs)) * 8
+    tracemalloc.start()
+    try:
+        sup_counterexample(n_funcs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * bump_bytes, peak / bump_bytes
+
+
 @pytest.mark.parametrize("n_funcs", [0, 1, 2])
 def test_sup_counterexample_needs_three_bumps(n_funcs):
     with pytest.raises(OracleError, match=f"n_funcs >= 3, got {n_funcs}"):

@@ -65,7 +65,7 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                          for name, size in bench.SIZES.items()})
     monkeypatch.setattr(script, "_bench_run", lambda: bench)
     assert script.main([str(ROOT), str(ROOT)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["16 files compared, 0 differences"]
+    assert capsys.readouterr().out.splitlines() == ["17 files compared, 0 differences"]
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "src" / "fquant" / "cli.py"
@@ -74,4 +74,4 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
     assert script.main([str(ROOT), str(other)]) == 1
     assert capsys.readouterr().out.splitlines() == ["lloyd_bm/input0: manifest.json: differs",
                                                     "sgd_p3/input0: manifest.json: differs",
-                                                    "16 files compared, 2 differences"]
+                                                    "17 files compared, 2 differences"]
