@@ -189,9 +189,7 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
         raise ConfigError(f"[bounds] marginal_sizes must be integers >= 1, got {sizes}")
     if len(sizes) != space.d:
         raise ConfigError(f"[bounds] marginal_sizes needs {space.d} entries, got {sizes}")
-    norm = str(cfg.bounds.get("norm", "lp"))
-    if norm not in ("lp", "sup"):
-        raise ConfigError(f"[bounds] norm must be 'lp' or 'sup', got {norm!r}")
+    norm = str(cfg.bounds.get("norm", "lp"))  # lp or sup, checked by load_config
     n = cfg.n
     if int(np.prod(sizes)) > n:
         raise ConfigError(f"[bounds] product of marginal sizes {sizes} exceeds n={n}")

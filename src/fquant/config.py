@@ -216,6 +216,8 @@ class ExperimentConfig:
             raise ConfigError(f"[quantizer] n must be >= 1, got {self.n}")
         if self.n_paths < 1:
             raise ConfigError("[sample] n_paths must be >= 1")
+        if (norm := str(self.bounds.get("norm", "lp"))) not in ("lp", "sup"):  # read by bounds
+            raise ConfigError(f"[bounds] norm must be 'lp' or 'sup', got {norm!r}")
         space = self.build_space()
         kind = self.build_process_spec().kind
         if _KIND_TABLE[kind].d1_only and space.d != 1:

@@ -6,6 +6,7 @@ The first-order condition behind the stationarity residual and the distortion
 differential is one kernel: per row chunk of the sample, |a_i - x|^(p-1) sign(a_i - x)
 is summed into each path's cell by a one-hot product weighted by ||x - a_i||^(r-p)
 (0 for a path equal to its atom), so its scratch follows the chunk budget, not N.
+pass_scores gives SGD the distortion value and max residual alone, not the reports.
 
 All analyses are read-only; degenerate inputs produce flags in the reports
 rather than exceptions.
@@ -103,30 +104,35 @@ def distortion_and_stationarity(codebook: Codebook, sample: PathSample, r: float
     return vor.distortion(r), stat
 
 
-def _stationarity_from(vor: VoronoiAssignment, r: float) -> StationarityReport:
-    """stationarity_residual from the codebook's distance pass."""
+def _residuals(vor: VoronoiAssignment, r: float) -> np.ndarray:
+    """(n, d) residuals of stationarity_residual from the codebook's distance pass."""
     space = vor.codebook.space
     p = space.p
     if not p <= r < np.inf:
         raise FquantError(f"stationarity condition needs p <= r < inf, got r={r}, p={p}")
-    cell_masses = vor.cell_masses()
-    atom_hits = vor.cell_sums(vor.best == 0.0) / len(vor.dists)
-
     means = _integrand_means(vor, r)
     if p == 1.0:
-        residuals = np.abs(means).max(axis=2)
-    else:
-        q = p / (p - 1.0)
-        residuals = ((np.abs(means) ** q) @ space.weights) ** (1.0 / q)
+        return np.abs(means).max(axis=2)
+    q = p / (p - 1.0)
+    return ((np.abs(means) ** q) @ space.weights) ** (1.0 / q)
 
+
+def pass_scores(codebook: Codebook, sample: PathSample, r: float) -> tuple:
+    """(pass, distortion value, max residual, nan where r < p) from one pass, without reports."""
+    vor = assign(codebook, sample)
+    residual = float(_residuals(vor, r).max()) if r >= codebook.space.p else float("nan")
+    return vor, vor.distortion_value(r), residual
+
+
+def _stationarity_from(vor: VoronoiAssignment, r: float) -> StationarityReport:
+    """stationarity_residual from the codebook's distance pass."""
+    residuals = _residuals(vor, r)
+    cell_masses = vor.cell_masses()
+    atom_hits = vor.cell_sums(vor.best == 0.0) / len(vor.dists)
     admissible = bool(np.all(cell_masses > 0) and vor.tie_mass <= 1e-3)
-    return StationarityReport(residuals=residuals,
-                              max_residual=float(residuals.max()),
-                              cell_masses=cell_masses,
-                              tie_mass=vor.tie_mass,
-                              atom_hit_mass=atom_hits,
-                              admissible=admissible,
-                              r=float(r))
+    return StationarityReport(residuals=residuals, max_residual=float(residuals.max()),
+                              cell_masses=cell_masses, tie_mass=vor.tie_mass,
+                              atom_hit_mass=atom_hits, admissible=admissible, r=float(r))
 
 
 @dataclass(frozen=True)

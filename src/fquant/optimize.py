@@ -6,19 +6,21 @@ Where each method runs is written only in ``_runs_at``, and each method's
 default iteration budget only in ``DEFAULT_MAX_ITERS``.  Empty cells are
 treated as bad iterates, not valid states: before each centroid update the
 atom of an empty cell is re-split from the cell carrying the largest
-distortion share.
+distortion share.  Iterates are scored by distortion value alone (SGD's also by
+the max residual its tol test reads); a run builds its reports once, from its final
+pass, the stationarity one on first read, so splitting stages compute no residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .diagnostics import (StationarityReport, _integrand_means, _stationarity_from,
-                          distortion_and_stationarity)
+from .diagnostics import StationarityReport, _integrand_means, _stationarity_from, pass_scores
 from .errors import DivergenceError, FquantError, OptimizeError
-from .path_space import DiscretePathSpace, PathSample, _lp_norms
+from .path_space import DiscretePathSpace, PathSample
 from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _weighted_sq_norms,
                             assign, distortion, pairwise_distances)
 from .rng import derive_rng
@@ -56,8 +58,21 @@ class OptimizeTrace:
     iterations: int = 0
     empty_cell_events: list[tuple[int, int]] = field(default_factory=list)
     exit_reason: str = ""
-    final_distortion: DistortionReport | None = None      # of the last codebook scored
-    final_stationarity: StationarityReport | None = None  # None where r < p
+    final_distortion: DistortionReport | None = None  # of the last codebook scored
+    _final_pass: VoronoiAssignment | None = field(default=None, repr=False, compare=False)
+
+    def _end(self, reason: str, vor: VoronoiAssignment | None, r: float) -> None:
+        """Record the exit; build the report of the last scored pass, if any, and keep it."""
+        self.exit_reason = reason
+        if vor is not None:
+            self.final_distortion, self._final_pass = vor.distortion(r), vor
+
+    @cached_property
+    def final_stationarity(self) -> StationarityReport | None:
+        """The last scored codebook's, from its kept pass on first read; None where r < p."""
+        vor, rep = self._final_pass, self.final_distortion
+        if vor is not None and rep.r >= vor.codebook.space.p:
+            return _stationarity_from(vor, rep.r)
 
     @property
     def exit_residual(self) -> float:
@@ -142,35 +157,28 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
               r: float = 2.0) -> tuple[Codebook, OptimizeTrace]:
     """Iterate lloyd_step until the relative distortion improvement drops below tol.
 
-    One distance pass per moving iteration: the pass scoring the new codebook is the next
-    step's assignment and, at exit, the residual's.  Sample norms are taken once.
+    One distance pass per moving iteration, scored by its distortion value alone, is the
+    next step's assignment and, at exit, the reports'.  Sample norms are taken once.
     """
-    trace = OptimizeTrace()
+    trace, reason = OptimizeTrace(), "max_iters"
     sq = _weighted_sq_norms(init.space, sample)
     vor = VoronoiAssignment(init, sample, pairwise_distances(init, sample, sample_sq=sq))
-    trace.final_distortion = vor.distortion(r)
-    prev = trace.final_distortion.value
-    trace.distortions.append(prev)
+    cur = vor.distortion_value(r)
+    trace.distortions.append(cur)
     for k in range(config.max_iters):
+        prev = cur
         nxt = lloyd_step(vor.codebook, sample, r, _events=trace.empty_cell_events,
                          _iteration=k, _pass=vor)
         unchanged = np.array_equal(nxt.values, vor.codebook.values)
         if not unchanged:  # a fixed point keeps its pass and its score
             vor = VoronoiAssignment(nxt, sample, pairwise_distances(nxt, sample, sample_sq=sq))
-            trace.final_distortion = vor.distortion(r)
-        cur = trace.final_distortion.value
+            cur = vor.distortion_value(r)
         trace.distortions.append(cur)
         trace.iterations = k + 1
-        if unchanged:
-            trace.exit_reason = "fixed_point"
+        if unchanged or abs(prev - cur) <= config.tol * max(prev, 1e-300):
+            reason = "fixed_point" if unchanged else "tol"
             break
-        if abs(prev - cur) <= config.tol * max(prev, 1e-300):
-            trace.exit_reason = "tol"
-            break
-        prev = cur
-    else:
-        trace.exit_reason = "max_iters"
-    trace.final_stationarity = _stationarity_from(vor, r)
+    trace._end(reason, vor, r)
     return vor.codebook, trace
 
 
@@ -181,8 +189,8 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     Each iteration draws one path x, finds its nearest atom a_i and moves that
     atom by -step_k * r ||x - a_i||^(r-1) grad||.||_p(a_i - x), using the dual
     element's grid values as the update direction.  Exits on max_iters or when
-    the stationarity residual (checked periodically) drops below tol.  Each
-    check scores the distortion and the residual from one distance pass.
+    the max stationarity residual (checked periodically) drops below tol.  Each
+    check takes only it and the distortion value from one distance pass.
     """
     space = init.space
     if not _runs_at("sgd", space.p, r):
@@ -192,8 +200,8 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     values = init.values.copy()
     trace = OptimizeTrace()
 
-    vor = assign(init, sample)
-    d0 = vor.distortion(r).value
+    vor, last = assign(init, sample), None  # last: the last accepted evaluation's pass
+    d0 = vor.distortion_value(r)
     trace.distortions.append(d0)
     scale = d0 ** (1.0 / r) if d0 > 0 else 1.0
     if r == 1.0 and np.any(vor.best == 0.0):
@@ -203,34 +211,34 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     eval_every = max(1, config.max_iters // 25)
     draws = rng.integers(len(sample), size=config.max_iters)  # same stream as one per step
     steps = c0 / (1.0 + decay * np.arange(config.max_iters))
-    diff = np.empty_like(values)
+    diff, absd, w = np.empty_like(values), np.empty_like(values), space.weights
     for k in range(config.max_iters):
         np.subtract(values, sample.values[draws[k]], out=diff)
-        dist_all = _lp_norms(space, diff)
+        np.abs(diff, out=absd)  # |x - a|, for the norm and for the gradient
+        dist_all = np.add.reduce(absd ** p @ w, axis=-1) ** (1.0 / p)  # as lp_norm_values
         i = dist_all.argmin()
         dist = dist_all[i]
         if dist > 0.0:
-            g = diff[i]
-            grad = (np.abs(g) / dist) ** (p - 1.0) * np.sign(g)
+            grad = (absd[i] / dist) ** (p - 1.0) * np.sign(diff[i])
             values[i] -= steps[k] * r * dist ** (r - 1.0) * grad
         if (k + 1) % eval_every == 0 or k + 1 == config.max_iters:
             trace.iterations = k + 1
             if not np.all(np.isfinite(values)):
-                trace.exit_reason = "diverged"
+                trace._end("diverged", last, r)
                 raise DivergenceError(f"non-finite atoms at iteration {k + 1}", trace=trace)
             cb = Codebook(space=space, values=values.copy())  # frozen: values keeps moving
-            rep, stat = distortion_and_stationarity(cb, sample, r)
-            trace.distortions.append(rep.value)
-            if rep.value > 10.0 * d0:
-                trace.exit_reason = "diverged"
+            vor, value, residual = pass_scores(cb, sample, r)
+            trace.distortions.append(value)
+            if value > 10.0 * d0:
+                trace._end("diverged", last, r)
                 raise DivergenceError(
-                    f"distortion {rep.value:.6g} exceeded 10x initial {d0:.6g}", trace=trace)
-            trace.final_distortion, trace.final_stationarity = rep, stat
-            if trace.exit_residual < config.tol:
-                trace.exit_reason = "tol"
+                    f"distortion {value:.6g} exceeded 10x initial {d0:.6g}", trace=trace)
+            last = vor
+            if residual < config.tol:
+                trace._end("tol", vor, r)
                 return cb, trace
-    # the last iteration is always checked, so cb and its residual are current
-    trace.exit_reason = "max_iters"
+    # the last iteration is always checked, so cb and its pass are current
+    trace._end("max_iters", vor, r)
     return cb, trace
 
 

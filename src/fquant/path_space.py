@@ -200,11 +200,6 @@ def lp_norm_values(space: DiscretePathSpace, values: np.ndarray) -> np.ndarray:
     _check_shape(space, values)
     if space.p == np.inf:
         return np.abs(values).max(axis=(-2, -1))
-    return _lp_norms(space, values)
-
-
-def _lp_norms(space: DiscretePathSpace, values: np.ndarray) -> np.ndarray:
-    """lp_norm_values without the shape check, for per-step loops."""
     acc = np.abs(values) ** space.p @ space.weights
     return np.add.reduce(acc, axis=-1) ** (1.0 / space.p)
 

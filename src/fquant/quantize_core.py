@@ -11,6 +11,7 @@ powering at integral p (p = 3: a square and a multiply), or at p = inf, the grid
 sup norm, by its max.  The buffer has a row per atom, or per path at p = 2 past
 _ATOM_ROWS_MAX atoms.  Every consumer reads a pass, with its codebook and sample,
 through one VoronoiAssignment, whose reductions over atoms run along those rows.
+Optimizers score a pass by distortion_value: the report's value, without the report.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
             def power_sum(buf, out):  # buf ** p by left-to-right binary powering, then @ wf
                 res = buf
                 for bit in bin(int(p))[3:]:
-                    res = np.multiply(res, res, out=out)
+                    res = np.square(res, out=out)
                     if bit == "1":
                         np.multiply(res, buf, out=out)
                 return res @ wf
@@ -208,14 +209,19 @@ class VoronoiAssignment:
     def tie_mass(self) -> float:
         return float(self.tie_flags.mean())
 
-    def distortion(self, r: float) -> "DistortionReport":
-        """Empirical mean of min_i ||x - a_i||^r over this pass, decomposed over its cells."""
+    def _cell_distortion(self, r: float) -> np.ndarray:
         if not 0 < r < np.inf:
             raise FquantError(f"distortion order r must be finite and > 0, got {r}")
-        N = len(self.dists)
-        contrib = self.best ** r
-        per_cell = self.cell_sums(contrib) / N
-        stderr = float(contrib.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+        return self.cell_sums(self.best ** r) / len(self.dists)
+
+    def distortion_value(self, r: float) -> float:
+        """distortion(r).value, without the rest of the report: an optimizer's score."""
+        return float(self._cell_distortion(r).sum())
+
+    def distortion(self, r: float) -> "DistortionReport":
+        """Empirical mean of min_i ||x - a_i||^r over this pass, decomposed over its cells."""
+        per_cell, N = self._cell_distortion(r), len(self.dists)
+        stderr = float((self.best ** r).std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
         return DistortionReport(value=float(per_cell.sum()), per_cell_mass=self.cell_masses(),
                                 per_cell_distortion=per_cell, stderr=stderr, r=float(r))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fquant
-from fquant import Codebook, distortion, sample_paths, stationarity_residual
+from fquant import Codebook, diagnostics, distortion, sample_paths, stationarity_residual
 from fquant.cli import main
 from fquant.config import load_config, parse_config_text
 from fquant.errors import ConfigError
@@ -479,6 +479,45 @@ def test_more_atoms_than_paths_exit_2(tmp_path, capsys, command, text, dry_run):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ConfigError" and record["stage"] == command
     assert record["message"] == "[quantizer] n = 4 exceeds [sample] n_paths = 3"
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+@pytest.mark.parametrize("command, text", [("quantize", BM_CFG + "[bounds]\nnorm = lp\n"),
+                                           ("bounds", BOUNDS_CFG)], ids=["quantize", "bounds"])
+def test_unknown_bounds_norm_exit_2(tmp_path, capsys, command, text, dry_run):
+    # [bounds] norm is checked once, at load, so quantize refuses it as bounds does
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace("norm = lp", "norm = foo"))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)] + ["--dry-run"] * dry_run
+    assert main(argv) == 2
+    assert "config ok" not in capsys.readouterr().out
+    assert [f.name for f in out.iterdir()] == ["error.json"]
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"] == "[bounds] norm must be 'lp' or 'sup', got 'foo'"
+
+
+@pytest.mark.parametrize("norm, config_hash", [("lp", "4ca9c4f52b6a5423"),
+                                               ("sup", "bf9e49ef632a325c")])
+def test_bounds_norm_keeps_config_hash(tmp_path, norm, config_hash):
+    path = tmp_path / "b.cfg"
+    path.write_text(BOUNDS_CFG.replace("norm = lp", f"norm = {norm}"))
+    assert load_config(str(path)).config_hash == config_hash
+
+
+def test_quantize_runs_the_stationarity_kernel_once(bm_config, tmp_path, monkeypatch):
+    # Lloyd's splitting stages build no residual; the final report and trace.csv share one
+    calls = []
+    means = diagnostics._integrand_means
+    monkeypatch.setattr(diagnostics, "_integrand_means",
+                        lambda vor, r: calls.append(vor.codebook) or means(vor, r))
+    out = tmp_path / "q"
+    assert main(["quantize", "--config", str(bm_config), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    space = load_config(str(bm_config)).build_space()
+    saved = Codebook.from_binary((out / "codebook.bin").read_bytes(), space)
+    np.testing.assert_array_equal(calls[0].values, saved.values)
 
 
 def test_diagnose_takes_more_atoms_than_paths(tmp_path, capsys):

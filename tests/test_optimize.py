@@ -5,7 +5,7 @@ from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
                     distortion, distortion_differential, dual_pairing,
                     lloyd_run, lloyd_step, product_quantizer, quant_error,
                     sample_paths, sgd_run, splitting_init, uniform_space)
-from fquant import optimize, quantize_core, stationarity_residual
+from fquant import diagnostics, optimize, quantize_core, stationarity_residual
 from fquant.diagnostics import distortion_and_stationarity
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
@@ -302,8 +302,8 @@ def test_sgd_evaluation_codebooks_are_frozen(bm_sample, monkeypatch):
         seen.append((codebook, codebook.values.copy()))
         return score(codebook, sample, r)
 
-    score = optimize.distortion_and_stationarity
-    monkeypatch.setattr(optimize, "distortion_and_stationarity", recorded)
+    score = optimize.pass_scores
+    monkeypatch.setattr(optimize, "pass_scores", recorded)
     cfg = OptimizerConfig(method="sgd", max_iters=100, tol=1e-30, seed=3, sgd_c0=0.01)
     init = Codebook(space=space, values=bm_sample.values[:3].copy())
     cb, _ = sgd_run(cfg, init, bm_sample, r=3.0)
@@ -501,6 +501,67 @@ def test_optimizer_trace_carries_final_reports(unit_space, bm_sample):
         assert (trace.final_stationarity.to_json()
                 == stationarity_residual(cb, bm_sample, 3.0).to_json())
         assert trace.distortions[-1] == trace.final_distortion.value
+
+
+@pytest.mark.parametrize("method, p, r, kwargs, reason", [
+    ("lloyd", 2.0, 2.0, dict(max_iters=200, tol=1e-12), "fixed_point"),
+    ("lloyd", 2.0, 3.0, dict(max_iters=200, tol=1e-3), "tol"),
+    ("lloyd", 2.0, 2.0, dict(max_iters=2, tol=1e-12), "max_iters"),
+    ("sgd", 3.0, 3.0, dict(max_iters=100, tol=1e3, seed=3, sgd_c0=0.01), "tol"),
+    ("sgd", 3.0, 3.0, dict(max_iters=100, tol=1e-30, seed=3, sgd_c0=0.01), "max_iters"),
+    ("sgd", 3.0, 2.0, dict(max_iters=100, tol=1e-30, seed=3, sgd_c0=0.01), "max_iters"),
+], ids=["lloyd_fixed_point", "lloyd_tol", "lloyd_max_iters", "sgd_tol", "sgd_max_iters",
+        "sgd_r_below_p"])
+def test_trace_reports_are_the_eager_reports(bm_sample, method, p, r, kwargs, reason):
+    # iterates are scored by value; the reports built at exit equal the public functions'
+    space = uniform_space(1.0, bm_sample.m, p=p)
+    init = (constant_codebook(space, [-0.8, 0.0, 0.8]) if method == "lloyd"
+            else Codebook(space=space, values=bm_sample.values[:3].copy()))
+    cfg = OptimizerConfig(method=method, **kwargs)
+    cb, trace = optimize.optimize_codebook(cfg, init, bm_sample, r)
+    assert trace.exit_reason == reason
+    rep, stat = distortion_and_stationarity(cb, bm_sample, r)
+    assert trace.final_distortion.to_json() == rep.to_json()
+    assert trace.distortions[-1] == rep.value
+    if r < p:
+        assert stat is None and trace.final_stationarity is None
+    else:
+        assert trace.final_stationarity.to_json() == stat.to_json()
+        assert trace.exit_residual == stat.max_residual
+
+
+def test_sgd_divergence_trace_carries_last_accepted_reports(bm_sample, monkeypatch):
+    # the third evaluation reads as diverged; the trace keeps the second one's reports
+    space = uniform_space(1.0, bm_sample.m, p=3.0)
+    seen = []
+
+    def third_blows_up(codebook, sample, r):
+        seen.append(codebook)
+        vor, value, residual = score(codebook, sample, r)
+        return vor, (value if len(seen) < 3 else 1e300), residual
+
+    score = optimize.pass_scores
+    monkeypatch.setattr(optimize, "pass_scores", third_blows_up)
+    cfg = OptimizerConfig(method="sgd", max_iters=100, tol=1e-30, seed=3, sgd_c0=0.01)
+    init = Codebook(space=space, values=bm_sample.values[:3].copy())
+    with pytest.raises(DivergenceError) as err:
+        sgd_run(cfg, init, bm_sample, r=3.0)
+    trace = err.value.trace
+    assert trace.exit_reason == "diverged" and len(seen) == 3
+    assert trace.distortions[-1] == 1e300 and len(trace.distortions) == 4
+    rep, stat = distortion_and_stationarity(seen[1], bm_sample, 3.0)
+    assert trace.final_distortion.to_json() == rep.to_json()
+    assert trace.final_stationarity.to_json() == stat.to_json()
+
+
+def test_lloyd_splitting_init_takes_no_residual(unit_space, bm_sample, monkeypatch):
+    # splitting stages read only the distortion report: no stationarity kernel runs
+    calls = []
+    means = diagnostics._integrand_means
+    monkeypatch.setattr(diagnostics, "_integrand_means",
+                        lambda vor, r: calls.append(vor) or means(vor, r))
+    stages = splitting_init(bm_sample, unit_space, 5, 2.0, seed=1, return_stages=True)
+    assert len(stages) == 5 and calls == []
 
 
 def test_product_quantizer_identity_and_sizes(unit_space, rng):

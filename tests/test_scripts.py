@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fquant import ProcessSpec
+from fquant import Codebook, ProcessSpec
 from fquant.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,3 +75,50 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == ["lloyd_bm/input0: manifest.json: differs",
                                                     "sgd_p3/input0: manifest.json: differs",
                                                     "17 files compared, 2 differences"]
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_ab_inprocess_packages_share_no_module(tmp_path, monkeypatch):
+    script = _script("ab_inprocess")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    clis = [script.load_tree(ROOT, f"fquant_ab_{side}", tmp_path) for side in script.SIDES]
+    try:
+        loaded = [{n.partition(".")[2]: m for n, m in sys.modules.items()
+                   if n.startswith(f"fquant_ab_{side}.")} for side in script.SIDES]
+        assert loaded[0].keys() == loaded[1].keys() >= {"cli", "optimize", "quantize_core"}
+        assert not {id(m) for m in loaded[0].values()} & {id(m) for m in loaded[1].values()}
+        ours = {id(m) for n, m in sys.modules.items() if n.startswith("fquant.")}
+        assert ours and not {id(m) for side in loaded for m in side.values()} & ours
+        assert clis[0].optimize_codebook is not clis[1].optimize_codebook
+        assert clis[0].Codebook is not clis[1].Codebook is not Codebook
+    finally:
+        for name in [n for n in sys.modules if n.startswith("fquant_ab_")]:
+            del sys.modules[name]
+
+
+def test_ab_inprocess_sees_an_injected_delay(tmp_path, monkeypatch, capsys):
+    # a copy whose optimizer sleeps 5 ms per call is slower in every pair, with the same outputs
+    script = _script("ab_inprocess")
+    bench = script._bench_run()
+    monkeypatch.setattr(bench, "SIZES", {name: dict(size, inputs=2, n_paths=120)
+                                         for name, size in bench.SIZES.items()})
+    monkeypatch.setattr(script, "_bench_run", lambda: bench)
+    monkeypatch.setattr(script, "PAIRS_MIN", 4)
+    slow = tmp_path / "slow"
+    shutil.copytree(ROOT / "src", slow / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    optimize = slow / "src" / "fquant" / "optimize.py"
+    head = '    if config.method == "lloyd":\n        return lloyd_run('
+    assert head in optimize.read_text()
+    optimize.write_text(optimize.read_text().replace(
+        head, '    __import__("time").sleep(0.005)\n' + head))
+    assert script.main([str(ROOT), str(slow), "--workload", "lloyd_bm", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and "change faster in 0 of 4 pairs" in lines[0]
+    assert lines[1] == "outputs: 16 files compared, 0 differences"
+    assert not [n for n in sys.modules if n.startswith("fquant_ab_")]
