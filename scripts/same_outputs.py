@@ -3,12 +3,14 @@
 
     python scripts/same_outputs.py PARENT_TREE CHANGE_TREE [--seed S]
 
-Takes the ops of the lloyd_bm, sgd_p3 and oracle_suite workloads from
+Runs `python -m fquant` once per tree in a subprocess with
+PYTHONPATH=<tree>/src.  First it compares the exit code and stdout of
+`--print-schema` and of `quantize --dry-run` (whose line carries the
+config_hash) on each scripts/configs/*.cfg, each counted as one file.  Then it
+takes the ops of the lloyd_bm, sgd_p3 and oracle_suite workloads from
 bench/run.py's make_inputs (the `fquant quantize` configs and the
-`fquant oracle --all` call), runs each op once per tree as `python -m fquant`
-in a subprocess with PYTHONPATH=<tree>/src, and compares the two output
-directories file by file, byte for byte; manifest.json is compared without
-its `created` stamp.
+`fquant oracle --all` call) and compares the two output directories file by
+file, byte for byte; manifest.json is compared without its `created` stamp.
 Prints one line per difference and a summary, and exits 1 on any difference.
 """
 
@@ -36,12 +38,25 @@ def _bench_run():
     return module
 
 
-def _run_op(tree: Path, op, out: Path) -> int:
+def _fquant(tree: Path, argv: list[str]) -> tuple[int, bytes]:
+    """Exit code and stdout of `python -m fquant *argv` run from tree/src."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [str(out) if arg == str(op.out) else arg for arg in op.argv]
     done = subprocess.run([sys.executable, "-m", "fquant", *argv], env=env,
                           capture_output=True, timeout=600)
-    return done.returncode
+    return done.returncode, done.stdout
+
+
+def _run_op(tree: Path, op, out: Path) -> int:
+    return _fquant(tree, [str(out) if arg == str(op.out) else arg for arg in op.argv])[0]
+
+
+def _cli_checks() -> list[tuple[str, list[str]]]:
+    """(label, argv) of the commands whose stdout is compared: the schema, and the
+    quantize --dry-run line of each shipped config."""
+    configs = sorted((ROOT / "scripts" / "configs").glob("*.cfg"))
+    return [("--print-schema", ["--print-schema"])] + [
+        (f"quantize --dry-run {cfg.name}", ["quantize", "--config", str(cfg), "--dry-run"])
+        for cfg in configs]
 
 
 def _content(path: Path):
@@ -75,6 +90,11 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"no src/fquant under {tree}")
     bench = _bench_run()
     n_files, n_diffs = 0, 0
+    for label, cli_argv in _cli_checks():
+        n_files += 1
+        if _fquant(trees[0], cli_argv) != _fquant(trees[1], cli_argv):
+            n_diffs += 1
+            print(f"cli/{label}: differs")
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for workload in WORKLOADS:
             work = Path(tmp) / workload

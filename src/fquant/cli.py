@@ -182,14 +182,10 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     space = cfg.build_space()
     if space.d < 2:
         raise ConfigError("bounds requires d >= 2 in [space]")
-    sizes = cfg.bounds.get("marginal_sizes", [2] * space.d)
-    if not isinstance(sizes, list):
-        sizes = [sizes]
-    if not all(type(s) is int and s >= 1 for s in sizes):
-        raise ConfigError(f"[bounds] marginal_sizes must be integers >= 1, got {sizes}")
+    sizes = cfg.values["bounds"].get("marginal_sizes", [2] * space.d)
+    norm = cfg.values["bounds"]["norm"]
     if len(sizes) != space.d:
         raise ConfigError(f"[bounds] marginal_sizes needs {space.d} entries, got {sizes}")
-    norm = str(cfg.bounds.get("norm", "lp"))  # lp or sup, checked by load_config
     n = cfg.n
     if int(np.prod(sizes)) > n:
         raise ConfigError(f"[bounds] product of marginal sizes {sizes} exceeds n={n}")
@@ -353,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
                                out_dir, m_sharp=args.m)
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
-        stage, out_dir = args.command, out_dir or FsPath(str(cfg.output.get("dir") or "out"))
+        stage, out_dir = args.command, out_dir or FsPath(cfg.values["output"]["dir"])
         if args.command == "quantize":
             return run_quantize(cfg, seed, out_dir, dry_run=args.dry_run)
         if args.command == "bounds":

@@ -2,16 +2,19 @@
 
 Format: ``[section]`` headers followed by ``key = value`` lines; ``#`` starts
 a comment; values are strings (optionally quoted), numbers, booleans, or
-comma-separated lists of those.  ``SCHEMA`` documents every recognized key,
-and ``load_config`` rejects any key it does not list.
+comma-separated lists of those.  ``SCHEMA`` lists every recognized key, and each
+key's example there gives its type (a real has a decimal point, an integer none,
+a list commas) and, for all but the ``_UNSET`` keys, its default.  ``load_config``
+rejects any key that ``SCHEMA`` does not list, converts and checks each key it
+reads once, then builds the space, the process and the optimizer to validate them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, FquantError
 from .optimize import DEFAULT_MAX_ITERS, OptimizerConfig, default_config_for
 from .path_space import DiscretePathSpace, exp_weighted_space, uniform_space
 from .process_sim import _KIND_TABLE, KINDS, ProcessSpec
@@ -112,121 +115,111 @@ def parse_config_text(text: str) -> dict:
     return sections
 
 
-def _convert(kind, section: str, key: str, value):
-    try:  # no truncation of 2.7 or 2.0 to an integer; true is neither 1 nor 1.0
-        if isinstance(value, bool) or (kind is int and type(value) is not int):
-            raise TypeError("must be an integer" if kind is int else "must be a real number")
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+_DEFAULTS = parse_config_text(SCHEMA)  # {section: {key: example}}
+_UNSET = {"kind", "H", "c", "a", "lam", "rho", "method", "max_iters", "c0", "decay",
+          "marginal_sizes"}  # no default: read only where the file writes them
+_PARAM_OF = {kind: row.param[0] for kind, row in _KIND_TABLE.items() if row.param}
+_PARAMS = set(_PARAM_OF.values())  # each read only under its own kind
+_CHECKS = {  # key: (test of its value alone, what the value must be)
+    "kind": (lambda v: v in KINDS, f"must be one of {KINDS}"),
+    "t_end": (lambda v: 0.0 < v < float("inf"), "must be finite and > 0"),
+    "p": (lambda v: v < float("inf"), "must be finite; [bounds] norm = sup measures the sup norm"),
+    "measure": (lambda v: v == "lebesgue" or v[:4] == "exp:", "must be 'lebesgue' or 'exp:<b>'"),
+    "n": (lambda v: v >= 1, "must be >= 1"),
+    "r": (lambda v: 1.0 <= v < float("inf"), "must be finite and >= 1"),
+    "n_paths": (lambda v: v >= 1, "must be >= 1"),
+    "marginal_sizes": (lambda v: min(v) >= 1, "must be integers >= 1"),
+    "norm": (lambda v: v in ("lp", "sup"), "must be 'lp' or 'sup'"),
+}
+_MUST = {int: "must be an integer", float: "must be a real number", str: "must be a word",
+         list: "must be integers"}
+
+
+def _convert(example, section: str, key: str, value):
+    """value as the type of the key's SCHEMA example.  No truncation of 2.7 or 2.0 to an
+    integer; true is neither 1 nor 1.0; a list key takes one integer as a list of one."""
+    kind = type(example)
+    want = int if kind is list else kind
+    items = value if kind is list and isinstance(value, list) else [value]
+    try:
+        if not all(type(v) is want or (want is float and type(v) is int) for v in items):
+            raise TypeError(_MUST[kind])
+        out = [want(v) for v in items]
+    except (TypeError, OverflowError) as exc:
         text = str(value).lower() if isinstance(value, bool) else repr(value)
         raise ConfigError(f"[{section}] {key} = {text}: {exc}") from exc
+    return out if kind is list else out[0]
+
+
+def _values(sections: dict) -> dict:
+    """{section: {key: value}}: each key the file writes, converted and checked, except
+    another process kind's parameter; each other key but the _UNSET ones at its example."""
+    values = {}
+    for section, examples in _DEFAULTS.items():
+        given, out = sections.get(section, {}), values.setdefault(section, {})
+        for key, example in examples.items():
+            if key in given and (key not in _PARAMS or key == _PARAM_OF.get(out.get("kind"))):
+                value = out[key] = _convert(example, section, key, given[key])
+                if key in _CHECKS and not _CHECKS[key][0](value):
+                    raise ConfigError(f"[{section}] {key} {_CHECKS[key][1]}, got {value!r}")
+            elif key not in _UNSET:
+                out[key] = example
+    return values
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    process: dict
+    process: dict  # the sections as the file writes them, which config_hash reads
     space: dict
     quantizer: dict
     optimizer: dict
     sample: dict
     bounds: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)  # {section: {key: value}} from _values
 
     @property
     def config_hash(self) -> str:
-        canon = repr(sorted((s, sorted(getattr(self, s).items())) for s in _KNOWN_SECTIONS))
+        canon = repr(sorted((s, sorted(getattr(self, s).items())) for s in _DEFAULTS))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def build_space(self) -> DiscretePathSpace:
-        sp = self.space
-        measure = str(sp.get("measure", "lebesgue"))
+        sp = self.values["space"]
+        rate = sp["measure"][4:]  # b of exp:<b>; the measure's form is checked at load
         try:
-            m = _convert(int, "space", "m", sp.get("m", 128))
-            t_end = _convert(float, "space", "t_end", sp.get("t_end", 1.0))
-            p = _convert(float, "space", "p", sp.get("p", 2.0))
-            if p == float("inf"):  # no optimizer runs at p = inf
-                raise ValueError("p must be finite; [bounds] norm = sup measures the sup norm")
-            d = _convert(int, "space", "d", sp.get("d", 1))
-            if measure == "lebesgue":
-                return uniform_space(t_end, m, p=p, d=d)
-            if measure.startswith("exp:"):
-                b = _convert(float, "space", "measure", measure[4:])
-                return exp_weighted_space(t_end, m, b=b, p=p, d=d)
-        except ConfigError:
-            raise
+            b = None if sp["measure"] == "lebesgue" else float(rate)
+        except ValueError as exc:
+            raise ConfigError(f"[space] measure = {rate!r}: must be a real number") from exc
+        try:
+            if b is None:
+                return uniform_space(sp["t_end"], sp["m"], p=sp["p"], d=sp["d"])
+            return exp_weighted_space(sp["t_end"], sp["m"], b=b, p=sp["p"], d=sp["d"])
         except Exception as exc:
             raise ConfigError(f"[space] {exc}") from exc
-        raise ConfigError(f"unknown measure {measure!r}; use 'lebesgue' or 'exp:<b>'")
 
     def build_process_spec(self) -> ProcessSpec:
-        pr = dict(self.process)
-        kind = pr.pop("kind", None)
-        if kind not in KINDS:
-            raise ConfigError(f"[process] kind must be one of {KINDS}, got {kind!r}")
-        x0 = _convert(float, "process", "x0", pr.pop("x0", 0.0))
-        for name in set(pr) & set((_KIND_TABLE[kind].param or ())[:1]):  # the kind's own, if set
-            pr[name] = _convert(float, "process", name, pr[name])
+        pr = dict(self.values["process"])
         try:
-            return ProcessSpec(kind=kind, params=pr, x0=x0)
-        except Exception as exc:
+            return ProcessSpec(kind=pr.pop("kind", None), x0=pr.pop("x0"), params=pr)
+        except FquantError as exc:
             raise ConfigError(f"[process] {exc}") from exc
 
     def build_optimizer(self, seed: int) -> OptimizerConfig:
         """default_config_for(space, r, seed) with the keys the file sets; a
         method set here brings its own DEFAULT_MAX_ITERS."""
-        op = self.optimizer
+        op, space = self.values["optimizer"], self.build_space()
         try:
-            cfg = default_config_for(self.build_space(), self.r, seed)
-            if "method" in op:  # validated here, before its budget is looked up
-                cfg = replace(cfg, method=str(op["method"]))
-            return replace(
-                cfg,
-                max_iters=_convert(int, "optimizer", "max_iters",
-                                   op.get("max_iters", DEFAULT_MAX_ITERS[cfg.method])),
-                tol=_convert(float, "optimizer", "tol", op.get("tol", cfg.tol)),
-                sgd_c0=_convert(float, "optimizer", "c0", op["c0"]) if "c0" in op else cfg.sgd_c0,
-                sgd_decay=(_convert(float, "optimizer", "decay", op["decay"]) if "decay" in op
-                           else cfg.sgd_decay),
-            )
-        except ConfigError:
-            raise
-        except Exception as exc:
+            cfg = default_config_for(space, self.r, seed)
+            cfg = replace(cfg, method=op.get("method", cfg.method))  # checked before its budget
+            return replace(cfg, max_iters=op.get("max_iters", DEFAULT_MAX_ITERS[cfg.method]),
+                           tol=op["tol"], sgd_c0=op.get("c0"), sgd_decay=op.get("decay"))
+        except FquantError as exc:
             raise ConfigError(f"[optimizer] {exc}") from exc
 
-    @property
-    def n(self) -> int:
-        return _convert(int, "quantizer", "n", self.quantizer.get("n", 8))
-
-    @property
-    def r(self) -> float:
-        return _convert(float, "quantizer", "r", self.quantizer.get("r", 2.0))
-
-    @property
-    def n_paths(self) -> int:
-        return _convert(int, "sample", "n_paths", self.sample.get("n_paths", 1000))
-
-    @property
-    def seed(self) -> int:
-        return _convert(int, "sample", "seed", self.sample.get("seed", 0))
-
-    def validate(self):
-        if not 1 <= self.r < float("inf"):
-            raise ConfigError(f"[quantizer] r must be finite and >= 1, got {self.r}")
-        if self.n < 1:
-            raise ConfigError(f"[quantizer] n must be >= 1, got {self.n}")
-        if self.n_paths < 1:
-            raise ConfigError("[sample] n_paths must be >= 1")
-        if (norm := str(self.bounds.get("norm", "lp"))) not in ("lp", "sup"):  # read by bounds
-            raise ConfigError(f"[bounds] norm must be 'lp' or 'sup', got {norm!r}")
-        space = self.build_space()
-        kind = self.build_process_spec().kind
-        if _KIND_TABLE[kind].d1_only and space.d != 1:
-            raise ConfigError(f"[process] {kind} is implemented for d = 1 only, got d = {space.d}")
-        self.build_optimizer(self.seed)
-
-
-_KNOWN_SECTIONS = tuple(f.name for f in fields(ExperimentConfig))
-_SCHEMA_KEYS = {s: set(keys) for s, keys in parse_config_text(SCHEMA).items()}
+    n = property(lambda self: self.values["quantizer"]["n"])
+    r = property(lambda self: self.values["quantizer"]["r"])
+    n_paths = property(lambda self: self.values["sample"]["n_paths"])
+    seed = property(lambda self: self.values["sample"]["seed"])
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -236,18 +229,21 @@ def load_config(path: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     sections = parse_config_text(text)
-    unknown = set(sections) - set(_KNOWN_SECTIONS)
+    unknown = set(sections) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     unknown = [f"[{s}] {k}" for s, keys in sections.items() for k in keys
-               if k not in _SCHEMA_KEYS[s]]
+               if k not in _DEFAULTS[s]]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}; see --print-schema")
     for required in ("process", "space", "quantizer", "sample"):
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
-    cfg = ExperimentConfig(**{s: sections.get(s, {}) for s in _KNOWN_SECTIONS})
-    cfg.validate()
+    cfg = ExperimentConfig(**{s: sections.get(s, {}) for s in _DEFAULTS}, values=_values(sections))
+    space, kind = cfg.build_space(), cfg.build_process_spec().kind
+    if _KIND_TABLE[kind].d1_only and space.d != 1:
+        raise ConfigError(f"[process] {kind} is implemented for d = 1 only, got d = {space.d}")
+    cfg.build_optimizer(cfg.seed)
     return cfg
 
 

@@ -60,12 +60,14 @@ class ProcessSpec:
                 raise FquantError(f"{self.kind} requires parameter {name!r}")
             val = float(p[name])
             if not np.isfinite(val) or not ok(val):
-                raise FquantError(f"{self.kind}: {msg}, got {val}")
+                raise FquantError(f"{msg}, got {val}")
         if row.jumps:
             _resolve_jump_law(p)
         if self.kind == "diffusion_euler":
             if not callable(p.get("drift")) or not callable(p.get("diffusion")):
                 raise FquantError("diffusion_euler requires drift and diffusion callables")
+        if not np.all(np.isfinite(self.x0)):  # scalar or per coordinate
+            raise FquantError(f"x0 must be finite, got {self.x0}")
         if self.kind not in ("brownian", "diffusion_euler") and np.any(np.asarray(self.x0) != 0.0):
             raise FquantError(f"{self.kind} starts at 0; x0 offsets apply to "
                               "brownian and diffusion_euler only")

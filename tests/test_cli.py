@@ -7,7 +7,7 @@ import pytest
 import fquant
 from fquant import Codebook, diagnostics, distortion, sample_paths, stationarity_residual
 from fquant.cli import main
-from fquant.config import load_config, parse_config_text
+from fquant.config import SCHEMA, load_config, parse_config_text
 from fquant.errors import ConfigError
 from fquant.optimize import DEFAULT_MAX_ITERS, default_config_for
 
@@ -369,13 +369,19 @@ def test_bounds_sup_holds(tmp_path):
     _bounds_holds(tmp_path, "sup")
 
 
+MARGINAL_CASES = [(command, sizes) for command in ("bounds", "quantize")
+                  for sizes in ("a,b", "0,4", "-1,2")]
+
+
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
-@pytest.mark.parametrize("sizes", ["a,b", "0,4", "-1,2"])
-def test_bad_marginal_sizes_exit_2(tmp_path, capsys, sizes, dry_run):
+@pytest.mark.parametrize("command, sizes", MARGINAL_CASES,
+                         ids=[s if c == "bounds" else f"{c}-{s}" for c, s in MARGINAL_CASES])
+def test_bad_marginal_sizes_exit_2(tmp_path, capsys, command, sizes, dry_run):
+    # checked at load, so quantize, which never reads them, refuses them as bounds does
     cfg = tmp_path / "b.cfg"
     cfg.write_text(BOUNDS_CFG.replace("marginal_sizes = 2,2", f"marginal_sizes = {sizes}"))
     out = tmp_path / "out"
-    argv = ["bounds", "--config", str(cfg), "--out", str(out)] + ["--dry-run"] * dry_run
+    argv = [command, "--config", str(cfg), "--out", str(out)] + ["--dry-run"] * dry_run
     assert main(argv) == 2
     assert "config ok" not in capsys.readouterr().out
     record = json.loads((out / "error.json").read_text())
@@ -449,8 +455,9 @@ D2 = {"\nd = 1\n": "\nd = 2\n"}
     ({"kind = brownian": "kind = compound_poisson\nlam = 2.0", **D2}, "[process]"),
     ({"kind = brownian": "kind = stable_levy\nrho = 1.5", **D2}, "[process]"),
     ({"tol = 1e-10": "tol = 1e400"}, "[optimizer] tol must be finite and > 0"),
+    ({"kind = brownian": "kind = brownian\nx0 = 1e400"}, "[process] x0 must be finite"),
 ], ids=["lloyd_p3_r3", "lloyd_r1.5", "p1_no_method", "sgd_p1", "gamma_d2",
-        "compound_poisson_d2", "stable_levy_d2", "tol_inf"])
+        "compound_poisson_d2", "stable_levy_d2", "tol_inf", "x0_inf"])
 def test_config_that_cannot_run_exit_2(tmp_path, capsys, edits, section, dry_run):
     # rejected before anything is sampled, by the rules the run itself applies
     path = tmp_path / "bad.cfg"
@@ -614,6 +621,50 @@ def test_measure_rate_must_be_a_number(tmp_path, capsys):
     assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
     message = json.loads((out / "error.json").read_text())["message"]
     assert message.startswith("[space] measure = 'true': ") and message.count("[") == 1
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+@pytest.mark.parametrize("value", ["a, b", "true"], ids=["list", "bool"])
+def test_output_dir_takes_one_word(tmp_path, monkeypatch, capsys, value, dry_run):
+    # a list would be written into a directory named "['a', 'b']"
+    (tmp_path / "q.cfg").write_text(BM_CFG + f"[output]\ndir = {value}\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["quantize", "--config", "q.cfg"] + ["--dry-run"] * dry_run) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"].startswith("[output] dir = ")
+    assert [f.name for f in tmp_path.iterdir()] == ["q.cfg"]
+
+
+OWN_KIND = {"H": "fbm", "c": "ou", "a": "gamma", "lam": "compound_poisson",
+            "jump_law": "compound_poisson", "rho": "stable_levy"}
+
+
+def _bad_values(example) -> list[str]:
+    """A boolean, an overflowing real, and a wrong shape: a list for a scalar key, a word
+    for a numeric one."""
+    return (["true", "1e400"] + ["1, 2"] * (not isinstance(example, list))
+            + ["abc"] * (not isinstance(example, str)))
+
+
+SCHEMA_CASES = [(section, key, bad) for section, keys in parse_config_text(SCHEMA).items()
+                for key, example in keys.items() for bad in _bad_values(example)]
+
+
+@pytest.mark.parametrize("section, key, bad", SCHEMA_CASES,
+                         ids=[f"{s}.{k}={b}" for s, k, b in SCHEMA_CASES])
+def test_every_schema_key_refuses_a_bad_value(tmp_path, capsys, section, key, bad):
+    # each key is converted and checked at load; a kind's parameter under its own kind
+    kind = f"kind = {OWN_KIND[key]}\n" if key in OWN_KIND else ""
+    path = tmp_path / "bad.cfg"
+    path.write_text(BM_CFG + f"[{section}]\n{kind}{key} = {bad}\n")
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
+    assert "config ok" not in capsys.readouterr().out
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    # c0 and decay are named as OptimizerConfig names them, sgd_c0 and sgd_decay
+    assert re.match(rf"\[{section}\] (sgd_)?{key} ", record["message"]), record["message"]
 
 
 def test_short_codebook_exit_3(bm_config, tmp_path, capsys):

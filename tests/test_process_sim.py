@@ -29,6 +29,16 @@ def test_spec_validation():
         ProcessSpec("bridge", x0=1.0)  # bridge is pinned at zero
 
 
+@pytest.mark.parametrize("kind, x0", [("brownian", np.inf), ("brownian", (0.0, -np.inf)),
+                                      ("diffusion_euler", np.nan)],
+                         ids=["brownian_inf", "brownian_per_coordinate", "diffusion_nan"])
+def test_x0_must_be_finite(kind, x0):
+    # a non-finite start would sample non-finite paths
+    params = {"drift": np.multiply, "diffusion": np.multiply} if kind == "diffusion_euler" else {}
+    with pytest.raises(FquantError, match="^x0 must be finite, got"):
+        ProcessSpec(kind, params=params, x0=x0)
+
+
 def test_unknown_jump_law_rejected_at_spec():
     with pytest.raises(FquantError, match="unknown jump law 'foo'"):
         ProcessSpec("compound_poisson", params={"lam": 1.0, "jump_law": "foo"})

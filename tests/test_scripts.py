@@ -56,7 +56,8 @@ def test_run_regularity_sweep(monkeypatch, capsys):
 
 
 def test_same_outputs(tmp_path, monkeypatch, capsys):
-    # one tree on both sides is the same; a tree whose manifest reads otherwise is not
+    # one tree on both sides is the same; a tree whose schema, dry-run line or manifest
+    # reads otherwise is not
     spec = importlib.util.spec_from_file_location("same_outputs", SCRIPTS / "same_outputs.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -65,16 +66,23 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                          for name, size in bench.SIZES.items()})
     monkeypatch.setattr(script, "_bench_run", lambda: bench)
     assert script.main([str(ROOT), str(ROOT)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["17 files compared, 0 differences"]
+    assert capsys.readouterr().out.splitlines() == ["20 files compared, 0 differences"]
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "src" / "fquant" / "cli.py"
     cli.write_text(cli.read_text().replace('"exit_reason": trace.exit_reason,',
-                                           '"exit_reason": trace.exit_reason + "!",'))
+                                           '"exit_reason": trace.exit_reason + "!",')
+                   .replace('print(f"config ok: hash=', 'print(f"config ok: hash=!'))
+    config = other / "src" / "fquant" / "config.py"
+    config.write_text(config.read_text().replace("# fquant experiment config:",
+                                                 "# fquant experiment config!"))
     assert script.main([str(ROOT), str(other)]) == 1
-    assert capsys.readouterr().out.splitlines() == ["lloyd_bm/input0: manifest.json: differs",
+    assert capsys.readouterr().out.splitlines() == ["cli/--print-schema: differs",
+                                                    "cli/quantize --dry-run bm2d_bounds.cfg: differs",
+                                                    "cli/quantize --dry-run bm_n8.cfg: differs",
+                                                    "lloyd_bm/input0: manifest.json: differs",
                                                     "sgd_p3/input0: manifest.json: differs",
-                                                    "17 files compared, 2 differences"]
+                                                    "20 files compared, 5 differences"]
 
 
 def _script(name):
