@@ -9,8 +9,11 @@ PYTHONPATH=<tree>/src.  First it compares the exit code and stdout of
 config_hash) on each scripts/configs/*.cfg, each counted as one file.  Then it
 takes the ops of the lloyd_bm, sgd_p3 and oracle_suite workloads from
 bench/run.py's make_inputs (the `fquant quantize` configs and the
-`fquant oracle --all` call) and compares the two output directories file by
-file, byte for byte; manifest.json is compared without its `created` stamp.
+`fquant oracle --all` call), and one small `fquant quantize` op by SGD at
+d = 2, p = 2.5 on an exp-weighted grid, whose step sums over coordinates and
+takes a non-integral power (no workload runs either).  It compares the two
+output directories file by file, byte for byte; manifest.json is compared
+without its `created` stamp.
 Prints one line per difference and a summary, and exits 1 on any difference.
 """
 
@@ -27,6 +30,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("lloyd_bm", "sgd_p3", "oracle_suite")
+SGD_D2_CONFIG = """\
+[process]
+kind = brownian
+[space]
+m = 17
+p = 2.5
+d = 2
+measure = exp:0.5
+[quantizer]
+n = 3
+r = 2.5
+[optimizer]
+method = sgd
+max_iters = 1000
+c0 = 0.01
+[sample]
+n_paths = 200
+seed = {seed}
+"""
 
 
 def _bench_run():
@@ -57,6 +79,15 @@ def _cli_checks() -> list[tuple[str, list[str]]]:
     return [("--print-schema", ["--print-schema"])] + [
         (f"quantize --dry-run {cfg.name}", ["quantize", "--config", str(cfg), "--dry-run"])
         for cfg in configs]
+
+
+def _sgd_d2_ops(bench, seed: int, work: Path) -> list:
+    """The d = 2, p = 2.5 SGD op, as bench/run.py's make_inputs writes a workload's."""
+    work.mkdir(parents=True)
+    cfg, out = work / "input0.cfg", work / "out0"
+    cfg.write_text(SGD_D2_CONFIG.format(seed=seed))
+    return [bench.Op("input0", "quantize", ["quantize", "--config", str(cfg), "--out", str(out)],
+                     out)]
 
 
 def _content(path: Path):
@@ -96,10 +127,11 @@ def main(argv: list[str] | None = None) -> int:
             n_diffs += 1
             print(f"cli/{label}: differs")
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for workload in WORKLOADS:
+        for workload in WORKLOADS + ("sgd_d2",):
             work = Path(tmp) / workload
-            for op in bench.make_inputs(workload, args.seed, bench.SIZES[workload],
-                                        work / "inputs"):
+            ops = (_sgd_d2_ops(bench, args.seed, work / "inputs") if workload == "sgd_d2" else
+                   bench.make_inputs(workload, args.seed, bench.SIZES[workload], work / "inputs"))
+            for op in ops:
                 outs = [work / side / op.key for side in ("parent", "change")]
                 codes = [_run_op(tree, op, out) for tree, out in zip(trees, outs)]
                 compared, diffs = compare(*outs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, FquantError
 from .optimize import DEFAULT_MAX_ITERS, OptimizerConfig, default_config_for
-from .path_space import DiscretePathSpace, exp_weighted_space, uniform_space
+from .path_space import DiscretePathSpace, exp_weighted_space
 from .process_sim import _KIND_TABLE, KINDS, ProcessSpec
 
 SCHEMA = """\
@@ -103,12 +103,11 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if not key or not value:
             raise ConfigError(f"line {lineno}: malformed 'key = value' in {raw!r}")
-        if "," in value:
+        quoted = value[0] in "'\"" and value[-1] == value[0] and value[0] not in value[1:-1]
+        if "," in value and not quoted:  # a quoted word keeps its commas
             sections[current][key] = [_parse_scalar(v) for v in value.split(",")]
         else:
             sections[current][key] = _parse_scalar(value)
@@ -184,15 +183,15 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def build_space(self) -> DiscretePathSpace:
-        sp = self.values["space"]
-        rate = sp["measure"][4:]  # b of exp:<b>; the measure's form is checked at load
+        sp = self.values["space"]  # the measure's form is checked at load
+        rate = "0" if sp["measure"] == "lebesgue" else sp["measure"][4:]  # b of exp:<b>
         try:
-            b = None if sp["measure"] == "lebesgue" else float(rate)
+            b = float(rate)
         except ValueError as exc:
             raise ConfigError(f"[space] measure = {rate!r}: must be a real number") from exc
-        try:
-            if b is None:
-                return uniform_space(sp["t_end"], sp["m"], p=sp["p"], d=sp["d"])
+        if not abs(b) < float("inf"):  # e^{-b t} at t = 0 would be nan
+            raise ConfigError(f"[space] measure = {sp['measure']!r}: b must be finite")
+        try:  # lebesgue is exp:0: its weights are the trapezoid's times e^{-0 t} = 1
             return exp_weighted_space(sp["t_end"], sp["m"], b=b, p=sp["p"], d=sp["d"])
         except Exception as exc:
             raise ConfigError(f"[space] {exc}") from exc

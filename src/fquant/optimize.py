@@ -186,20 +186,16 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
             r: float) -> tuple[Codebook, OptimizeTrace]:
     """Competitive-learning descent on the distortion differential.
 
-    Each iteration draws one path x, finds its nearest atom a_i and moves that
-    atom by -step_k * r ||x - a_i||^(r-1) grad||.||_p(a_i - x), using the dual
-    element's grid values as the update direction.  Exits on max_iters or when
-    the max stationarity residual (checked periodically) drops below tol.  Each
-    check takes only it and the distortion value from one distance pass.
+    Each step draws one path x, finds its nearest atom a_i and moves it by
+    -((step_k r) ||x - a_i||^(r-1)) grad||.||_p(a_i - x), the dual element's grid values,
+    in buffers made once per run, with Python scalars.  Exits on max_iters or
+    when the max stationarity residual, checked every max_iters // 25 steps from one
+    distance pass along with the distortion value, drops below tol.
     """
-    space = init.space
-    if not _runs_at("sgd", space.p, r):
-        raise OptimizeError(f"sgd_run does not run at p={space.p}, r={r}")
-    p = space.p
-    rng = derive_rng(config.seed, "sgd")
-    values = init.values.copy()
-    trace = OptimizeTrace()
-
+    space, p = init.space, init.space.p
+    if not _runs_at("sgd", p, r):
+        raise OptimizeError(f"sgd_run does not run at p={p}, r={r}")
+    rng, values, trace = derive_rng(config.seed, "sgd"), init.values.copy(), OptimizeTrace()
     vor, last = assign(init, sample), None  # last: the last accepted evaluation's pass
     d0 = vor.distortion_value(r)
     trace.distortions.append(d0)
@@ -210,17 +206,30 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     decay = config.sgd_decay if config.sgd_decay is not None else 1.0 / len(sample)
     eval_every = max(1, config.max_iters // 25)
     draws = rng.integers(len(sample), size=config.max_iters)  # same stream as one per step
-    steps = c0 / (1.0 + decay * np.arange(config.max_iters))
-    diff, absd, w = np.empty_like(values), np.empty_like(values), space.weights
-    for k in range(config.max_iters):
-        np.subtract(values, sample.values[draws[k]], out=diff)
+    rates = c0 / (1.0 + decay * np.arange(config.max_iters)) * r  # step_k * r
+    diff, absd, pw = np.empty((3,) + values.shape)  # x - a, |x - a|, |x - a|^p
+    grad, sgn, sums = *np.empty((2,) + values.shape[1:]), np.empty(values.shape[:2])
+    norms = sums[:, 0] if space.d == 1 else np.empty(len(values))  # d = 1: no sum over d
+    rows, inv_p, pm1, rm1 = list(zip(values, diff, absd)), 1.0 / p, p - 1.0, r - 1.0
+    for k, (j, rate) in enumerate(zip(memoryview(draws), memoryview(rates))):  # Python scalars
+        np.subtract(values, sample.values[j], out=diff)
         np.abs(diff, out=absd)  # |x - a|, for the norm and for the gradient
-        dist_all = np.add.reduce(absd ** p @ w, axis=-1) ** (1.0 / p)  # as lp_norm_values
-        i = dist_all.argmin()
-        dist = dist_all[i]
+        np.matmul(np.power(absd, p, out=pw), space.weights, out=sums)
+        if space.d > 1:
+            np.add.reduce(sums, axis=-1, out=norms)
+        norms **= inv_p  # as lp_norm_values: ** keeps numpy's sqrt at 1/p = 0.5
+        i = int(norms.argmin())
+        dist = float(norms[i])
         if dist > 0.0:
-            grad = (absd[i] / dist) ** (p - 1.0) * np.sign(diff[i])
-            values[i] -= steps[k] * r * dist ** (r - 1.0) * grad
+            atom, dif, ab = rows[i]
+            np.divide(ab, dist, out=grad)
+            grad **= pm1
+            grad *= np.sign(dif, out=sgn)
+            try:
+                grad *= rate * dist ** rm1
+            except OverflowError:  # a float power raises where numpy's gives inf
+                grad *= np.inf
+            atom -= grad
         if (k + 1) % eval_every == 0 or k + 1 == config.max_iters:
             trace.iterations = k + 1
             if not np.all(np.isfinite(values)):

@@ -2,15 +2,16 @@
 
 Distances between sample paths and atoms are computed brute force for every
 (path, atom) pair, into an (n, N) buffer whose (N, n) view pairwise_distances
-returns.  At p = 2 paths are flattened to (N, d*m) rows and
-||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> takes the cross term as one matrix
-product.  Pairs where the expansion cancels are recomputed directly, so a path
-equal to an atom is at distance exactly 0.  Other p loop over atoms on the same
-rows, reducing |x - a_i| by a weighted sum of p-th powers, taken by binary
-powering at integral p (p = 3: a square and a multiply), or at p = inf, the grid
-sup norm, by its max.  The buffer has a row per atom, or per path at p = 2 past
-_ATOM_ROWS_MAX atoms.  Every consumer reads a pass, with its codebook and sample,
-through one VoronoiAssignment, whose reductions over atoms run along those rows.
+returns.  At p = 2, ||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> over flattened
+(N, d*m) rows takes the cross term as one matrix product; pairs where it cancels
+are recomputed directly, so a path equal to an atom is at distance exactly 0.
+Other p loop over atoms on the same rows, reducing |x - a_i| by a weighted sum
+of p-th powers (binary powering at integral p: p = 3 is a square and a multiply)
+or, at p = inf, the grid sup norm, by its max.  The buffer has a row per atom, or
+per path at p = 2 past _ATOM_ROWS_MAX atoms.  Every consumer reads a pass, with its
+codebook and sample, through one VoronoiAssignment, whose reductions over atoms run
+along those rows: a path's cell, the lowest atom at its best distance, is the top of
+descending uint8 ranks on one == mask, 16 atom rows at a time (np.argmin on path rows).
 Optimizers score a pass by distortion_value: the report's value, without the report.
 """
 
@@ -28,6 +29,7 @@ from .path_space import (DiscretePathSpace, Path, PathSample, pack_paths,
 
 _CHUNK_BUDGET = 2 ** 20  # floats of scratch per chunk of sample rows
 _ATOM_ROWS_MAX = 16  # atoms; past them np.argmin over a p = 2 pass's path rows is faster
+_RANKS = np.arange(_ATOM_ROWS_MAX, 0, -1, dtype=np.uint8)[:, None]  # atom rows, top first
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
             paths, atoms = np.nonzero(close.T)  # path order: gemv bits move with row order
             diff = x[paths] - af[atoms]
             d2[atoms, paths] = (diff * diff) @ wf
-    return np.sqrt(np.maximum(out, 0.0, out=out), out=out).T
+    return np.sqrt(out, out=out).T  # each entry > 1e-13 norms >= 0, or a recomputed sum of squares
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,14 @@ class VoronoiAssignment:
     def cell_index(self) -> np.ndarray:  # the lowest atom at the best distance, as np.argmin
         if self.dists.flags.c_contiguous:  # a path-major pass
             return np.argmin(self.dists, axis=1)
-        cells = np.full(len(self.dists), self.n_cells - 1)
-        for i in range(self.n_cells - 2, -1, -1):
-            np.putmask(cells, self.dists[:, i] == self.best, i)
+        # atom-major, by blocks of len(_RANKS) atom rows: a lower block, taken later, wins
+        cells = None
+        for lo in reversed(range(0, self.n_cells, len(_RANKS))):
+            hits = (self.dists.T[lo:lo + len(_RANKS)] == self.best).view(np.uint8)
+            hits *= _RANKS[-len(hits):]
+            top = hits.max(axis=0)
+            first = np.subtract(lo + len(hits), top, dtype=np.intp)
+            cells = first if cells is None else np.where(top > 0, first, cells)
         return cells
 
     @cached_property

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -621,6 +622,28 @@ def test_measure_rate_must_be_a_number(tmp_path, capsys):
     assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
     message = json.loads((out / "error.json").read_text())["message"]
     assert message.startswith("[space] measure = 'true': ") and message.count("[") == 1
+
+
+@pytest.mark.parametrize("rate", ["1e400", "-1e400", "inf", "nan"])
+def test_measure_rate_must_be_finite(tmp_path, capsys, rate):
+    # refused at load by name, before e^{-b t} is taken: no RuntimeWarning on the way
+    path = tmp_path / "bad.cfg"
+    path.write_text(BM_CFG.replace("d = 1", f"d = 1\nmeasure = exp:{rate}"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"].startswith(f"[space] measure = 'exp:{rate}': ")
+
+
+def test_quoted_value_keeps_its_commas(tmp_path, capsys):
+    sections = parse_config_text("[a]\nq = \"a, b\"\ns = 'x,y'\nl = a, b\nw = \"a\", \"b\"\n")
+    assert sections["a"] == {"q": "a, b", "s": "x,y", "l": ["a", "b"], "w": ["a", "b"]}
+    path = tmp_path / "q.cfg"
+    path.write_text(BM_CFG + '[output]\ndir = "a, b"\n')
+    assert load_config(str(path)).values["output"]["dir"] == "a, b"
 
 
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])

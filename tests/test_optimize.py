@@ -9,7 +9,7 @@ from fquant import diagnostics, optimize, quantize_core, stationarity_residual
 from fquant.diagnostics import distortion_and_stationarity
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
-from fquant.path_space import Path, lp_norm_values
+from fquant.path_space import Path, exp_weighted_space, lp_norm_values
 from fquant.quantize_core import VoronoiAssignment, pairwise_distances
 from fquant.rng import derive_rng
 
@@ -218,12 +218,17 @@ def test_sgd_scaled_problem_reproduces_iterates(unit_space, bm_sample):
     np.testing.assert_array_equal(out2.values, 2.0 * out1.values)
 
 
-@pytest.mark.parametrize("p, r", [(1.5, 2.0), (3.0, 3.0)])
-def test_sgd_step_loop_matches_per_step_reference(bm_sample, p, r):
+@pytest.mark.parametrize("p, r, d", [(1.5, 2.0, 1), (3.0, 3.0, 1), (2.5, 2.5, 2)],
+                         ids=["1.5-2.0", "3.0-3.0", "2.5-2.5-d2"])
+def test_sgd_step_loop_matches_per_step_reference(bm_sample, p, r, d):
     # the step loop written one step at a time: one draw, a fresh difference,
     # the public norm, np.argmin and a Python-float step; sgd_run must give the
-    # same atoms bit for bit
-    space = uniform_space(1.0, bm_sample.m, p=p)
+    # same atoms bit for bit.  At d = 2 the norm sums over coordinates, on a weighted grid
+    if d == 1:
+        space = uniform_space(1.0, bm_sample.m, p=p)
+    else:
+        space = exp_weighted_space(1.0, 33, 1.5, p=p, d=d)
+        bm_sample = sample_paths(ProcessSpec("brownian"), space, 300, seed=23)
     c0, decay, seed, steps = 0.02, 1e-3, 4, 300
     cfg = OptimizerConfig(method="sgd", max_iters=steps, tol=1e-30, seed=seed,
                           sgd_c0=c0, sgd_decay=decay)

@@ -271,6 +271,36 @@ def test_assign_constant_levels(unit_space):
     np.testing.assert_array_equal(va.cell_index, [0, 1, 1])
 
 
+@pytest.mark.parametrize("p, n", [(2.0, 1), (2.0, 2), (2.0, 16), (3.0, 17), (3.0, 40),
+                                  (np.inf, 40)])
+def test_cell_index_matches_argmin_on_a_path_major_copy(p, n):
+    # exact ties: the zero path between the constant atoms +-1/64 (first and last atom,
+    # in different 16-row blocks past 16 atoms) and, past 32 atoms, the dyadic levels
+    # 4 and 8 between their atoms +-1/64 (15 | 16 and 17 | 33, across block edges);
+    # and paths equal to atoms
+    space = uniform_space(1.0, 9, p=p)
+    bm = sample_paths(ProcessSpec("brownian"), space, 300, seed=29).values
+    atoms = 0.5 * bm[:n]
+    pairs = [(0, n - 1, 0.0)] + [(15, 16, 4.0), (17, 33, 8.0)] * (n > 32)
+    if n > 1:
+        for lo, hi, level in pairs:
+            atoms[lo], atoms[hi] = level + 1 / 64, level - 1 / 64
+    levels = np.array([level for *_, level in pairs])[:, None, None] + np.zeros(space.shape)
+    x = np.concatenate([bm[n:], levels, atoms[:n:3]])
+    sample = PathSample(values=x, seed=0, process_tag="t")
+    vor = assign(Codebook(space=space, values=atoms), sample)
+    assert vor.dists.T.flags.c_contiguous  # the atom-major pass
+    dists = np.ascontiguousarray(vor.dists)
+    best = dists.min(axis=1)
+    np.testing.assert_array_equal(vor.cell_index, np.argmin(dists, axis=1))
+    np.testing.assert_array_equal(vor.best, best)
+    np.testing.assert_array_equal(vor.tie_flags, (dists == best[:, None]).sum(axis=1) > 1)
+    at = len(bm) - n + np.arange(len(pairs))
+    assert np.all(vor.tie_flags[at] == (n > 1))
+    np.testing.assert_array_equal(vor.cell_index[at], [lo for lo, *_ in pairs] if n > 1 else 0)
+    assert np.all(vor.best[at[-1] + 1:] == 0.0)
+
+
 @pytest.mark.parametrize("norm", ["p2", "p3", "sup"])
 def test_voronoi_assignment_matches_per_pair_reference(unit_space, norm):
     # constant paths at dyadic levels: exact ties (0.25 between 0 and 0.5, ...)
