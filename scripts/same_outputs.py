@@ -9,11 +9,13 @@ PYTHONPATH=<tree>/src.  First it compares the exit code and stdout of
 config_hash) on each scripts/configs/*.cfg, each counted as one file.  Then it
 takes the ops of the lloyd_bm, sgd_p3 and oracle_suite workloads from
 bench/run.py's make_inputs (the `fquant quantize` configs and the
-`fquant oracle --all` call), and one small `fquant quantize` op by SGD at
-d = 2, p = 2.5 on an exp-weighted grid, whose step sums over coordinates and
-takes a non-integral power (no workload runs either).  It compares the two
-output directories file by file, byte for byte; manifest.json is compared
-without its `created` stamp.
+`fquant oracle --all` call), and four small `fquant quantize` ops by SGD
+(SGD_OPS), each on a step path no workload takes: d = 2 at p = 2.5 on an
+exp-weighted grid (a sum over coordinates and a non-integral power); d = 1 at
+p = 1.5 (sqrt at p - 1); d = 1 at p = 2 (sqrt at 1/p, the identity at p - 1);
+and a run that diverges (c0 = 1e200), whose exit code and error.json are
+compared.  It compares the two output directories file by file, byte for byte;
+manifest.json is compared without its `created` stamp.
 Prints one line per difference and a summary, and exits 1 on any difference.
 """
 
@@ -30,25 +32,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("lloyd_bm", "sgd_p3", "oracle_suite")
-SGD_D2_CONFIG = """\
+SGD_CONFIG = """\
 [process]
 kind = brownian
 [space]
 m = 17
-p = 2.5
-d = 2
-measure = exp:0.5
+p = {p}
+d = {d}
+measure = {measure}
 [quantizer]
 n = 3
-r = 2.5
+r = {r}
 [optimizer]
 method = sgd
 max_iters = 1000
-c0 = 0.01
+c0 = {c0}
 [sample]
 n_paths = 200
 seed = {seed}
 """
+SGD_OPS = {  # small SGD quantize ops, each on a step path no workload takes
+    "sgd_d2": dict(p=2.5, d=2, measure="exp:0.5", r=2.5, c0=0.01),  # a sum over d, x^2.5
+    "sgd_p1.5": dict(p=1.5, d=1, measure="lebesgue", r=2.0, c0=0.01),  # sqrt at p - 1
+    "sgd_p2": dict(p=2.0, d=1, measure="lebesgue", r=2.0, c0=0.01),  # sqrt, positive
+    "sgd_diverge": dict(p=3.0, d=1, measure="lebesgue", r=3.0, c0=1e200),  # exit 3
+}
 
 
 def _bench_run():
@@ -81,11 +89,11 @@ def _cli_checks() -> list[tuple[str, list[str]]]:
         for cfg in configs]
 
 
-def _sgd_d2_ops(bench, seed: int, work: Path) -> list:
-    """The d = 2, p = 2.5 SGD op, as bench/run.py's make_inputs writes a workload's."""
+def _sgd_ops(bench, name: str, seed: int, work: Path) -> list:
+    """The SGD op SGD_OPS[name], as bench/run.py's make_inputs writes a workload's."""
     work.mkdir(parents=True)
     cfg, out = work / "input0.cfg", work / "out0"
-    cfg.write_text(SGD_D2_CONFIG.format(seed=seed))
+    cfg.write_text(SGD_CONFIG.format(seed=seed, **SGD_OPS[name]))
     return [bench.Op("input0", "quantize", ["quantize", "--config", str(cfg), "--out", str(out)],
                      out)]
 
@@ -127,10 +135,11 @@ def main(argv: list[str] | None = None) -> int:
             n_diffs += 1
             print(f"cli/{label}: differs")
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for workload in WORKLOADS + ("sgd_d2",):
+        for workload in WORKLOADS + tuple(SGD_OPS):
             work = Path(tmp) / workload
-            ops = (_sgd_d2_ops(bench, args.seed, work / "inputs") if workload == "sgd_d2" else
-                   bench.make_inputs(workload, args.seed, bench.SIZES[workload], work / "inputs"))
+            ops = (_sgd_ops(bench, workload, args.seed, work / "inputs") if workload in SGD_OPS
+                   else bench.make_inputs(workload, args.seed, bench.SIZES[workload],
+                                          work / "inputs"))
             for op in ops:
                 outs = [work / side / op.key for side in ("parent", "change")]
                 codes = [_run_op(tree, op, out) for tree, out in zip(trees, outs)]

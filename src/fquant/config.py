@@ -12,6 +12,7 @@ reads once, then builds the space, the process and the optimizer to validate the
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, FquantError
@@ -185,12 +186,16 @@ class ExperimentConfig:
     def build_space(self) -> DiscretePathSpace:
         sp = self.values["space"]  # the measure's form is checked at load
         rate = "0" if sp["measure"] == "lebesgue" else sp["measure"][4:]  # b of exp:<b>
-        try:
+        half = sp["t_end"] / max(sp["m"] - 1, 1) / 2.0  # the end nodes' trapezoid mass
+        try:  # e^{-b t} is monotone: its weight at t_end, half e^{-b t_end}, is the one to check
             b = float(rate)
+            last = half * math.exp(-b * sp["t_end"])
         except ValueError as exc:
             raise ConfigError(f"[space] measure = {rate!r}: must be a real number") from exc
-        if not abs(b) < float("inf"):  # e^{-b t} at t = 0 would be nan
-            raise ConfigError(f"[space] measure = {sp['measure']!r}: b must be finite")
+        except OverflowError:
+            last = math.inf
+        if half > 0.0 and not 0.0 < last < math.inf:  # a b that is not finite, too
+            raise ConfigError(f"[space] measure = {sp['measure']!r}: weights must be finite, > 0")
         try:  # lebesgue is exp:0: its weights are the trapezoid's times e^{-0 t} = 1
             return exp_weighted_space(sp["t_end"], sp["m"], b=b, p=sp["p"], d=sp["d"])
         except Exception as exc:

@@ -9,6 +9,9 @@ atom of an empty cell is re-split from the cell carrying the largest
 distortion share.  Iterates are scored by distortion value alone (SGD's also by
 the max residual its tol test reads); a run builds its reports once, from its final
 pass, the stationarity one on first read, so splitting stages compute no residual.
+SGD steps run in blocks of max_iters // 25, one per evaluation, in buffers made once per run:
+each ufunc takes its output positionally, each in-place power is the ufunc ``**=`` picks, the
+sign one copysign (an atom's -0.0 under a path's +0.0 turns +0.0), the winner min() of norms.
 """
 
 from __future__ import annotations
@@ -182,15 +185,19 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     return vor.codebook, trace
 
 
+def _ipow(x: np.ndarray, e: float) -> tuple:
+    """(ufunc, args): ufunc(*args) is ``x **= e`` bit for bit, by the ufunc __ipow__ picks."""
+    fast = {0.5: np.sqrt, 1.0: np.positive, 2.0: np.square}.get(e)
+    return (fast, (x, x)) if fast else (np.power, (x, e, x))
+
+
 def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
             r: float) -> tuple[Codebook, OptimizeTrace]:
     """Competitive-learning descent on the distortion differential.
 
     Each step draws one path x, finds its nearest atom a_i and moves it by
-    -((step_k r) ||x - a_i||^(r-1)) grad||.||_p(a_i - x), the dual element's grid values,
-    in buffers made once per run, with Python scalars.  Exits on max_iters or
-    when the max stationarity residual, checked every max_iters // 25 steps from one
-    distance pass along with the distortion value, drops below tol.
+    -((step_k r) ||x - a_i||^(r-1)) grad||.||_p(a_i - x), the dual element's grid values.
+    Exits on max_iters or when the max stationarity residual of a block's pass drops below tol.
     """
     space, p = init.space, init.space.p
     if not _runs_at("sgd", p, r):
@@ -208,44 +215,47 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     draws = rng.integers(len(sample), size=config.max_iters)  # same stream as one per step
     rates = c0 / (1.0 + decay * np.arange(config.max_iters)) * r  # step_k * r
     diff, absd, pw = np.empty((3,) + values.shape)  # x - a, |x - a|, |x - a|^p
-    grad, sgn, sums = *np.empty((2,) + values.shape[1:]), np.empty(values.shape[:2])
+    grad, sums = np.empty(values.shape[1:]), np.empty(values.shape[:2])
     norms = sums[:, 0] if space.d == 1 else np.empty(len(values))  # d = 1: no sum over d
-    rows, inv_p, pm1, rm1 = list(zip(values, diff, absd)), 1.0 / p, p - 1.0, r - 1.0
-    for k, (j, rate) in enumerate(zip(memoryview(draws), memoryview(rates))):  # Python scalars
-        np.subtract(values, sample.values[j], out=diff)
-        np.abs(diff, out=absd)  # |x - a|, for the norm and for the gradient
-        np.matmul(np.power(absd, p, out=pw), space.weights, out=sums)
-        if space.d > 1:
-            np.add.reduce(sums, axis=-1, out=norms)
-        norms **= inv_p  # as lp_norm_values: ** keeps numpy's sqrt at 1/p = 0.5
-        i = int(norms.argmin())
-        dist = float(norms[i])
-        if dist > 0.0:
-            atom, dif, ab = rows[i]
-            np.divide(ab, dist, out=grad)
-            grad **= pm1
-            grad *= np.sign(dif, out=sgn)
-            try:
-                grad *= rate * dist ** rm1
-            except OverflowError:  # a float power raises where numpy's gives inf
-                grad *= np.inf
-            atom -= grad
-        if (k + 1) % eval_every == 0 or k + 1 == config.max_iters:
-            trace.iterations = k + 1
-            if not np.all(np.isfinite(values)):
-                trace._end("diverged", last, r)
-                raise DivergenceError(f"non-finite atoms at iteration {k + 1}", trace=trace)
-            cb = Codebook(space=space, values=values.copy())  # frozen: values keeps moving
-            vor, value, residual = pass_scores(cb, sample, r)
-            trace.distortions.append(value)
-            if value > 10.0 * d0:
-                trace._end("diverged", last, r)
-                raise DivergenceError(
-                    f"distortion {value:.6g} exceeded 10x initial {d0:.6g}", trace=trace)
-            last = vor
-            if residual < config.tol:
-                trace._end("tol", vor, r)
-                return cb, trace
+    (root, root_at), (grow, grow_at) = _ipow(norms, 1.0 / p), _ipow(grad, p - 1.0)
+    rows, rm1, xs, w = list(zip(values, diff, absd)), r - 1.0, sample.values, space.weights
+    sub, absolute, matmul, power, mul = np.subtract, np.abs, np.matmul, np.power, np.multiply
+    for start in range(0, config.max_iters, eval_every):  # one block per evaluation
+        stop = min(start + eval_every, config.max_iters)
+        for j, rate in zip(memoryview(draws)[start:stop], memoryview(rates)[start:stop]):
+            sub(values, xs[j], diff)  # local ufuncs, outputs positional: each call costs less
+            absolute(diff, absd)  # |x - a|, for the norm and for the gradient
+            matmul(power(absd, p, pw), w, sums)
+            if space.d > 1:
+                np.add.reduce(sums, -1, None, norms)
+            root(*root_at)  # norms **= 1 / p, as lp_norm_values' **
+            near = norms.tolist()
+            dist = min(near)  # argmin's atom, unless a NaN comes first
+            if dist > 0.0:
+                atom, dif, ab = rows[near.index(dist)]
+                np.divide(ab, dist, grad)
+                grow(*grow_at)  # grad **= p - 1
+                np.copysign(grad, dif, grad)
+                try:
+                    mul(grad, rate * dist ** rm1, grad)
+                except OverflowError:  # a float power raises where numpy's gives inf
+                    mul(grad, np.inf, grad)
+                sub(atom, grad, atom)
+        trace.iterations = stop
+        if not np.all(np.isfinite(values)):
+            trace._end("diverged", last, r)
+            raise DivergenceError(f"non-finite atoms at iteration {stop}", trace=trace)
+        cb = Codebook(space=space, values=values.copy())  # frozen: values keeps moving
+        vor, value, residual = pass_scores(cb, sample, r)
+        trace.distortions.append(value)
+        if value > 10.0 * d0:
+            trace._end("diverged", last, r)
+            raise DivergenceError(
+                f"distortion {value:.6g} exceeded 10x initial {d0:.6g}", trace=trace)
+        last = vor
+        if residual < config.tol:
+            trace._end("tol", vor, r)
+            return cb, trace
     # the last iteration is always checked, so cb and its pass are current
     trace._end("max_iters", vor, r)
     return cb, trace

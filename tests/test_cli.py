@@ -638,6 +638,38 @@ def test_measure_rate_must_be_finite(tmp_path, capsys, rate):
     assert record["message"].startswith(f"[space] measure = 'exp:{rate}': ")
 
 
+def _dry_run_rate(tmp_path, capsys, rate):
+    """Exit code and stdout of quantize --dry-run at measure = exp:<rate>, m = 17 and
+    t_end = 1, with warnings as errors."""
+    path = tmp_path / "rate.cfg"
+    path.write_text(BM_CFG.replace("m = 96", "m = 17")
+                    .replace("d = 1", f"d = 1\nmeasure = exp:{rate}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["quantize", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--dry-run"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rate", ["-1000", "800", "745.2"])
+def test_measure_rate_whose_weights_leave_the_float_range(tmp_path, capsys, rate):
+    # e^{-b t} overflows on [0, 1] at exp:-1000, and the weight at t = 1 underflows to 0 at
+    # exp:800 and exp:745.2: refused by name at load, before np.exp, so no RuntimeWarning
+    assert _dry_run_rate(tmp_path, capsys, rate)[0] == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"].startswith(f"[space] measure = 'exp:{rate}': ")
+
+
+@pytest.mark.parametrize("rate, config_hash", [("740", "9d32c5d0c82da3a4"),
+                                               ("-709.7", "c46a8305a3587a64"),
+                                               ("0.5", "887d72724243aa08")])
+def test_measure_rate_near_the_float_range_loads(tmp_path, capsys, rate, config_hash):
+    # the last rates whose weights are finite and > 0 still load, under their old hash
+    code, out = _dry_run_rate(tmp_path, capsys, rate)
+    assert code == 0 and f"hash={config_hash} " in out
+
+
 def test_quoted_value_keeps_its_commas(tmp_path, capsys):
     sections = parse_config_text("[a]\nq = \"a, b\"\ns = 'x,y'\nl = a, b\nw = \"a\", \"b\"\n")
     assert sections["a"] == {"q": "a, b", "s": "x,y", "l": ["a", "b"], "w": ["a", "b"]}

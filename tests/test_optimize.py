@@ -218,38 +218,119 @@ def test_sgd_scaled_problem_reproduces_iterates(unit_space, bm_sample):
     np.testing.assert_array_equal(out2.values, 2.0 * out1.values)
 
 
-@pytest.mark.parametrize("p, r, d", [(1.5, 2.0, 1), (3.0, 3.0, 1), (2.5, 2.5, 2)],
-                         ids=["1.5-2.0", "3.0-3.0", "2.5-2.5-d2"])
-def test_sgd_step_loop_matches_per_step_reference(bm_sample, p, r, d):
-    # the step loop written one step at a time: one draw, a fresh difference,
-    # the public norm, np.argmin and a Python-float step; sgd_run must give the
-    # same atoms bit for bit.  At d = 2 the norm sums over coordinates, on a weighted grid
+def _per_step_sgd(cfg, init, sample, r, split=None):
+    """sgd_run written one step at a time: one draw, a fresh difference, the public norm,
+    np.argmin and a Python-float step, and an evaluation after every max_iters // 25 steps
+    and the last.  Returns the atoms and the trace; appends to split each step at which
+    min() over the norms as a list picks another atom than np.argmin."""
+    space, p = init.space, init.space.p
+    rng, values = derive_rng(cfg.seed, "sgd"), init.values.copy()
+    d0 = distortion(init, sample, r).value
+    trace, every = optimize.OptimizeTrace(distortions=[d0]), max(1, cfg.max_iters // 25)
+    for k in range(cfg.max_iters):
+        x = sample.values[int(rng.integers(len(sample)))]
+        diff = values - x[None]
+        dist_all = lp_norm_values(space, diff)
+        i = int(np.argmin(dist_all))
+        listed = dist_all.tolist()
+        if split is not None and listed.index(min(listed)) != i:
+            split.append(k)
+        dist = dist_all[i]
+        if dist > 0.0:
+            g = diff[i]
+            grad = (np.abs(g) / dist) ** (p - 1.0) * np.sign(g)
+            step = cfg.sgd_c0 / (1.0 + cfg.sgd_decay * k)
+            values[i] -= step * r * dist ** (r - 1.0) * grad
+        if (k + 1) % every == 0 or k + 1 == cfg.max_iters:
+            trace.iterations = k + 1
+            if not np.all(np.isfinite(values)):
+                trace.exit_reason = "diverged"
+                raise DivergenceError(f"non-finite atoms at iteration {k + 1}", trace=trace)
+            trace.distortions.append(distortion(Codebook(space=space, values=values.copy()),
+                                                sample, r).value)
+            if trace.distortions[-1] > 10.0 * d0:
+                trace.exit_reason = "diverged"
+                raise DivergenceError(f"distortion {trace.distortions[-1]:.6g} exceeded 10x "
+                                      f"initial {d0:.6g}", trace=trace)
+    trace.exit_reason = "max_iters"
+    return values, trace
+
+
+@pytest.mark.parametrize("p, r, d, steps", [
+    (1.5, 2.0, 1, 300), (3.0, 3.0, 1, 300), (2.5, 2.5, 2, 300),
+    (2.0, 2.0, 1, 300), (2.5, 4.5, 1, 300), (4.0, 1.5, 1, 300),
+    (1.5, 3.0, 2, 300), (2.0, 1.5, 2, 300), (3.0, 4.5, 2, 300), (4.0, 4.0, 2, 300),
+    (3.0, 3.0, 1, 7), (2.0, 2.0, 2, 7), (1.5, 2.0, 1, 1003), (2.5, 2.5, 2, 1003),
+], ids=["1.5-2.0", "3.0-3.0", "2.5-2.5-d2",
+        "2.0-2.0", "2.5-4.5", "4.0-1.5",
+        "1.5-3.0-d2", "2.0-1.5-d2", "3.0-4.5-d2", "4.0-4.0-d2",
+        "3.0-3.0-7steps", "2.0-2.0-d2-7steps", "1.5-2.0-1003steps", "2.5-2.5-d2-1003steps"])
+def test_sgd_step_loop_matches_per_step_reference(bm_sample, p, r, d, steps):
+    # sgd_run must give the per-step reference's atoms and evaluations bit for bit: its
+    # powers take sqrt (p = 1.5, 2), positive (p = 2) or square (p = 3) where the
+    # reference's ** does; 7 steps evaluate after each step, and 1003 end on a block of 3.
+    # At d = 2 the norm sums over coordinates, on a weighted grid
     if d == 1:
         space = uniform_space(1.0, bm_sample.m, p=p)
     else:
         space = exp_weighted_space(1.0, 33, 1.5, p=p, d=d)
         bm_sample = sample_paths(ProcessSpec("brownian"), space, 300, seed=23)
-    c0, decay, seed, steps = 0.02, 1e-3, 4, 300
-    cfg = OptimizerConfig(method="sgd", max_iters=steps, tol=1e-30, seed=seed,
-                          sgd_c0=c0, sgd_decay=decay)
+    cfg = OptimizerConfig(method="sgd", max_iters=steps, tol=1e-30, seed=4,
+                          sgd_c0=0.02, sgd_decay=1e-3)
     init = Codebook(space=space, values=bm_sample.values[:3].copy())
     cb, trace = sgd_run(cfg, init, bm_sample, r)
-    assert trace.exit_reason == "max_iters"
-    rng = derive_rng(seed, "sgd")
-    values = init.values.copy()
-    for k in range(steps):
-        x = bm_sample.values[int(rng.integers(len(bm_sample)))]
-        diff = values - x[None]
-        dist_all = lp_norm_values(space, diff)
-        i = int(np.argmin(dist_all))
-        dist = dist_all[i]
-        if dist > 0.0:
-            g = diff[i]
-            grad = (np.abs(g) / dist) ** (p - 1.0) * np.sign(g)
-            step = c0 / (1.0 + decay * k)
-            values[i] -= step * r * dist ** (r - 1.0) * grad
+    values, ref = _per_step_sgd(cfg, init, bm_sample, r)
+    assert trace.exit_reason == ref.exit_reason == "max_iters"
     assert not np.array_equal(values, init.values)
     np.testing.assert_array_equal(cb.values, values)
+    assert (trace.distortions, trace.iterations) == (ref.distortions, ref.iterations)
+
+
+@pytest.mark.parametrize("e", [0.25, 1 / 3, 0.4, 0.5, 2 / 3, 1.0, 1.5, 2.0, 3.0])
+def test_ipow_is_inplace_power(e):
+    # the step's one-call power gives x **= e bit for bit, at 0, subnormals, large values,
+    # inf and nan, and at negative ones
+    x = np.array([0.0, -0.0, 5e-324, 1e-310, 1e-300, 0.3, 1.0, 7.5, 1e150, 1e300, 1.7e308,
+                  np.inf, np.nan, -np.nan, -2.0, -np.inf])
+    want, got = x.copy(), x.copy()
+    with np.errstate(all="ignore"):
+        want **= e
+        ufunc, args = optimize._ipow(got, e)
+        ufunc(*args)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sgd_nan_atom_mid_block_ends_as_per_step_reference(bm_sample):
+    # the atoms are three of the paths, so only the far path moves one.  It pulls atom 1,
+    # its nearest, by a step whose float power overflows: the atom turns NaN where it
+    # equals that path (0 * inf) while atoms 0 and 2 stay finite.  From there np.argmin
+    # picks the NaN atom and min() a finite one, so the two loops can move different atoms
+    # for the rest of the block; the run must still end in the reference's
+    # DivergenceError, with its message, iteration and trace
+    space = uniform_space(1.0, bm_sample.m, p=3.0)
+    paths = bm_sample.values[:3].copy()
+    paths[[0, 2], 0, 32] = -4e67  # atoms 0 and 2 twice as far from the far path as atom 1
+    far = paths[1].copy()
+    far[0, 32] = 4e67  # ||far - atom 1||_3 = 1e67: its r = 4.5 distortion is finite
+    sample = PathSample(values=np.concatenate([np.tile(paths, (66, 1, 1)), far[None]]),
+                        seed=0, process_tag="far")
+    init = Codebook(space=space, values=paths)
+    cfg = OptimizerConfig(method="sgd", max_iters=1000, tol=1e-30, seed=5, sgd_c0=1e80,
+                          sgd_decay=0.0)
+    split = []
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as ref:
+            _per_step_sgd(cfg, init, sample, 4.5, split)
+        with pytest.raises(DivergenceError) as got:
+            sgd_run(cfg, init, sample, 4.5)
+    draws = derive_rng(cfg.seed, "sgd").integers(len(sample), size=cfg.max_iters)
+    first_far = int(np.flatnonzero(draws == len(sample) - 1)[0])
+    end = (first_far // 40 + 1) * 40  # the block's evaluation: 40 steps per block
+    assert 40 < first_far < end - 2 and split and min(split) > first_far
+    assert str(got.value) == str(ref.value) == f"non-finite atoms at iteration {end}"
+    for t in (got.value.trace, ref.value.trace):
+        assert (t.exit_reason, t.iterations, len(t.distortions)) == ("diverged", end, end // 40)
+    assert got.value.trace.distortions == ref.value.trace.distortions
 
 
 def test_sgd_divergence_carries_trace(unit_space, bm_sample):
