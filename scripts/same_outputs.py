@@ -9,13 +9,16 @@ PYTHONPATH=<tree>/src.  First it compares the exit code and stdout of
 config_hash) on each scripts/configs/*.cfg, each counted as one file.  Then it
 takes the ops of the lloyd_bm, sgd_p3 and oracle_suite workloads from
 bench/run.py's make_inputs (the `fquant quantize` configs and the
-`fquant oracle --all` call), and four small `fquant quantize` ops by SGD
-(SGD_OPS), each on a step path no workload takes: d = 2 at p = 2.5 on an
+`fquant oracle --all` call), and small `fquant quantize` ops, each on a path
+no workload takes.  Four run SGD (SGD_OPS): d = 2 at p = 2.5 on an
 exp-weighted grid (a sum over coordinates and a non-integral power); d = 1 at
 p = 1.5 (sqrt at p - 1); d = 1 at p = 2 (sqrt at 1/p, the identity at p - 1);
 and a run that diverges (c0 = 1e200), whose exit code and error.json are
-compared.  It compares the two output directories file by file, byte for byte;
-manifest.json is compared without its `created` stamp.
+compared.  Four run Lloyd (LLOYD_OPS): n = 20 (a p = 2 pass of path rows, past
+16 atoms); r = 3 (the weighted centroid); d = 2 on an exp-weighted grid; and
+53 000 paths, whose p = 2 passes at n = 4 run in two row chunks.  It compares
+the two output directories file by file, byte for byte; manifest.json is
+compared without its `created` stamp.
 Prints one line per difference and a summary, and exits 1 on any difference.
 """
 
@@ -32,31 +35,40 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("lloyd_bm", "sgd_p3", "oracle_suite")
-SGD_CONFIG = """\
+OP_CONFIG = """\
 [process]
 kind = brownian
 [space]
-m = 17
+m = {m}
 p = {p}
 d = {d}
 measure = {measure}
 [quantizer]
-n = 3
+n = {n}
 r = {r}
 [optimizer]
-method = sgd
-max_iters = 1000
-c0 = {c0}
+{optimizer}
 [sample]
-n_paths = 200
+n_paths = {n_paths}
 seed = {seed}
 """
+SMALL = dict(m=17, p=2.0, d=1, measure="lebesgue", n=3, r=2.0, n_paths=200)
+SGD = "method = sgd\nmax_iters = 1000\nc0 = {c0}"
 SGD_OPS = {  # small SGD quantize ops, each on a step path no workload takes
-    "sgd_d2": dict(p=2.5, d=2, measure="exp:0.5", r=2.5, c0=0.01),  # a sum over d, x^2.5
-    "sgd_p1.5": dict(p=1.5, d=1, measure="lebesgue", r=2.0, c0=0.01),  # sqrt at p - 1
-    "sgd_p2": dict(p=2.0, d=1, measure="lebesgue", r=2.0, c0=0.01),  # sqrt, positive
-    "sgd_diverge": dict(p=3.0, d=1, measure="lebesgue", r=3.0, c0=1e200),  # exit 3
+    "sgd_d2": dict(SMALL, p=2.5, d=2, measure="exp:0.5", r=2.5,  # a sum over d, x^2.5
+                   optimizer=SGD.format(c0=0.01)),
+    "sgd_p1.5": dict(SMALL, p=1.5, optimizer=SGD.format(c0=0.01)),  # sqrt at p - 1
+    "sgd_p2": dict(SMALL, optimizer=SGD.format(c0=0.01)),  # sqrt, positive
+    "sgd_diverge": dict(SMALL, p=3.0, r=3.0, optimizer=SGD.format(c0=1e200)),  # exit 3
 }
+LLOYD = "method = lloyd\nmax_iters = 200"
+LLOYD_OPS = {  # small Lloyd quantize ops, each on a pass or centroid path lloyd_bm does not take
+    "lloyd_n20": dict(SMALL, n=20, n_paths=400, optimizer=LLOYD),  # path-major pass
+    "lloyd_r3": dict(SMALL, r=3.0, optimizer=LLOYD),  # weights ||x - a||, the weighted centroid
+    "lloyd_d2": dict(SMALL, d=2, measure="exp:0.5", optimizer=LLOYD),  # a sum over d
+    "lloyd_chunks": dict(SMALL, m=5, n=4, n_paths=53_000, optimizer=LLOYD),  # two row chunks
+}
+QUANTIZE_OPS = SGD_OPS | LLOYD_OPS
 
 
 def _bench_run():
@@ -89,11 +101,11 @@ def _cli_checks() -> list[tuple[str, list[str]]]:
         for cfg in configs]
 
 
-def _sgd_ops(bench, name: str, seed: int, work: Path) -> list:
-    """The SGD op SGD_OPS[name], as bench/run.py's make_inputs writes a workload's."""
+def _quantize_ops(bench, name: str, seed: int, work: Path) -> list:
+    """The op QUANTIZE_OPS[name], as bench/run.py's make_inputs writes a workload's."""
     work.mkdir(parents=True)
     cfg, out = work / "input0.cfg", work / "out0"
-    cfg.write_text(SGD_CONFIG.format(seed=seed, **SGD_OPS[name]))
+    cfg.write_text(OP_CONFIG.format(seed=seed, **QUANTIZE_OPS[name]))
     return [bench.Op("input0", "quantize", ["quantize", "--config", str(cfg), "--out", str(out)],
                      out)]
 
@@ -135,9 +147,10 @@ def main(argv: list[str] | None = None) -> int:
             n_diffs += 1
             print(f"cli/{label}: differs")
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for workload in WORKLOADS + tuple(SGD_OPS):
+        for workload in WORKLOADS + tuple(QUANTIZE_OPS):
             work = Path(tmp) / workload
-            ops = (_sgd_ops(bench, workload, args.seed, work / "inputs") if workload in SGD_OPS
+            ops = (_quantize_ops(bench, workload, args.seed, work / "inputs")
+                   if workload in QUANTIZE_OPS
                    else bench.make_inputs(workload, args.seed, bench.SIZES[workload],
                                           work / "inputs"))
             for op in ops:

@@ -187,14 +187,15 @@ class ExperimentConfig:
         sp = self.values["space"]  # the measure's form is checked at load
         rate = "0" if sp["measure"] == "lebesgue" else sp["measure"][4:]  # b of exp:<b>
         half = sp["t_end"] / max(sp["m"] - 1, 1) / 2.0  # the end nodes' trapezoid mass
-        try:  # e^{-b t} is monotone: its weight at t_end, half e^{-b t_end}, is the one to check
-            b = float(rate)
-            last = half * math.exp(-b * sp["t_end"])
+        t_prev = max(sp["m"] - 2, 0) * (2.0 * half)  # the node before t_end, as np.linspace's
+        try:  # e^{-b t} is monotone: the extreme weights are half e^{-b t_end} and, at b < 0
+            b = float(rate)  # with dt > 1, dt e^{-b t_prev}; both are checked before np.exp
+            ends = half * math.exp(-b * sp["t_end"]), 2.0 * half * math.exp(-b * t_prev)
         except ValueError as exc:
             raise ConfigError(f"[space] measure = {rate!r}: must be a real number") from exc
         except OverflowError:
-            last = math.inf
-        if half > 0.0 and not 0.0 < last < math.inf:  # a b that is not finite, too
+            ends = (math.inf,)
+        if half > 0.0 and not all(0.0 < w < math.inf for w in ends):  # a b that is not finite
             raise ConfigError(f"[space] measure = {sp['measure']!r}: weights must be finite, > 0")
         try:  # lebesgue is exp:0: its weights are the trapezoid's times e^{-0 t} = 1
             return exp_weighted_space(sp["t_end"], sp["m"], b=b, p=sp["p"], d=sp["d"])

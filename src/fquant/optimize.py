@@ -24,8 +24,8 @@ import numpy as np
 from .diagnostics import StationarityReport, _integrand_means, _stationarity_from, pass_scores
 from .errors import DivergenceError, FquantError, OptimizeError
 from .path_space import DiscretePathSpace, PathSample
-from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _weighted_sq_norms,
-                            assign, distortion, pairwise_distances)
+from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, assign, distortion,
+                            pairwise_distances)
 from .rng import derive_rng
 
 DEFAULT_MAX_ITERS = {"lloyd": 200, "sgd": 20_000}
@@ -112,10 +112,9 @@ def _repair_empty_cells(vor: VoronoiAssignment, r: float, events: list,
     """Re-split each atom whose cell is empty from the cell of largest distortion
     share; returns the pass of the repaired codebook, redone whenever an atom moves."""
     for _ in range(vor.n_cells + 1):
-        empty = np.flatnonzero(vor.counts == 0)
-        if empty.size == 0:
+        if vor.counts.all():
             return vor
-        dead = int(empty[0])
+        dead = int(np.argmin(vor.counts))  # the first empty cell
         events.append((iteration, dead))
         donor = int(np.argmax(vor.cell_sums(vor.best ** r)))
         values = vor.codebook.values.copy()
@@ -124,16 +123,26 @@ def _repair_empty_cells(vor: VoronoiAssignment, r: float, events: list,
     raise OptimizeError("empty-cell repair did not converge")
 
 
-def _centroids(vor: VoronoiAssignment, r: float) -> np.ndarray:
+def _centroids(vor: VoronoiAssignment, r: float, work: dict | None = None) -> np.ndarray:
     """Cell centroids with path weights ||x - a_i||^(r-2), as one (n, N) @ (N, d*m)
-    product.  A cell of zero total weight holds only its atom's copies: kept."""
-    values = vor.codebook.values
-    n, N = vor.n_cells, len(vor.dists)
+    product.  At r = 2 work keeps the one-hot and the sums for the next call, which rewrites
+    the one-hot only where a path's cell moved.  A cell of zero total weight holds only its
+    atom's copies: kept."""
+    values, cells = vor.codebook.values, vor.cell_index
+    n, N = vor.n_cells, len(cells)
     weights = 1.0 if r == 2.0 else vor.best ** (r - 2.0)
-    onehot = np.zeros((n, N))
-    onehot[vor.cell_index, np.arange(N)] = weights
-    sums = onehot @ vor.sample.values.reshape(N, -1)
-    total = (vor.counts if r == 2.0 else vor.cell_sums(weights))[:, None]
+    work = work if work is not None and r == 2.0 else {}
+    onehot, held = work.get("onehot") or (np.zeros((n, N)), None)  # held: its cells
+    moved = np.arange(N) if held is None else np.flatnonzero(cells != held)
+    if held is not None:
+        onehot[held[moved], moved] = 0.0
+    onehot[cells[moved], moved] = weights
+    work["onehot"] = onehot, cells
+    sums = np.matmul(onehot, vor.sample.values.reshape(N, -1),
+                     out=work.setdefault("sums", np.empty((n, values[0].size))))
+    if r == 2.0:  # after the repair no cell is empty
+        return (sums / vor.counts[:, None]).reshape(values.shape)
+    total = vor.cell_sums(weights)[:, None]
     out = values.reshape(n, -1).copy()
     np.divide(sums, total, out=out, where=total > 0)
     return out.reshape(values.shape)
@@ -141,7 +150,7 @@ def _centroids(vor: VoronoiAssignment, r: float) -> np.ndarray:
 
 def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
                _events: list | None = None, _iteration: int = 0,
-               _pass: VoronoiAssignment | None = None) -> Codebook:
+               _pass: VoronoiAssignment | None = None, _work: dict | None = None) -> Codebook:
     """One fixed-point update: each atom becomes its cell's weighted centroid.
 
     Cell weights are ||x - a_i||^(r-2); r = 2 gives the plain cell mean.  Only
@@ -153,7 +162,7 @@ def lloyd_step(codebook: Codebook, sample: PathSample, r: float = 2.0,
         raise OptimizeError(f"lloyd_step does not run at p={space.p}, r={r}")
     vor = _repair_empty_cells(_pass if _pass is not None else assign(codebook, sample), r,
                               _events if _events is not None else [], _iteration)
-    return Codebook(space=space, values=_centroids(vor, r))
+    return Codebook(space=space, values=_centroids(vor, r, _work))
 
 
 def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
@@ -161,20 +170,22 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     """Iterate lloyd_step until the relative distortion improvement drops below tol.
 
     One distance pass per moving iteration, scored by its distortion value alone, is the
-    next step's assignment and, at exit, the reports'.  Sample norms are taken once.
+    next step's assignment and, at exit, the reports'.  An iteration makes that (n, N) pass
+    and its reductions (best distances, cells, counts) new; its two matrix products, the
+    pass's cross term and the cell sums of a one-hot rewritten where cells moved, go to
+    scratch made once per run.  The sample's norms are made once per sample.
     """
-    trace, reason = OptimizeTrace(), "max_iters"
-    sq = _weighted_sq_norms(init.space, sample)
-    vor = VoronoiAssignment(init, sample, pairwise_distances(init, sample, sample_sq=sq))
+    trace, reason, work = OptimizeTrace(), "max_iters", {}
+    vor = VoronoiAssignment(init, sample, pairwise_distances(init, sample, _work=work))
     cur = vor.distortion_value(r)
     trace.distortions.append(cur)
     for k in range(config.max_iters):
         prev = cur
         nxt = lloyd_step(vor.codebook, sample, r, _events=trace.empty_cell_events,
-                         _iteration=k, _pass=vor)
+                         _iteration=k, _pass=vor, _work=work)
         unchanged = np.array_equal(nxt.values, vor.codebook.values)
         if not unchanged:  # a fixed point keeps its pass and its score
-            vor = VoronoiAssignment(nxt, sample, pairwise_distances(nxt, sample, sample_sq=sq))
+            vor = VoronoiAssignment(nxt, sample, pairwise_distances(nxt, sample, _work=work))
             cur = vor.distortion_value(r)
         trace.distortions.append(cur)
         trace.iterations = k + 1

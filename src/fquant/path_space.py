@@ -9,7 +9,7 @@ interpolation happens anywhere in the package.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -152,7 +152,8 @@ class Path:
 class PathSample:
     """A seeded batch of N paths standing in for the law of the process.
 
-    values      : (N, d, m) array, path i is values[i]
+    values      : (N, d, m) array, path i is values[i]; not to be changed in place, since
+                  what is derived from it is kept (the p = 2 pass's norms, per weights)
     seed        : top-level seed the batch was generated from
     process_tag : canonical identifier of the generating law
     """
@@ -160,6 +161,7 @@ class PathSample:
     values: np.ndarray
     seed: int
     process_tag: str
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))

@@ -1,11 +1,14 @@
 """Codebooks, Voronoi assignment, distortion and quantization-error estimates.
 
 Distances between sample paths and atoms are computed brute force for every
-(path, atom) pair, into an (n, N) buffer whose (N, n) view pairwise_distances
+(path, atom) pair, into a new (n, N) buffer whose (N, n) view pairwise_distances
 returns.  At p = 2, ||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> over flattened
-(N, d*m) rows takes the cross term as one matrix product; pairs where it cancels
-are recomputed directly, so a path equal to an atom is at distance exactly 0.
-Other p loop over atoms on the same rows, reducing |x - a_i| by a weighted sum
+(N, d*m) rows: the buffer takes the norm sums (the paths' made once per sample and
+kept on it), then adds in place the cross term, one matrix product with the atoms
+scaled by -2, written to scratch a caller may keep for its next pass.  Pairs where
+the sum cancels are recomputed directly, so a path equal to an atom is at distance
+exactly 0; they are sought only when the least entry is under the largest pair's
+bound.  Other p loop over atoms on the same rows, reducing |x - a_i| by a weighted sum
 of p-th powers (binary powering at integral p: p = 3 is a square and a multiply)
 or, at p = inf, the grid sup norm, by its max.  The buffer has a row per atom, or
 per path at p = 2 past _ATOM_ROWS_MAX atoms.  Every consumer reads a pass, with its
@@ -47,9 +50,11 @@ class Codebook:
             raise FquantError(f"codebook values must be (n, d, m), got {values.shape}")
         if values.shape[1:] != self.space.shape:
             raise DimensionMismatchError(self.space.shape, values.shape[1:], what="atom")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise FquantError("codebook atoms must be finite")
         object.__setattr__(self, "values", values)
+        if len(set(values[:, -1, -1].tolist())) == len(values):
+            return  # distinct last entries (a set holds one of -0.0 and 0.0): distinct atoms
         # distinct atoms, compared as byte rows: + 0.0 turns -0.0 into 0.0 so bytes match ==
         flat = values.reshape(len(values), -1) + 0.0
         rows = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
@@ -98,12 +103,16 @@ def _row_chunks(n_rows: int, per_row: int):
 
 
 def _weighted_sq_norms(space: DiscretePathSpace, sample: PathSample) -> np.ndarray:
-    """(N,) weighted squared L^2 norms of the sample paths, the p = 2 pass input."""
+    """(N,) weighted squared L^2 norms of the sample paths, the p = 2 pass input: made once
+    per (weights, sample) and kept on the sample, read-only, for every later pass."""
     _check_sample(space, sample)
-    flat = sample.values.reshape(len(sample), -1)
-    wf = np.tile(space.weights, space.d)
-    return np.concatenate([np.square(flat[rows]) @ wf
-                           for rows in _row_chunks(len(sample), flat.shape[1])])
+    key = space.weights.tobytes()
+    if key not in sample._derived:
+        flat, wf = sample.values.reshape(len(sample), -1), np.tile(space.weights, space.d)
+        sq = sample._derived[key] = np.concatenate(
+            [np.square(flat[rows]) @ wf for rows in _row_chunks(len(sample), flat.shape[1])])
+        sq.flags.writeable = False
+    return sample._derived[key]
 
 
 def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce, n_bufs: int = 1) -> np.ndarray:
@@ -120,11 +129,11 @@ def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce, n_bufs: int =
 
 
 def pairwise_distances(codebook: Codebook, sample: PathSample,
-                       sample_sq: np.ndarray | None = None) -> np.ndarray:
+                       _work: dict | None = None) -> np.ndarray:
     """(N, n) distances from each sample path to each atom, in sample order: the
-    transposed view of the (n, N) pass.
+    transposed view of the (n, N) pass, a new array on every call.
 
-    sample_sq: the sample's _weighted_sq_norms, for callers making many p = 2 passes.
+    _work: where a p = 2 pass keeps its cross-term product for the next one.
     """
     space, wf = codebook.space, np.tile(codebook.space.weights, codebook.space.d)
     if space.p == np.inf:
@@ -143,22 +152,23 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
                 return res @ wf
             acc = _per_atom_pass(codebook, sample, power_sum, n_bufs=2)
         return np.power(acc, 1.0 / p, out=acc).T
-    _check_sample(space, sample)
-    if sample_sq is None:
-        sample_sq = _weighted_sq_norms(space, sample)
+    sample_sq = _weighted_sq_norms(space, sample)  # checks the sample's shape
     xf, af = sample.values.reshape(len(sample), -1), codebook.values.reshape(codebook.n, -1)
-    aw, an, n = af * wf, (af * af) @ wf, codebook.n
+    aw, an, n = af * (-2.0 * wf), (af * af) @ wf, codebook.n  # the -2 of -2<x, a>: exact
+    work = {} if _work is None else _work  # the products' buffers, one per chunk shape
     out = np.empty((n, len(sample))) if n <= _ATOM_ROWS_MAX else np.empty((len(sample), n)).T
+    # rounding is monotone, so no entry's close bound below, 1e-13 (an_i + sq_j), exceeds cut
+    cut = (an.max() + np.fmax.reduce(sample_sq)) * 1e-13
     for rows in _row_chunks(len(sample), 5 * n):  # scratch: < 5 (n, rows) floats
         d2, x = out[:, rows], xf[rows]
-        np.multiply((x @ aw.T).T, -2.0, out=d2)  # one BLAS orientation at every n; -2c is exact
-        norms = np.add(an[:, None], sample_sq[rows], out=np.empty_like(d2))
-        d2 += norms
+        gram = np.matmul(x, aw.T, out=work.setdefault((len(x), n), np.empty((len(x), n))))
+        np.add(an[:, None], sample_sq[rows], out=d2)  # the norms, then x @ aw.T at every n:
+        np.add(d2, gram.T, out=d2)  # one BLAS orientation
         # the inner-product expansion cancels catastrophically for (near-)
         # coincident pairs; recompute those few entries directly so that
         # identical path/atom pairs come out at exactly zero
-        close = d2 <= np.multiply(norms, 1e-13, out=norms)
-        if np.any(close):
+        if np.fmin.reduce(d2, axis=None) <= cut:  # else none is (fmin: nor is a NaN entry)
+            close = d2 <= np.add(an[:, None], sample_sq[rows]) * 1e-13
             paths, atoms = np.nonzero(close.T)  # path order: gemv bits move with row order
             diff = x[paths] - af[atoms]
             d2[atoms, paths] = (diff * diff) @ wf

@@ -670,6 +670,39 @@ def test_measure_rate_near_the_float_range_loads(tmp_path, capsys, rate, config_
     assert code == 0 and f"hash={config_hash} " in out
 
 
+def _peak_node_config(tmp_path, t_end):
+    # b < 0 and dt = t_end / 2364 > 1: the largest weight, dt e^{0.1 t}, is at the node
+    # before t_end, twice the end node's mass at e^{-0.1 dt} its density
+    path = tmp_path / "peak.cfg"
+    path.write_text(BM_CFG.replace("m = 96", "m = 2365").replace("t_end = 1.0", f"t_end = {t_end}")
+                    .replace("d = 1", "d = 1\nmeasure = exp:-0.1"))
+    return path
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+def test_measure_weight_before_t_end_leaves_the_float_range(tmp_path, capsys, dry_run):
+    # at t_end = 7092 that weight overflows while the one at t_end stays finite: refused
+    # by name at load, with no RuntimeWarning on the way
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["quantize", "--config", str(_peak_node_config(tmp_path, 7092)), "--out",
+                     str(out)] + ["--dry-run"] * dry_run) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"] == "[space] measure = 'exp:-0.1': weights must be finite, > 0"
+    assert not (out / "codebook.bin").exists()
+
+
+def test_measure_weight_before_t_end_near_the_float_range_loads(tmp_path, capsys):
+    # t_end = 7089 keeps every weight finite, and its old hash
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["quantize", "--config", str(_peak_node_config(tmp_path, 7089)), "--out",
+                     str(tmp_path / "out"), "--dry-run"]) == 0
+    assert "config ok: hash=22d2193416af1ba9 " in capsys.readouterr().out
+
+
 def test_quoted_value_keeps_its_commas(tmp_path, capsys):
     sections = parse_config_text("[a]\nq = \"a, b\"\ns = 'x,y'\nl = a, b\nw = \"a\", \"b\"\n")
     assert sections["a"] == {"q": "a, b", "s": "x,y", "l": ["a", "b"], "w": ["a", "b"]}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from fquant.diagnostics import distortion_and_stationarity
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
 from fquant.path_space import Path, exp_weighted_space, lp_norm_values
-from fquant.quantize_core import VoronoiAssignment, pairwise_distances
+from fquant.quantize_core import VoronoiAssignment, _weighted_sq_norms, pairwise_distances
 from fquant.rng import derive_rng
 
 
@@ -103,9 +105,15 @@ def _hand_iterated(init, sample, r, iterations):
 
 @pytest.mark.parametrize("levels, r", [([-1.0, -0.3, 0.3, 1.0], 2.0),
                                        ([-0.8, 0.0, 0.8], 3.0),
-                                       ([-0.3, 0.3, 50.0], 2.0)])   # repairs an empty cell
+                                       ([-0.3, 0.3, 50.0], 2.0),   # repairs an empty cell
+                                       (list(np.linspace(-1.9, 1.9, 20)), 2.0),  # path rows
+                                       ([-0.3, 0.3, 50.0], 4.0),   # repairs at r = 4
+                                       ([-0.5, 7, 0.5], 2.0)])     # an atom equal to path 7
 def test_lloyd_run_is_hand_iterated_lloyd_step(unit_space, bm_sample, levels, r):
-    init = constant_codebook(unit_space, levels)
+    # constant atoms at the float levels; an int k stands for the sample's path k
+    init = Codebook(space=unit_space, values=np.stack(
+        [bm_sample.values[lv] if isinstance(lv, int) else np.full(unit_space.shape, lv)
+         for lv in levels]))
     cfg = OptimizerConfig(method="lloyd", max_iters=30, tol=1e-12)
     cb, trace = lloyd_run(cfg, init, bm_sample, r=r)
     stages = _hand_iterated(init, bm_sample, r, trace.iterations)
@@ -134,6 +142,26 @@ def test_lloyd_fixed_point_is_not_scored_again(unit_space, bm_sample, monkeypatc
     assert not any(np.array_equal(a, b) for a, b in zip(passes, passes[1:]))
     np.testing.assert_array_equal(passes[-1], cb.values)
     assert trace.distortions[-1] == trace.distortions[-2] == trace.final_distortion.value
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0])
+def test_lloyd_run_peak_memory_is_a_few_passes(r):
+    # at lloyd_bm's size (n = 8, N = 4000, d m = 64) a run holds two passes, its scratch and
+    # their reductions: under 6 (n, N) float arrays beyond the sample and its norms, which
+    # are kept on the sample.  One (N, d m) temporary alone would be 8 of them
+    space = uniform_space(1.0, 64)
+    sample = sample_paths(ProcessSpec("brownian"), space, 4000, seed=5)
+    init = Codebook(space=space, values=0.5 * sample.values[:8])
+    _weighted_sq_norms(space, sample)
+    tracemalloc.start()
+    try:
+        _, trace = lloyd_run(OptimizerConfig(method="lloyd", max_iters=20, tol=1e-300), init,
+                             sample, r=r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations == 20
+    assert peak < 6 * init.n * len(sample) * 8
 
 
 def test_lloyd_empty_cell_repair(unit_space, bm_sample):

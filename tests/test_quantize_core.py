@@ -119,8 +119,9 @@ def test_p2_gemm_distances_match_direct_on_weighted_space(rng):
     np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0.0)
     assert fast[3, 0] == 0.0 and fast[17, 1] == 0.0
     assert np.count_nonzero(fast == 0.0) == 2
-    given = pairwise_distances(cb, sample, sample_sq=_weighted_sq_norms(space, sample))
-    np.testing.assert_array_equal(given, fast)
+    # the norms are kept on the sample, and a later pass reads them to the same bits
+    assert _weighted_sq_norms(space, sample) is _weighted_sq_norms(space, sample)
+    np.testing.assert_array_equal(pairwise_distances(cb, sample), fast)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
@@ -246,6 +247,58 @@ def test_wide_p2_pass_is_the_path_major_pass(rng, m, d, n, N):
     cb = Codebook(space=space, values=0.5 * rng.permutation(sample.values)[:n])
     np.testing.assert_array_equal(pairwise_distances(cb, sample),
                                   _path_major_p2_pass(cb, sample, len(sample)))
+
+
+def _always_close_p2_pass(cb, sample):
+    # the p = 2 pass as it was before its close test got a prefilter: -2<x, a> scaled after
+    # the product, and every entry tested for cancellation; one chunk of rows
+    space = cb.space
+    wf = np.tile(space.weights, space.d)
+    xf, af = sample.values.reshape(len(sample), -1), cb.values.reshape(cb.n, -1)
+    aw, an, n, N = af * wf, (af * af) @ wf, cb.n, len(sample)
+    out = np.empty((n, N)) if n <= 16 else np.empty((N, n)).T
+    np.multiply((xf @ aw.T).T, -2.0, out=out)
+    norms = np.add(an[:, None], _weighted_sq_norms(space, sample))
+    out += norms
+    close = out <= norms * 1e-13
+    paths, atoms = np.nonzero(close.T)
+    diff = xf[paths] - af[atoms]
+    out[atoms, paths] = (diff * diff) @ wf
+    return np.sqrt(out).T
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3, 8, 16, 17, 20]),
+       n_paths=st.integers(1, 40), d=st.sampled_from([1, 2]), equal=st.sampled_from([0, 2]),
+       near=st.sampled_from([0.0, 1e-12, 1e-8, 3e-7, 1e-6]),
+       edge=st.sampled_from([0.5, 0.9, 0.99, 1.01, 1.1, 2.0]))
+def test_p2_pass_prefilter_skips_no_close_entry(seed, n, n_paths, d, equal, near, edge):
+    # paths equal to atoms, near-coincident ones, +-0.0 on the grid's first node, and a last
+    # path at edge times the close bound 1e-13 (||x||^2 + ||a||^2) from the atom of largest
+    # norm, where the prefilter's cut is tightest; in both layouts (atom rows up to 16 atoms,
+    # path rows past them): bit for bit, with the sign of zero, and with an earlier scratch
+    rng = np.random.default_rng(seed)
+    space = exp_weighted_space(1.0, 9, b=1.5, d=d)
+    wf = np.tile(space.weights, d)
+    atoms = rng.normal(size=(n,) + space.shape)
+    atoms[-1] *= 4.0
+    x = rng.normal(size=(n_paths,) + space.shape)
+    picks = rng.integers(n, size=n_paths)
+    x[:equal] = atoms[picks[:equal]]
+    x[equal:2 * equal] = atoms[picks[equal:2 * equal]] * (1.0 + near * rng.normal(size=space.shape))
+    u = rng.normal(size=space.shape)
+    x[-1] = atoms[-1] + u * np.sqrt(edge * 2e-13 * (atoms[-1].ravel() ** 2 @ wf)
+                                    / (u.ravel() ** 2 @ wf))
+    for values in (atoms, x):
+        values[..., 0] = np.where(rng.random(values.shape[:-1]) < 0.5, -0.0, 0.0)
+    cb = Codebook(space=space, values=atoms)
+    sample = PathSample(values=x, seed=0, process_tag="t")
+    ref = _always_close_p2_pass(cb, sample).view(np.uint64)
+    work = {}
+    pairwise_distances(Codebook(space=space, values=atoms[::-1] + 0.5), sample, _work=work)
+    for given_work in (None, work):
+        dists = pairwise_distances(cb, sample, _work=given_work)
+        assert n_paths == 1 or dists.T.flags.c_contiguous == (n <= 16)
+        np.testing.assert_array_equal(dists.view(np.uint64), ref)
 
 
 def test_assign_single_atom(unit_space, bm_sample):

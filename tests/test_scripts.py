@@ -66,7 +66,7 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                          for name, size in bench.SIZES.items()})
     monkeypatch.setattr(script, "_bench_run", lambda: bench)
     assert script.main([str(ROOT), str(ROOT)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["39 files compared, 0 differences"]
+    assert capsys.readouterr().out.splitlines() == ["63 files compared, 0 differences"]
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "src" / "fquant" / "cli.py"
@@ -85,7 +85,11 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                                     "sgd_d2/input0: manifest.json: differs",
                                                     "sgd_p1.5/input0: manifest.json: differs",
                                                     "sgd_p2/input0: manifest.json: differs",
-                                                    "39 files compared, 8 differences"]
+                                                    "lloyd_n20/input0: manifest.json: differs",
+                                                    "lloyd_r3/input0: manifest.json: differs",
+                                                    "lloyd_d2/input0: manifest.json: differs",
+                                                    "lloyd_chunks/input0: manifest.json: differs",
+                                                    "63 files compared, 12 differences"]
 
 
 def _script(name):
