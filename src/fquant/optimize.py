@@ -125,9 +125,9 @@ def _repair_empty_cells(vor: VoronoiAssignment, r: float, events: list,
 
 def _centroids(vor: VoronoiAssignment, r: float, work: dict | None = None) -> np.ndarray:
     """Cell centroids with path weights ||x - a_i||^(r-2), as one (n, N) @ (N, d*m)
-    product.  At r = 2 work keeps the one-hot and the sums for the next call, which rewrites
-    the one-hot only where a path's cell moved.  A cell of zero total weight holds only its
-    atom's copies: kept."""
+    product.  At r = 2 work keeps the one-hot for the next call, which rewrites it only
+    where a path's cell moved.  A cell of zero total weight holds only its atom's
+    copies: kept."""
     values, cells = vor.codebook.values, vor.cell_index
     n, N = vor.n_cells, len(cells)
     weights = 1.0 if r == 2.0 else vor.best ** (r - 2.0)
@@ -138,11 +138,8 @@ def _centroids(vor: VoronoiAssignment, r: float, work: dict | None = None) -> np
         onehot[held[moved], moved] = 0.0
     onehot[cells[moved], moved] = weights
     work["onehot"] = onehot, cells
-    sums = np.matmul(onehot, vor.sample.values.reshape(N, -1),
-                     out=work.setdefault("sums", np.empty((n, values[0].size))))
-    if r == 2.0:  # after the repair no cell is empty
-        return (sums / vor.counts[:, None]).reshape(values.shape)
-    total = vor.cell_sums(weights)[:, None]
+    sums = onehot @ vor.sample.values.reshape(N, -1)
+    total = (vor.counts if r == 2.0 else vor.cell_sums(weights))[:, None]
     out = values.reshape(n, -1).copy()
     np.divide(sums, total, out=out, where=total > 0)
     return out.reshape(values.shape)
@@ -170,13 +167,13 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     """Iterate lloyd_step until the relative distortion improvement drops below tol.
 
     One distance pass per moving iteration, scored by its distortion value alone, is the
-    next step's assignment and, at exit, the reports'.  An iteration makes that (n, N) pass
-    and its reductions (best distances, cells, counts) new; its two matrix products, the
-    pass's cross term and the cell sums of a one-hot rewritten where cells moved, go to
-    scratch made once per run.  The sample's norms are made once per sample.
+    next step's assignment and, at exit, the reports'.  An iteration makes that (n, N) pass,
+    its reductions (best distances, cells, counts) and its two matrix products (the pass's
+    cross term, the cell sums) new; the (n, N) one-hot is made once per run and rewritten
+    only where cells moved.  The sample's norms are made once per sample.
     """
     trace, reason, work = OptimizeTrace(), "max_iters", {}
-    vor = VoronoiAssignment(init, sample, pairwise_distances(init, sample, _work=work))
+    vor = VoronoiAssignment(init, sample, pairwise_distances(init, sample))
     cur = vor.distortion_value(r)
     trace.distortions.append(cur)
     for k in range(config.max_iters):
@@ -185,7 +182,7 @@ def lloyd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
                          _iteration=k, _pass=vor, _work=work)
         unchanged = np.array_equal(nxt.values, vor.codebook.values)
         if not unchanged:  # a fixed point keeps its pass and its score
-            vor = VoronoiAssignment(nxt, sample, pairwise_distances(nxt, sample, _work=work))
+            vor = VoronoiAssignment(nxt, sample, pairwise_distances(nxt, sample))
             cur = vor.distortion_value(r)
         trace.distortions.append(cur)
         trace.iterations = k + 1

@@ -152,8 +152,9 @@ class Path:
 class PathSample:
     """A seeded batch of N paths standing in for the law of the process.
 
-    values      : (N, d, m) array, path i is values[i]; not to be changed in place, since
-                  what is derived from it is kept (the p = 2 pass's norms, per weights)
+    values      : (N, d, m) array, path i is values[i]: a read-only view, since what is
+                  derived from it is kept (the p = 2 pass's norms, per weights); an array
+                  it wraps without a copy is the caller's not to change afterwards
     seed        : top-level seed the batch was generated from
     process_tag : canonical identifier of the generating law
     """
@@ -169,6 +170,8 @@ class PathSample:
             values = values[:, None, :]
         if values.ndim != 3 or values.shape[0] < 1:
             raise FquantError(f"sample values must be (N, d, m) with N >= 1, got {values.shape}")
+        values = values.view()  # read-only here, the caller's array left as it is
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "seed", int(self.seed))
 

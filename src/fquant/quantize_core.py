@@ -5,10 +5,9 @@ Distances between sample paths and atoms are computed brute force for every
 returns.  At p = 2, ||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> over flattened
 (N, d*m) rows: the buffer takes the norm sums (the paths' made once per sample and
 kept on it), then adds in place the cross term, one matrix product with the atoms
-scaled by -2, written to scratch a caller may keep for its next pass.  Pairs where
-the sum cancels are recomputed directly, so a path equal to an atom is at distance
-exactly 0; they are sought only when the least entry is under the largest pair's
-bound.  Other p loop over atoms on the same rows, reducing |x - a_i| by a weighted sum
+scaled by -2.  Pairs where the sum cancels are recomputed directly, so a path equal
+to an atom is at distance exactly 0; they are sought only when the least entry is
+under the largest pair's bound.  Other p loop over atoms on the same rows, reducing |x - a_i| by a weighted sum
 of p-th powers (binary powering at integral p: p = 3 is a square and a multiply)
 or, at p = inf, the grid sup norm, by its max.  The buffer has a row per atom, or
 per path at p = 2 past _ATOM_ROWS_MAX atoms.  Every consumer reads a pass, with its
@@ -128,13 +127,9 @@ def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce, n_bufs: int =
     return out
 
 
-def pairwise_distances(codebook: Codebook, sample: PathSample,
-                       _work: dict | None = None) -> np.ndarray:
+def pairwise_distances(codebook: Codebook, sample: PathSample) -> np.ndarray:
     """(N, n) distances from each sample path to each atom, in sample order: the
-    transposed view of the (n, N) pass, a new array on every call.
-
-    _work: where a p = 2 pass keeps its cross-term product for the next one.
-    """
+    transposed view of the (n, N) pass, a new array on every call."""
     space, wf = codebook.space, np.tile(codebook.space.weights, codebook.space.d)
     if space.p == np.inf:
         return _per_atom_pass(codebook, sample, lambda buf: buf.max(axis=1)).T
@@ -155,15 +150,13 @@ def pairwise_distances(codebook: Codebook, sample: PathSample,
     sample_sq = _weighted_sq_norms(space, sample)  # checks the sample's shape
     xf, af = sample.values.reshape(len(sample), -1), codebook.values.reshape(codebook.n, -1)
     aw, an, n = af * (-2.0 * wf), (af * af) @ wf, codebook.n  # the -2 of -2<x, a>: exact
-    work = {} if _work is None else _work  # the products' buffers, one per chunk shape
     out = np.empty((n, len(sample))) if n <= _ATOM_ROWS_MAX else np.empty((len(sample), n)).T
     # rounding is monotone, so no entry's close bound below, 1e-13 (an_i + sq_j), exceeds cut
     cut = (an.max() + np.fmax.reduce(sample_sq)) * 1e-13
     for rows in _row_chunks(len(sample), 5 * n):  # scratch: < 5 (n, rows) floats
         d2, x = out[:, rows], xf[rows]
-        gram = np.matmul(x, aw.T, out=work.setdefault((len(x), n), np.empty((len(x), n))))
         np.add(an[:, None], sample_sq[rows], out=d2)  # the norms, then x @ aw.T at every n:
-        np.add(d2, gram.T, out=d2)  # one BLAS orientation
+        np.add(d2, (x @ aw.T).T, out=d2)  # one BLAS orientation
         # the inner-product expansion cancels catastrophically for (near-)
         # coincident pairs; recompute those few entries directly so that
         # identical path/atom pairs come out at exactly zero

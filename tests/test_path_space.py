@@ -227,3 +227,13 @@ def test_path_sample_invariants():
         PathSample(values=np.zeros((0, 1, 4)), seed=0, process_tag="x")
     with pytest.raises(FquantError):
         Path(values=np.array([[np.inf, 0.0]]))
+
+
+def test_path_sample_values_are_read_only():
+    # a sample keeps what it derives from its paths (the p = 2 norms), so its values
+    # refuse writes; the caller's array it wraps without a copy stays writeable
+    own = np.full((3, 1, 4), 2.0)
+    sample = PathSample(values=own, seed=0, process_tag="x")
+    with pytest.raises(ValueError):
+        sample.values[:] = 0.0
+    assert own.flags.writeable and np.shares_memory(sample.values, own)

@@ -275,7 +275,7 @@ def test_p2_pass_prefilter_skips_no_close_entry(seed, n, n_paths, d, equal, near
     # paths equal to atoms, near-coincident ones, +-0.0 on the grid's first node, and a last
     # path at edge times the close bound 1e-13 (||x||^2 + ||a||^2) from the atom of largest
     # norm, where the prefilter's cut is tightest; in both layouts (atom rows up to 16 atoms,
-    # path rows past them): bit for bit, with the sign of zero, and with an earlier scratch
+    # path rows past them): bit for bit, with the sign of zero
     rng = np.random.default_rng(seed)
     space = exp_weighted_space(1.0, 9, b=1.5, d=d)
     wf = np.tile(space.weights, d)
@@ -293,12 +293,9 @@ def test_p2_pass_prefilter_skips_no_close_entry(seed, n, n_paths, d, equal, near
     cb = Codebook(space=space, values=atoms)
     sample = PathSample(values=x, seed=0, process_tag="t")
     ref = _always_close_p2_pass(cb, sample).view(np.uint64)
-    work = {}
-    pairwise_distances(Codebook(space=space, values=atoms[::-1] + 0.5), sample, _work=work)
-    for given_work in (None, work):
-        dists = pairwise_distances(cb, sample, _work=given_work)
-        assert n_paths == 1 or dists.T.flags.c_contiguous == (n <= 16)
-        np.testing.assert_array_equal(dists.view(np.uint64), ref)
+    dists = pairwise_distances(cb, sample)
+    assert n_paths == 1 or dists.T.flags.c_contiguous == (n <= 16)
+    np.testing.assert_array_equal(dists.view(np.uint64), ref)
 
 
 def test_assign_single_atom(unit_space, bm_sample):
