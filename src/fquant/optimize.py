@@ -9,6 +9,8 @@ atom of an empty cell is re-split from the cell carrying the largest
 distortion share.  Iterates are scored by distortion value alone (SGD's also by
 the max residual its tol test reads); a run builds its reports once, from its final
 pass, the stationarity one on first read, so splitting stages compute no residual.
+A Lloyd iteration makes its (n, N) pass, the pass's reductions and its two matrix products
+new; the one-hot behind the cell sums is made once per run and rewritten where cells moved.
 SGD steps run in blocks of max_iters // 25, one per evaluation, in buffers made once per run:
 each ufunc takes its output positionally, each in-place power is the ufunc ``**=`` picks, the
 sign one copysign (an atom's -0.0 under a path's +0.0 turns +0.0), the winner min() of norms.
