@@ -1,9 +1,9 @@
 """Experiment runner: simulate -> optimize -> diagnose -> report pipelines.
 
 Subcommands: quantize, oracle, bounds, diagnose.  Exit codes: 0 success,
-2 config parse/validation error, 3 simulation or optimization error; nonzero
-exits leave a JSON error record in the output directory (or on stderr when no
-directory is available).
+2 config parse/validation error, 3 simulation, optimization or allocation error;
+nonzero exits leave a JSON error record in the output directory (or on stderr
+when no directory is available).
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         _error_record(out_dir, stage, exc)
         return EXIT_CONFIG
-    except (FquantError, np.linalg.LinAlgError) as exc:
+    except (FquantError, np.linalg.LinAlgError, MemoryError) as exc:
         _error_record(out_dir, stage, exc)
         return EXIT_RUN
 

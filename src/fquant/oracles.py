@@ -38,7 +38,7 @@ class AtomicLaw:
             raise OracleError("atoms must be (K, dim) with one probability per row")
         if np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-15:
             raise OracleError("probabilities must be positive and sum to 1 within 1e-15")
-        if len({a.tobytes() for a in atoms}) != atoms.shape[0]:
+        if len({a.tobytes() for a in atoms + 0.0}) != atoms.shape[0]:  # -0.0 + 0.0 is 0.0
             raise OracleError("law atoms must be distinct")
 
     def mean_norm_to(self, point: np.ndarray, norm_kind: str) -> float:
@@ -453,18 +453,38 @@ class SupExampleReport:
 
 def sup_counterexample(n_funcs: int = 12) -> SupExampleReport:
     """Sup-norm coverage of the bump family: h scores exactly 1/2, smooth
-    probes stay above 1/2 by a margin of 0.02."""
+    probes stay above 1/2 by a margin of 0.02.
+
+    Bump n is evaluated only on its two nonzero pieces (nodes t <= 1/2 in
+    [1/2 - 2^-n, 1/2 - 2^-(n+1)], and t > 1/2 with 1.0 - t there).  Off them
+    f_n is +-0.0 and |+-0.0 - g| = |g| exactly, so each sup distance, the
+    largest |f_n - g| on the pieces or |g| on a segment of its gaps, is the
+    full-grid one bit for bit: a max is exact in any order."""
     if n_funcs < 3:
         raise OracleError(f"need n_funcs >= 3, got {n_funcs}")
     grid = sup_example_grid(n_funcs)
     p = default_probs(n_funcs)
+    m, k = grid.size, int(np.searchsorted(grid, 0.5, side="right"))  # grid[k:] > 1/2
+    mirror = (1.0 - grid[k:])[::-1]  # bump_function_values' 1.0 - t, rising
+    ends = []  # bump n's pieces are nodes [a, b) and [c, d)
+    for n in range(1, n_funcs + 1):
+        lo, hi = 0.5 - 2.0 ** (-n), 0.5 - 2.0 ** (-(n + 1))
+        ends.append((np.searchsorted(grid[:k], lo), np.searchsorted(grid[:k], hi, "right"),
+                     m - np.searchsorted(mirror, hi, "right"), m - np.searchsorted(mirror, lo)))
 
-    bumps = np.stack([bump_function_values(n, grid) for n in range(1, n_funcs + 1)])
-    scratch = np.empty_like(bumps)  # every |f_n - g| goes through this one buffer
+    def on_pieces(x: np.ndarray) -> np.ndarray:  # x on bump 1's two pieces, then bump 2's, ...
+        return np.concatenate([x[i:j] for a, b, c, d in ends for i, j in ((a, b), (c, d))])
+    firsts = np.cumsum([0] + [b - a + d - c for a, b, c, d in ends[:-1]])
+    vals = np.concatenate([bump_function_values(n, t) for n, t in
+                           enumerate(np.split(on_pieces(grid), firsts[1:]), start=1)])
+    cuts = np.setdiff1d(np.r_[0, np.ravel(ends)], [m])  # segment i: nodes [cuts[i], cuts[i + 1])
+    a, b, c, d = np.transpose(ends)[:, :, None]  # a segment starting in a piece lies in it
+    in_gap = ~((a <= cuts) & (cuts < b) | (c <= cuts) & (cuts < d))  # (n_funcs, segments)
 
     def sup_dists_to(g: np.ndarray) -> np.ndarray:
-        np.subtract(bumps, g, out=scratch)
-        return np.abs(scratch, out=scratch).max(axis=1)
+        diffs = vals - on_pieces(g)
+        off = np.where(in_gap, np.maximum.reduceat(np.abs(g), cuts), 0.0).max(axis=1)
+        return np.maximum(np.maximum.reduceat(np.abs(diffs, out=diffs), firsts), off)
 
     sup_dists = sup_dists_to(step_function_values(grid))
     value_at_h = float(p @ sup_dists)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 
 import fquant
 from fquant import Codebook, diagnostics, distortion, sample_paths, stationarity_residual
@@ -341,6 +342,37 @@ def test_oracle_m_unused_without_sharp2(tmp_path, capsys):
 def test_oracle_unknown_selection(tmp_path, capsys):
     rc = main(["oracle", "riemann", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+# numpy's own MemoryError subclass, as np.zeros((11858, 6005)) raises it when the
+# sharp2 LP at m = 77 cannot be allocated; made here without allocating anything
+ARRAY_MEMORY_ERROR = _ArrayMemoryError((11858, 6005), np.dtype(np.float64))
+
+
+@pytest.mark.parametrize("exc", [MemoryError("out of memory"), ARRAY_MEMORY_ERROR],
+                         ids=["MemoryError", "numpy"])
+@pytest.mark.parametrize("command", ["oracle", "quantize"])
+def test_failed_allocation_exit_3_with_error_record(bm_config, tmp_path, capsys, monkeypatch,
+                                                    command, exc):
+    # an allocation that fails mid-run exits 3 and names its stage, as the docstring promises
+    if command == "oracle":
+        monkeypatch.setattr(fquant.oracles, "sharp_constant_example", _raise(exc))
+        argv = ["oracle", "sharp2", "--m", "3"]
+    else:
+        monkeypatch.setattr("fquant.cli.sample_paths", _raise(exc))
+        argv = ["quantize", "--config", str(bm_config)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert [f.name for f in out.iterdir()] == ["error.json"]
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": type(exc).__name__, "stage": command, "message": str(exc)}
+    assert "PASS" not in capsys.readouterr().out
 
 
 def test_bounds_requires_multidimensional(bm_config, tmp_path, capsys):

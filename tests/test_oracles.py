@@ -35,6 +35,20 @@ def test_atomic_law_validation():
         AtomicLaw(atoms=np.zeros((2, 3)), probs=np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("atoms", [[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 1.0]],
+                                   [[0.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [-0.0, -0.0]]],
+                         ids=["second_neg", "first_neg", "mixed", "both_neg"])
+def test_atomic_law_refuses_a_point_repeated_with_negative_zero(atoms):
+    # -0.0 == 0.0, so these rows are one point twice
+    with pytest.raises(OracleError, match="law atoms must be distinct"):
+        AtomicLaw(atoms=np.array(atoms), probs=np.array([0.5, 0.5]))
+
+
+def test_atomic_law_keeps_negative_zero_of_distinct_points():
+    law = AtomicLaw(atoms=np.array([[-0.0, 1.0], [0.0, 2.0]]), probs=np.array([0.5, 0.5]))
+    assert np.signbit(law.atoms[0, 0]) and not np.signbit(law.atoms[1, 0])
+
+
 def test_c0_example_all_checks_pass():
     rep = c0_example(M=16)
     failed = [c.name for c in rep.checks if not c.passed]
@@ -142,6 +156,117 @@ def test_sup_counterexample_peak_memory_near_two_bump_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * bump_bytes, peak / bump_bytes
+
+
+def _full_grid_bumps(n_funcs):
+    grid = sup_example_grid(n_funcs)
+    return np.stack([bump_function_values(n, grid) for n in range(1, n_funcs + 1)])
+
+
+def _oracle_sup_dists(n_funcs, g):
+    # the report's sup_dists are the distances to step_function_values(grid): swap in g
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "step_function_values", lambda t: g)
+        return sup_counterexample(n_funcs).sup_dists
+
+
+def _assert_same_bits(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes(), (got, want)
+
+
+@pytest.mark.parametrize("probe", ["h"] + list(range(len(oracles.PROBE_POLYS))))
+@pytest.mark.parametrize("n_funcs", [3, 4, 5, 8, 12])
+def test_sup_dists_to_each_probe_match_full_grid(monkeypatch, n_funcs, probe):
+    # each distance, not just the probes' minimum, equals the full-grid |f_n - g| maximum
+    grid = sup_example_grid(n_funcs)
+    p = default_probs(n_funcs)
+    coeffs = None if probe == "h" else oracles.PROBE_POLYS[probe]
+    g = step_function_values(grid) if coeffs is None else np.polyval(coeffs, grid)
+    direct = np.abs(_full_grid_bumps(n_funcs) - g[None, :]).max(axis=1)
+    _assert_same_bits(_oracle_sup_dists(n_funcs, g), direct)
+    if coeffs is not None:
+        monkeypatch.setattr(oracles, "PROBE_POLYS", (coeffs,))
+        assert sup_counterexample(n_funcs).best_probe == float(p @ direct)
+
+
+def _piece_ends(n_funcs):
+    # the first and last node of each bump's two pieces, from their definition
+    grid = sup_example_grid(n_funcs)
+    ends = []
+    for n in range(1, n_funcs + 1):
+        lo, hi = 0.5 - 2.0 ** (-n), 0.5 - 2.0 ** (-(n + 1))
+        u = np.where(grid <= 0.5, grid, 1.0 - grid)
+        for side in (grid <= 0.5, grid > 0.5):
+            nodes = np.flatnonzero(side & (lo <= u) & (u <= hi))
+            ends += [nodes[0], nodes[-1]]
+    return sorted(set(ends))
+
+
+_SPECIAL = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 3.0, -3.0,
+            np.inf, -np.inf, np.nan]
+
+
+@given(data=st.data())
+def test_sup_dists_match_full_grid_on_arbitrary_g(data):
+    # g with +-0.0 entries, entries equal to a bump's value, and a largest |f_n - g| or
+    # |g| on a piece's first or last node, next to one, or deep in a gap
+    n_funcs = data.draw(st.sampled_from([3, 4, 5]), label="n_funcs")
+    bumps = _full_grid_bumps(n_funcs)
+    m = bumps.shape[1]
+    base = data.draw(st.sampled_from(["zero", "neg_zero", "bump", "neg_bump", "noise"]))
+    if base in ("zero", "neg_zero"):
+        g = np.full(m, 0.0 if base == "zero" else -0.0)
+    elif base in ("bump", "neg_bump"):
+        g = bumps[data.draw(st.integers(0, n_funcs - 1))] * (1.0 if base == "bump" else -1.0)
+    else:
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        g = np.random.default_rng(seed).uniform(-0.6, 0.6, m)
+    g = g.copy()
+    ends = _piece_ends(n_funcs)
+    near = sorted({min(max(i + d, 0), m - 1) for i in ends for d in (-1, 0, 1)})
+    node = st.sampled_from(near) | st.integers(0, m - 1)
+    value = (st.sampled_from(_SPECIAL) | st.floats(-4.0, 4.0, width=64)
+             | st.tuples(st.integers(0, n_funcs - 1), st.sampled_from([1.0, -1.0])))
+    for i, v in data.draw(st.lists(st.tuples(node, value), max_size=8), label="edits"):
+        g[i] = v if not isinstance(v, tuple) else bumps[v[0], i] * v[1]
+    _assert_same_bits(_oracle_sup_dists(n_funcs, g), np.abs(bumps - g[None, :]).max(axis=1))
+
+
+@pytest.mark.parametrize("n_funcs", [3, 8, 12, 14])
+def test_sup_oracle_evaluates_each_bump_only_where_it_is_nonzero(monkeypatch, n_funcs):
+    calls = []
+
+    def spy(n, t):
+        calls.append((n, np.array(t)))
+        return bump_function_values(n, t)
+
+    monkeypatch.setattr(oracles, "bump_function_values", spy)
+    sup_counterexample(n_funcs)
+    grid = sup_example_grid(n_funcs)
+    assert [n for n, _ in calls] == list(range(1, n_funcs + 1))
+    for n, t in calls:
+        full = bump_function_values(n, grid)
+        on = np.isin(grid, t)
+        assert on.sum() == t.size                       # each node once, in grid order
+        assert np.array_equal(grid[on], t)
+        assert np.all(full[~on] == 0.0)                 # +0.0 or -0.0 off the pieces
+        assert t.size == (grid.size - 1) * 2 ** -n + 2  # two pieces of 2^-(n+1), ends included
+        assert bump_function_values(n, t).tobytes() == full[on].tobytes()
+
+
+def test_sup_counterexample_peak_memory_a_few_grid_arrays():
+    # no (n_funcs, m) array: the piece values, the grid and a probe with its temporaries
+    import tracemalloc
+    grid_bytes = len(sup_example_grid(12)) * 8
+    tracemalloc.start()
+    try:
+        sup_counterexample(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * grid_bytes, peak / grid_bytes
 
 
 @pytest.mark.parametrize("n_funcs", [0, 1, 2])
