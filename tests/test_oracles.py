@@ -223,7 +223,6 @@ def test_sup_dists_match_full_grid_on_arbitrary_g(data):
     else:
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         g = np.random.default_rng(seed).uniform(-0.6, 0.6, m)
-    g = g.copy()
     ends = _piece_ends(n_funcs)
     near = sorted({min(max(i + d, 0), m - 1) for i in ends for d in (-1, 0, 1)})
     node = st.sampled_from(near) | st.integers(0, m - 1)
