@@ -9,16 +9,19 @@ PYTHONPATH=<tree>/src.  First it compares the exit code and stdout of
 config_hash) on each scripts/configs/*.cfg, each counted as one file.  Then it
 takes the ops of the lloyd_bm, sgd_p3 and oracle_suite workloads from
 bench/run.py's make_inputs (the `fquant quantize` configs and the
-`fquant oracle --all` call), and small `fquant quantize` ops, each on a path
-no workload takes.  Four run SGD (SGD_OPS): d = 2 at p = 2.5 on an
+`fquant oracle --all` call), and small ops, each on a path no workload
+takes.  Four `fquant quantize` ops run SGD (SGD_OPS): d = 2 at p = 2.5 on an
 exp-weighted grid (a sum over coordinates and a non-integral power); d = 1 at
 p = 1.5 (sqrt at p - 1); d = 1 at p = 2 (sqrt at 1/p, the identity at p - 1);
 and a run that diverges (c0 = 1e200), whose exit code and error.json are
 compared.  Four run Lloyd (LLOYD_OPS): n = 20 (a p = 2 pass of path rows, past
 16 atoms); r = 3 (the weighted centroid); d = 2 on an exp-weighted grid; and
-53 000 paths, whose p = 2 passes at n = 4 run in two row chunks.  It compares
-the two output directories file by file, byte for byte; manifest.json is
-compared without its `created` stamp.
+53 000 paths, whose p = 2 passes at n = 4 run in two row chunks.  Two run
+`fquant diagnose` (DIAGNOSE_OPS) on one fixed codebook file, written into the
+op's inputs: at r = p, and at r < p, where no stationarity.json is written.  Two
+run `fquant bounds` (BOUNDS_OPS) at d = 2, under norm = lp and norm = sup.  It
+compares the two output directories file by file, byte for byte; manifest.json
+is compared without its `created` stamp.
 Prints one line per difference and a summary, and exits 1 on any difference.
 """
 
@@ -27,7 +30,9 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -51,8 +56,11 @@ r = {r}
 [sample]
 n_paths = {n_paths}
 seed = {seed}
+[bounds]
+{bounds}
 """
-SMALL = dict(m=17, p=2.0, d=1, measure="lebesgue", n=3, r=2.0, n_paths=200)
+SMALL = dict(command="quantize", m=17, p=2.0, d=1, measure="lebesgue", n=3, r=2.0, n_paths=200,
+             bounds="")
 SGD = "method = sgd\nmax_iters = 1000\nc0 = {c0}"
 SGD_OPS = {  # small SGD quantize ops, each on a step path no workload takes
     "sgd_d2": dict(SMALL, p=2.5, d=2, measure="exp:0.5", r=2.5,  # a sum over d, x^2.5
@@ -68,7 +76,18 @@ LLOYD_OPS = {  # small Lloyd quantize ops, each on a pass or centroid path lloyd
     "lloyd_d2": dict(SMALL, d=2, measure="exp:0.5", optimizer=LLOYD),  # a sum over d
     "lloyd_chunks": dict(SMALL, m=5, n=4, n_paths=53_000, optimizer=LLOYD),  # two row chunks
 }
-QUANTIZE_OPS = SGD_OPS | LLOYD_OPS
+DIAGNOSE = dict(SMALL, command="diagnose", m=65, optimizer="")  # m >= 64: Hoelder files too
+DIAGNOSE_OPS = {  # small diagnose ops of the fixed codebook file CODEBOOK_LEVELS
+    "diagnose_r2": DIAGNOSE,  # r = p: writes stationarity.json
+    "diagnose_r1.5": dict(DIAGNOSE, r=1.5),  # r < p: writes none
+}
+BOUNDS = dict(SMALL, command="bounds", d=2, n=4, optimizer=LLOYD)
+BOUNDS_OPS = {  # small marginal-sandwich ops at d = 2, marginal sizes 2, 2
+    "bounds_lp": dict(BOUNDS, bounds="norm = lp"),
+    "bounds_sup": dict(BOUNDS, bounds="norm = sup"),
+}
+SMALL_OPS = SGD_OPS | LLOYD_OPS | DIAGNOSE_OPS | BOUNDS_OPS
+CODEBOOK_LEVELS = (-1.0, 0.25, 1.5)  # atom i of the diagnosed codebook is level i * sqrt(t)
 
 
 def _bench_run():
@@ -101,13 +120,27 @@ def _cli_checks() -> list[tuple[str, list[str]]]:
         for cfg in configs]
 
 
-def _quantize_ops(bench, name: str, seed: int, work: Path) -> list:
-    """The op QUANTIZE_OPS[name], as bench/run.py's make_inputs writes a workload's."""
+def _codebook_file(d: int, m: int) -> bytes:
+    """A codebook file (path_space.pack_paths' layout) of CODEBOOK_LEVELS times sqrt(t) on
+    m uniform nodes of [0, 1], in each of d coordinates."""
+    values = [c * math.sqrt(k / (m - 1)) for c in CODEBOOK_LEVELS for _ in range(d)
+              for k in range(m)]
+    header = struct.pack("<4q", d, m, len(CODEBOOK_LEVELS), 0)  # d, m, n, seed
+    return header + struct.pack(f"<{len(values)}d", *values)
+
+
+def _small_ops(bench, name: str, seed: int, work: Path) -> list:
+    """The op SMALL_OPS[name], as bench/run.py's make_inputs writes a workload's."""
+    op = SMALL_OPS[name]
     work.mkdir(parents=True)
     cfg, out = work / "input0.cfg", work / "out0"
-    cfg.write_text(OP_CONFIG.format(seed=seed, **QUANTIZE_OPS[name]))
-    return [bench.Op("input0", "quantize", ["quantize", "--config", str(cfg), "--out", str(out)],
-                     out)]
+    cfg.write_text(OP_CONFIG.format(seed=seed, **op))
+    argv = [op["command"], "--config", str(cfg), "--out", str(out)]
+    if op["command"] == "diagnose":
+        codebook = work / "codebook.bin"
+        codebook.write_bytes(_codebook_file(op["d"], op["m"]))
+        argv += ["--codebook", str(codebook)]
+    return [bench.Op("input0", op["command"], argv, out)]
 
 
 def _content(path: Path):
@@ -147,10 +180,10 @@ def main(argv: list[str] | None = None) -> int:
             n_diffs += 1
             print(f"cli/{label}: differs")
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for workload in WORKLOADS + tuple(QUANTIZE_OPS):
+        for workload in WORKLOADS + tuple(SMALL_OPS):
             work = Path(tmp) / workload
-            ops = (_quantize_ops(bench, workload, args.seed, work / "inputs")
-                   if workload in QUANTIZE_OPS
+            ops = (_small_ops(bench, workload, args.seed, work / "inputs")
+                   if workload in SMALL_OPS
                    else bench.make_inputs(workload, args.seed, bench.SIZES[workload],
                                           work / "inputs"))
             for op in ops:

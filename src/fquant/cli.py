@@ -21,7 +21,7 @@ from .config import ExperimentConfig, load_config, print_schema
 from .errors import ConfigError, FquantError
 from .optimize import _runs_at, optimize_codebook, product_quantizer, splitting_init
 from .process_sim import sample_paths
-from .quantize_core import Codebook, distortion
+from .quantize_core import Codebook, assign, distortion
 
 ORACLE_NAMES = ("c0", "l1", "sharp2", "supnorm", "closed_form")
 
@@ -30,11 +30,14 @@ EXIT_CONFIG = 2
 EXIT_RUN = 3
 
 
-def _write(out_dir: FsPath, name: str, data: str | bytes):
+def _write(out_dir: FsPath, name: str, data: str | bytes, files: list[str] | None = None):
+    """Write out_dir / name, and append name to the manifest's list of files, if given."""
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = "wb" if isinstance(data, bytes) else "w"
     with open(out_dir / name, mode) as fh:
         fh.write(data)
+    if files is not None:
+        files.append(name)
 
 
 def _error_record(out_dir: FsPath | None, stage: str, exc: Exception) -> None:
@@ -80,16 +83,13 @@ def _write_reports(out_dir: FsPath, cfg: ExperimentConfig, codebook: Codebook,
                    rep, stat, files: list[str]):
     """Write the codebook's distortion, stationarity (if any) and Hoelder reports."""
     h, space = cfg.config_hash, codebook.space
-    _write(out_dir, "distortion.json", _stamp_json(rep.to_json(), h))
-    files.append("distortion.json")
+    _write(out_dir, "distortion.json", _stamp_json(rep.to_json(), h), files)
     if stat is not None:
-        _write(out_dir, "stationarity.json", _stamp_json(stat.to_json(), h))
-        files.append("stationarity.json")
+        _write(out_dir, "stationarity.json", _stamp_json(stat.to_json(), h), files)
     if space.m >= 64:
         fit = diagnostics.holder_fit(codebook)
-        _write(out_dir, "holder.json", _stamp_json(fit.to_json(), h))
-        _write(out_dir, "holder.csv", _stamp_csv(fit.to_csv(), h))
-        files += ["holder.json", "holder.csv"]
+        _write(out_dir, "holder.json", _stamp_json(fit.to_json(), h), files)
+        _write(out_dir, "holder.csv", _stamp_csv(fit.to_csv(), h), files)
 
 
 def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
@@ -106,11 +106,10 @@ def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     codebook = splitting_init(sample, space, cfg.n, cfg.r, seed, config=opt)
     codebook, trace = optimize_codebook(opt, codebook, sample, cfg.r)
 
-    h = cfg.config_hash
-    _write(out_dir, "codebook.bin", codebook.to_binary())
-    _write(out_dir, "codebook.csv", _stamp_csv(codebook.to_csv(), h))
-    _write(out_dir, "trace.csv", _stamp_csv(trace.to_csv(), h))
-    files = ["codebook.bin", "codebook.csv", "trace.csv"]
+    h, files = cfg.config_hash, []
+    _write(out_dir, "codebook.bin", codebook.to_binary(), files)
+    _write(out_dir, "codebook.csv", _stamp_csv(codebook.to_csv(), h), files)
+    _write(out_dir, "trace.csv", _stamp_csv(trace.to_csv(), h), files)
     rep = trace.final_distortion
     _write_reports(out_dir, cfg, codebook, rep, trace.final_stationarity, files)
     _write(out_dir, "manifest.json", _manifest(cfg, seed, files, {
@@ -199,9 +198,9 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     sample = sample_paths(cfg.build_process_spec(), space, cfg.n_paths, seed)
     report = marginal_bounds_report(sample, space, n, sizes, cfg.r, seed, opt, norm=norm)
     report["config_hash"] = cfg.config_hash
-    _write(out_dir, "bounds.json", json.dumps(report, sort_keys=True) + "\n")
-    _write(out_dir, "manifest.json", _manifest(cfg, seed, ["bounds.json"], {
-        "holds": report["holds"]}))
+    files = []
+    _write(out_dir, "bounds.json", json.dumps(report, sort_keys=True) + "\n", files)
+    _write(out_dir, "manifest.json", _manifest(cfg, seed, files, {"holds": report["holds"]}))
     print(f"bounds[{norm}]: lower={report['lower']:.6g} joint={report['joint']:.6g} "
           f"upper={report['upper']:.6g} holds={report['holds']} -> {out_dir}")
     return EXIT_OK if report["holds"] else EXIT_RUN
@@ -222,7 +221,7 @@ def marginal_bounds_report(sample, space, n: int, sizes: list[int], r: float,
     """
     d = space.d
     exponent = _bounds_exponent(space, r, norm)
-    msp = space.marginal()
+    msp = space.with_d(1)
 
     def measure(cb, smp):
         if norm == "sup":
@@ -286,9 +285,9 @@ def run_diagnose(cfg: ExperimentConfig, seed: int, codebook_path: str,
         print(f"config ok: diagnose {codebook.n} atoms on m={space.m}, d={space.d}")
         return EXIT_OK
     sample = sample_paths(cfg.build_process_spec(), space, cfg.n_paths, seed)
-    files = []
-    rep, stat = diagnostics.distortion_and_stationarity(codebook, sample, cfg.r)
-    _write_reports(out_dir, cfg, codebook, rep, stat, files)
+    vor, files = assign(codebook, sample), []
+    rep = vor.distortion(cfg.r)
+    _write_reports(out_dir, cfg, codebook, rep, diagnostics._stationarity_from(vor, cfg.r), files)
     _write(out_dir, "manifest.json", _manifest(cfg, seed, files, {
         "codebook": str(codebook_path), "distortion": rep.value}))
     print(f"diagnose: distortion={rep.value:.6g} -> {out_dir}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, FquantError
 from .optimize import DEFAULT_MAX_ITERS, OptimizerConfig, default_config_for
@@ -116,10 +116,10 @@ def parse_config_text(text: str) -> dict:
 
 
 _DEFAULTS = parse_config_text(SCHEMA)  # {section: {key: example}}
-_UNSET = {"kind", "H", "c", "a", "lam", "rho", "method", "max_iters", "c0", "decay",
-          "marginal_sizes"}  # no default: read only where the file writes them
 _PARAM_OF = {kind: row.param[0] for kind, row in _KIND_TABLE.items() if row.param}
 _PARAMS = set(_PARAM_OF.values())  # each read only under its own kind
+_UNSET = {"kind", "method", "max_iters", "c0", "decay",
+          "marginal_sizes"} | _PARAMS  # no default: read only where the file writes them
 _CHECKS = {  # key: (test of its value alone, what the value must be)
     "kind": (lambda v: v in KINDS, f"must be one of {KINDS}"),
     "t_end": (lambda v: 0.0 < v < float("inf"), "must be finite and > 0"),
@@ -169,18 +169,12 @@ def _values(sections: dict) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    process: dict  # the sections as the file writes them, which config_hash reads
-    space: dict
-    quantizer: dict
-    optimizer: dict
-    sample: dict
-    bounds: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict)  # {section: {key: value}} from _values
+    sections: dict  # {section: {key: value}} as the file writes them, which config_hash reads
+    values: dict  # {section: {key: value}} from _values
 
     @property
     def config_hash(self) -> str:
-        canon = repr(sorted((s, sorted(getattr(self, s).items())) for s in _DEFAULTS))
+        canon = repr(sorted((s, sorted(self.sections[s].items())) for s in _DEFAULTS))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def build_space(self) -> DiscretePathSpace:
@@ -244,7 +238,7 @@ def load_config(path: str) -> ExperimentConfig:
     for required in ("process", "space", "quantizer", "sample"):
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
-    cfg = ExperimentConfig(**{s: sections.get(s, {}) for s in _DEFAULTS}, values=_values(sections))
+    cfg = ExperimentConfig({s: sections.get(s, {}) for s in _DEFAULTS}, _values(sections))
     space, kind = cfg.build_space(), cfg.build_process_spec().kind
     if _KIND_TABLE[kind].d1_only and space.d != 1:
         raise ConfigError(f"[process] {kind} is implemented for d = 1 only, got d = {space.d}")

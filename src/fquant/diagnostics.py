@@ -7,6 +7,7 @@ differential is one kernel: per row chunk of the sample, |a_i - x|^(p-1) sign(a_
 is summed into each path's cell by a one-hot product weighted by ||x - a_i||^(r-p)
 (0 for a path equal to its atom), so its scratch follows the chunk budget, not N.
 pass_scores gives SGD the distortion value and max residual alone, not the reports.
+_residuals alone says where the residual exists, p <= r < inf; each consumer follows it.
 
 All analyses are read-only; degenerate inputs produce flags in the reports
 rather than exceptions.
@@ -21,8 +22,9 @@ import numpy as np
 
 from .errors import FquantError
 from .path_space import PathSample
-from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment, _row_chunks,
-                            assign, distortion)
+from .quantize_core import Codebook, VoronoiAssignment, _row_chunks, assign, distortion
+
+_DOMAIN = "stationarity condition needs p <= r < inf, got r={r}, p={p}"
 
 
 @dataclass(frozen=True)
@@ -93,23 +95,21 @@ def stationarity_residual(codebook: Codebook, sample: PathSample, r: float) -> S
     is the sup over grid nodes.  The codebook is admissible when every cell has
     mass and the tie mass is at most 1e-3.
     """
-    return _stationarity_from(assign(codebook, sample), r)
+    stat = _stationarity_from(assign(codebook, sample), r)
+    if stat is None:
+        raise FquantError(_DOMAIN.format(r=r, p=codebook.space.p))
+    return stat
 
 
-def distortion_and_stationarity(codebook: Codebook, sample: PathSample, r: float
-                                ) -> tuple[DistortionReport, StationarityReport | None]:
-    """distortion and, where r >= p, stationarity_residual from one distance pass."""
-    vor = assign(codebook, sample)
-    stat = _stationarity_from(vor, r) if r >= codebook.space.p else None
-    return vor.distortion(r), stat
-
-
-def _residuals(vor: VoronoiAssignment, r: float) -> np.ndarray:
-    """(n, d) residuals of stationarity_residual from the codebook's distance pass."""
+def _residuals(vor: VoronoiAssignment, r: float) -> np.ndarray | None:
+    """(n, d) residuals of stationarity_residual from the codebook's distance pass; None
+    where r < p.  The one place that says where the residual exists."""
     space = vor.codebook.space
     p = space.p
-    if not p <= r < np.inf:
-        raise FquantError(f"stationarity condition needs p <= r < inf, got r={r}, p={p}")
+    if not r < np.inf:
+        raise FquantError(_DOMAIN.format(r=r, p=p))
+    if r < p:
+        return None
     means = _integrand_means(vor, r)
     if p == 1.0:
         return np.abs(means).max(axis=2)
@@ -120,13 +120,16 @@ def _residuals(vor: VoronoiAssignment, r: float) -> np.ndarray:
 def pass_scores(codebook: Codebook, sample: PathSample, r: float) -> tuple:
     """(pass, distortion value, max residual, nan where r < p) from one pass, without reports."""
     vor = assign(codebook, sample)
-    residual = float(_residuals(vor, r).max()) if r >= codebook.space.p else float("nan")
+    residuals = _residuals(vor, r)
+    residual = float("nan") if residuals is None else float(residuals.max())
     return vor, vor.distortion_value(r), residual
 
 
-def _stationarity_from(vor: VoronoiAssignment, r: float) -> StationarityReport:
-    """stationarity_residual from the codebook's distance pass."""
+def _stationarity_from(vor: VoronoiAssignment, r: float) -> StationarityReport | None:
+    """stationarity_residual from the codebook's distance pass; None where r < p."""
     residuals = _residuals(vor, r)
+    if residuals is None:
+        return None
     cell_masses = vor.cell_masses()
     atom_hits = vor.cell_sums(vor.best == 0.0) / len(vor.dists)
     admissible = bool(np.all(cell_masses > 0) and vor.tie_mass <= 1e-3)

@@ -75,9 +75,8 @@ class OptimizeTrace:
     @cached_property
     def final_stationarity(self) -> StationarityReport | None:
         """The last scored codebook's, from its kept pass on first read; None where r < p."""
-        vor, rep = self._final_pass, self.final_distortion
-        if vor is not None and rep.r >= vor.codebook.space.p:
-            return _stationarity_from(vor, rep.r)
+        if self._final_pass is not None:
+            return _stationarity_from(self._final_pass, self.final_distortion.r)
 
     @property
     def exit_residual(self) -> float:

@@ -79,10 +79,6 @@ class DiscretePathSpace:
     def with_d(self, d: int) -> "DiscretePathSpace":
         return replace(self, d=int(d))
 
-    def marginal(self) -> "DiscretePathSpace":
-        """The single-coordinate space sharing this grid, weights and p."""
-        return self.with_d(1)
-
 
 def uniform_space(t_end: float, m: int, p: float = 2.0, d: int = 1) -> DiscretePathSpace:
     """Uniform grid on [0, t_end] with trapezoid weights for Lebesgue measure."""

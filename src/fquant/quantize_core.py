@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, FquantError
-from .path_space import (DiscretePathSpace, Path, PathSample, pack_paths,
+from .path_space import (DiscretePathSpace, Path, PathSample, _check_shape, pack_paths,
                          paths_to_csv, unpack_paths)
 
 _CHUNK_BUDGET = 2 ** 20  # floats of scratch per chunk of sample rows
@@ -90,11 +90,6 @@ def codebook_from_paths(space: DiscretePathSpace, paths) -> Codebook:
     return Codebook(space=space, values=values)
 
 
-def _check_sample(space: DiscretePathSpace, sample: PathSample):
-    if sample.values.shape[1:] != space.shape:
-        raise DimensionMismatchError(space.shape, sample.values.shape[1:], what="sample path")
-
-
 def _row_chunks(n_rows: int, per_row: int):
     """Consecutive row slices of at most _CHUNK_BUDGET // per_row rows (at least one)."""
     chunk = max(1, _CHUNK_BUDGET // per_row)
@@ -104,7 +99,7 @@ def _row_chunks(n_rows: int, per_row: int):
 def _weighted_sq_norms(space: DiscretePathSpace, sample: PathSample) -> np.ndarray:
     """(N,) weighted squared L^2 norms of the sample paths, the p = 2 pass input: made once
     per (weights, sample) and kept on the sample, read-only, for every later pass."""
-    _check_sample(space, sample)
+    _check_shape(space, sample.values, what="sample path")
     key = space.weights.tobytes()
     if key not in sample._derived:
         flat, wf = sample.values.reshape(len(sample), -1), np.tile(space.weights, space.d)
@@ -117,7 +112,7 @@ def _weighted_sq_norms(space: DiscretePathSpace, sample: PathSample) -> np.ndarr
 def _per_atom_pass(codebook: Codebook, sample: PathSample, reduce, n_bufs: int = 1) -> np.ndarray:
     """(n, N) reduce(|x - a_i|, *scratch) over flattened (N, d*m) rows, one atom at a time;
     |x - a_i| and n_bufs - 1 scratch buffers, made once per row chunk, may be overwritten."""
-    _check_sample(codebook.space, sample)
+    _check_shape(codebook.space, sample.values, what="sample path")
     xf, af = sample.values.reshape(len(sample), -1), codebook.values.reshape(codebook.n, -1)
     out = np.empty((codebook.n, len(sample)))
     for rows in _row_chunks(len(sample), n_bufs * xf.shape[1] + codebook.n):

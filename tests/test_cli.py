@@ -7,10 +7,11 @@ import pytest
 from numpy._core._exceptions import _ArrayMemoryError
 
 import fquant
-from fquant import Codebook, diagnostics, distortion, sample_paths, stationarity_residual
+from fquant import (Codebook, diagnostics, distortion, sample_paths, sgd_run,
+                    stationarity_residual)
 from fquant.cli import main
 from fquant.config import SCHEMA, load_config, parse_config_text
-from fquant.errors import ConfigError
+from fquant.errors import ConfigError, FquantError
 from fquant.optimize import DEFAULT_MAX_ITERS, default_config_for
 
 BM_CFG = """
@@ -108,7 +109,7 @@ def test_print_schema(capsys, tmp_path):
     schema = tmp_path / "schema.cfg"
     schema.write_text(out)
     cfg = load_config(str(schema))
-    assert cfg.output == {"dir": "out"}
+    assert cfg.sections["output"] == {"dir": "out"}
 
 
 def test_dry_run_writes_nothing(bm_config, tmp_path, capsys):
@@ -180,7 +181,7 @@ def test_build_optimizer_defaults_to_default_config_for(tmp_path, p, r):
     path.write_text(BM_CFG.replace("p = 2.0", f"p = {p}").replace("r = 2.0", f"r = {r}")
                     .replace("method = lloyd\nmax_iters = 60\ntol = 1e-10\n", ""))
     cfg = load_config(str(path))
-    assert cfg.optimizer == {}
+    assert cfg.sections["optimizer"] == {}
     assert cfg.build_optimizer(5) == default_config_for(cfg.build_space(), r, 5)
 
 
@@ -817,3 +818,56 @@ def test_python_m_fquant_entry_point(tmp_path, fresh_python):
     assert schema == "0 []"
     code, err = oracle.split(" ", 1)
     assert code == "2" and '"stage": "oracle"' in err
+
+
+@pytest.mark.parametrize("p, r", [(2.0, 2.0), (3.0, 3.0), (3.0, 2.0), (2.5, 1.5)])
+def test_every_consumer_has_a_residual_exactly_where_r_is_at_least_p(tmp_path, capsys, p, r):
+    # diagnostics._residuals alone says where the residual exists; each consumer follows it
+    path = tmp_path / "q.cfg"
+    path.write_text(_edited(SGD_P3_CFG, {"p = 3.0": f"p = {p}", "r = 3.0": f"r = {r}"}))
+    cfg = load_config(str(path))
+    space = cfg.build_space()
+    sample = sample_paths(cfg.build_process_spec(), space, cfg.n_paths, cfg.seed)
+    init = Codebook(space=space, values=sample.values[:3].copy())
+    cb, trace = sgd_run(cfg.build_optimizer(cfg.seed), init, sample, r)
+    residual = diagnostics.pass_scores(cb, sample, r)[2]
+    quantized, diagnosed = tmp_path / "q", tmp_path / "d"
+    assert main(["quantize", "--config", str(path), "--out", str(quantized)]) == 0
+    assert main(["diagnose", "--config", str(path), "--codebook",
+                 str(quantized / "codebook.bin"), "--out", str(diagnosed)]) == 0
+    last = (quantized / "trace.csv").read_text().splitlines()[-1].split(",")[-1]
+    if r < p:
+        with pytest.raises(FquantError, match=rf"needs p <= r < inf, got r={r}, p={p}$"):
+            stationarity_residual(cb, sample, r)
+        assert np.isnan(residual) and trace.final_stationarity is None and last == "nan"
+        assert not (quantized / "stationarity.json").exists()
+        assert not (diagnosed / "stationarity.json").exists()
+    else:
+        stat = stationarity_residual(cb, sample, r)
+        assert residual == stat.max_residual
+        assert trace.final_stationarity.to_json() == stat.to_json()
+        written = json.loads((quantized / "stationarity.json").read_text())
+        assert float(last) == written["max_residual"]
+        assert (diagnosed / "stationarity.json").read_bytes() == (
+            quantized / "stationarity.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, text", [("quantize", BM_CFG), ("quantize", SGD_P3_CFG),
+                                           ("diagnose", BM_CFG), ("bounds", BOUNDS_CFG)],
+                         ids=["quantize_m96", "quantize_m33", "diagnose", "bounds"])
+def test_manifest_lists_every_file_the_run_wrote(tmp_path, capsys, command, text):
+    # quantize at m < 64 writes no Hoelder files, and its manifest lists none
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "diagnose":
+        space = load_config(str(path)).build_space()
+        saved = tmp_path / "cb.bin"
+        levels = np.array([-1.0, 0.25, 1.5])[:, None, None]
+        saved.write_bytes(Codebook(space=space, values=levels * np.sqrt(space.grid)).to_binary())
+        argv += ["--codebook", str(saved)]
+    assert main(argv) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert files == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
+    assert ("holder.json" in files) == (command != "bounds" and "m = 96" in text)

@@ -8,7 +8,6 @@ from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
                     lloyd_run, lloyd_step, product_quantizer, quant_error,
                     sample_paths, sgd_run, splitting_init, uniform_space)
 from fquant import diagnostics, optimize, quantize_core, stationarity_residual
-from fquant.diagnostics import distortion_and_stationarity
 from fquant.errors import DivergenceError, OptimizeError
 from fquant.optimize import default_config_for
 from fquant.path_space import Path, exp_weighted_space, lp_norm_values
@@ -599,8 +598,8 @@ def test_every_pass_is_the_pass_of_its_own_codebook(unit_space, bm_sample, monke
     splitting_init(offset, space, 2, 2.0, seed=1, config=FALLBACK_SGD)
     assert splits
     check("splitting_init, falling back")
-    distortion_and_stationarity(Codebook(space=p3, values=bm_sample.values[:3]), bm_sample, 3.0)
-    check("distortion_and_stationarity")
+    stationarity_residual(Codebook(space=p3, values=bm_sample.values[:3]), bm_sample, 3.0)
+    check("stationarity_residual")
     distortion(constant_codebook(unit_space.with_p(np.inf), [-0.5, 0.5]), bm_sample, 2.0)
     check("distortion, p = inf")
 
@@ -634,12 +633,13 @@ def test_trace_reports_are_the_eager_reports(bm_sample, method, p, r, kwargs, re
     cfg = OptimizerConfig(method=method, **kwargs)
     cb, trace = optimize.optimize_codebook(cfg, init, bm_sample, r)
     assert trace.exit_reason == reason
-    rep, stat = distortion_and_stationarity(cb, bm_sample, r)
+    rep = distortion(cb, bm_sample, r)
     assert trace.final_distortion.to_json() == rep.to_json()
     assert trace.distortions[-1] == rep.value
     if r < p:
-        assert stat is None and trace.final_stationarity is None
+        assert trace.final_stationarity is None
     else:
+        stat = stationarity_residual(cb, bm_sample, r)
         assert trace.final_stationarity.to_json() == stat.to_json()
         assert trace.exit_residual == stat.max_residual
 
@@ -663,7 +663,7 @@ def test_sgd_divergence_trace_carries_last_accepted_reports(bm_sample, monkeypat
     trace = err.value.trace
     assert trace.exit_reason == "diverged" and len(seen) == 3
     assert trace.distortions[-1] == 1e300 and len(trace.distortions) == 4
-    rep, stat = distortion_and_stationarity(seen[1], bm_sample, 3.0)
+    rep, stat = distortion(seen[1], bm_sample, 3.0), stationarity_residual(seen[1], bm_sample, 3.0)
     assert trace.final_distortion.to_json() == rep.to_json()
     assert trace.final_stationarity.to_json() == stat.to_json()
 
@@ -705,7 +705,7 @@ def test_product_distortion_additivity():
     # p = 2, d = 2: product-codebook distortion equals the sum of marginal ones
     space = uniform_space(1.0, 65, d=2)
     sample = sample_paths(ProcessSpec("brownian"), space, 2000, seed=17)
-    msp = space.marginal()
+    msp = space.with_d(1)
     marginals = []
     parts = []
     for j in range(2):

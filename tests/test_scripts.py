@@ -66,13 +66,15 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                          for name, size in bench.SIZES.items()})
     monkeypatch.setattr(script, "_bench_run", lambda: bench)
     assert script.main([str(ROOT), str(ROOT)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["63 files compared, 0 differences"]
+    assert capsys.readouterr().out.splitlines() == ["76 files compared, 0 differences"]
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "src" / "fquant" / "cli.py"
     cli.write_text(cli.read_text().replace('"exit_reason": trace.exit_reason,',
                                            '"exit_reason": trace.exit_reason + "!",')
-                   .replace('print(f"config ok: hash=', 'print(f"config ok: hash=!'))
+                   .replace('print(f"config ok: hash=', 'print(f"config ok: hash=!')
+                   .replace('"codebook": str(codebook_path)', '"codebook": "!"')
+                   .replace('{"holds": report["holds"]}', '{"holds": "!"}'))
     config = other / "src" / "fquant" / "config.py"
     config.write_text(config.read_text().replace("# fquant experiment config:",
                                                  "# fquant experiment config!"))
@@ -89,7 +91,11 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                                     "lloyd_r3/input0: manifest.json: differs",
                                                     "lloyd_d2/input0: manifest.json: differs",
                                                     "lloyd_chunks/input0: manifest.json: differs",
-                                                    "63 files compared, 12 differences"]
+                                                    "diagnose_r2/input0: manifest.json: differs",
+                                                    "diagnose_r1.5/input0: manifest.json: differs",
+                                                    "bounds_lp/input0: manifest.json: differs",
+                                                    "bounds_sup/input0: manifest.json: differs",
+                                                    "76 files compared, 16 differences"]
 
 
 def _script(name):
