@@ -76,8 +76,9 @@ LLOYD_OPS = {  # small Lloyd quantize ops, each on a pass or centroid path lloyd
     "lloyd_d2": dict(SMALL, d=2, measure="exp:0.5", optimizer=LLOYD),  # a sum over d
     "lloyd_chunks": dict(SMALL, m=5, n=4, n_paths=53_000, optimizer=LLOYD),  # two row chunks
 }
+CODEBOOK_LEVELS = (-1.0, 0.25, 1.5)  # atom i of the diagnosed codebook is level i * sqrt(t)
 DIAGNOSE = dict(SMALL, command="diagnose", m=65, optimizer="")  # m >= 64: Hoelder files too
-DIAGNOSE_OPS = {  # small diagnose ops of the fixed codebook file CODEBOOK_LEVELS
+DIAGNOSE_OPS = {  # small diagnose ops of one codebook file, of CODEBOOK_LEVELS
     "diagnose_r2": DIAGNOSE,  # r = p: writes stationarity.json
     "diagnose_r1.5": dict(DIAGNOSE, r=1.5),  # r < p: writes none
 }
@@ -87,7 +88,6 @@ BOUNDS_OPS = {  # small marginal-sandwich ops at d = 2, marginal sizes 2, 2
     "bounds_sup": dict(BOUNDS, bounds="norm = sup"),
 }
 SMALL_OPS = SGD_OPS | LLOYD_OPS | DIAGNOSE_OPS | BOUNDS_OPS
-CODEBOOK_LEVELS = (-1.0, 0.25, 1.5)  # atom i of the diagnosed codebook is level i * sqrt(t)
 
 
 def _bench_run():
