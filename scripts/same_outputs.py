@@ -16,9 +16,10 @@ p = 1.5 (sqrt at p - 1); d = 1 at p = 2 (sqrt at 1/p, the identity at p - 1);
 and a run that diverges (c0 = 1e200), whose exit code and error.json are
 compared.  Four run Lloyd (LLOYD_OPS): n = 20 (a p = 2 pass of path rows, past
 16 atoms); r = 3 (the weighted centroid); d = 2 on an exp-weighted grid; and
-53 000 paths, whose p = 2 passes at n = 4 run in two row chunks.  Two run
-`fquant diagnose` (DIAGNOSE_OPS) on one fixed codebook file, written into the
-op's inputs: at r = p, and at r < p, where no stationarity.json is written.  Two
+53 000 paths, whose p = 2 passes at n = 4 run in two row chunks.  Three run
+`fquant diagnose` (DIAGNOSE_OPS) on a fixed codebook file, written into the op's
+inputs: at r = p, at r < p, where no stationarity.json is written, and on a
+codebook holding a constant atom, whose Hoelder flags holder.json writes as null.  Two
 run `fquant bounds` (BOUNDS_OPS) at d = 2, under norm = lp and norm = sup.  It
 compares the two output directories file by file, byte for byte; manifest.json
 is compared without its `created` stamp.
@@ -76,11 +77,12 @@ LLOYD_OPS = {  # small Lloyd quantize ops, each on a pass or centroid path lloyd
     "lloyd_d2": dict(SMALL, d=2, measure="exp:0.5", optimizer=LLOYD),  # a sum over d
     "lloyd_chunks": dict(SMALL, m=5, n=4, n_paths=53_000, optimizer=LLOYD),  # two row chunks
 }
-CODEBOOK_LEVELS = (-1.0, 0.25, 1.5)  # atom i of the diagnosed codebook is level i * sqrt(t)
-DIAGNOSE = dict(SMALL, command="diagnose", m=65, optimizer="")  # m >= 64: Hoelder files too
-DIAGNOSE_OPS = {  # small diagnose ops of one codebook file, of CODEBOOK_LEVELS
+# atom i of the diagnosed codebook is levels[i] * sqrt(t); m >= 64: Hoelder files too
+DIAGNOSE = dict(SMALL, command="diagnose", m=65, optimizer="", levels=(-1.0, 0.25, 1.5))
+DIAGNOSE_OPS = {  # small diagnose ops, each of one codebook file
     "diagnose_r2": DIAGNOSE,  # r = p: writes stationarity.json
     "diagnose_r1.5": dict(DIAGNOSE, r=1.5),  # r < p: writes none
+    "diagnose_const": dict(DIAGNOSE, levels=(0.0, 1.0)),  # atom 0 is constant: null flags
 }
 BOUNDS = dict(SMALL, command="bounds", d=2, n=4, optimizer=LLOYD)
 BOUNDS_OPS = {  # small marginal-sandwich ops at d = 2, marginal sizes 2, 2
@@ -120,12 +122,11 @@ def _cli_checks() -> list[tuple[str, list[str]]]:
         for cfg in configs]
 
 
-def _codebook_file(d: int, m: int) -> bytes:
-    """A codebook file (path_space.pack_paths' layout) of CODEBOOK_LEVELS times sqrt(t) on
-    m uniform nodes of [0, 1], in each of d coordinates."""
-    values = [c * math.sqrt(k / (m - 1)) for c in CODEBOOK_LEVELS for _ in range(d)
-              for k in range(m)]
-    header = struct.pack("<4q", d, m, len(CODEBOOK_LEVELS), 0)  # d, m, n, seed
+def _codebook_file(levels: tuple[float, ...], d: int, m: int) -> bytes:
+    """A codebook file (path_space.pack_paths' layout) of levels times sqrt(t) on m uniform
+    nodes of [0, 1], in each of d coordinates."""
+    values = [c * math.sqrt(k / (m - 1)) for c in levels for _ in range(d) for k in range(m)]
+    header = struct.pack("<4q", d, m, len(levels), 0)  # d, m, n, seed
     return header + struct.pack(f"<{len(values)}d", *values)
 
 
@@ -138,7 +139,7 @@ def _small_ops(bench, name: str, seed: int, work: Path) -> list:
     argv = [op["command"], "--config", str(cfg), "--out", str(out)]
     if op["command"] == "diagnose":
         codebook = work / "codebook.bin"
-        codebook.write_bytes(_codebook_file(op["d"], op["m"]))
+        codebook.write_bytes(_codebook_file(op["levels"], op["d"], op["m"]))
         argv += ["--codebook", str(codebook)]
     return [bench.Op("input0", op["command"], argv, out)]
 

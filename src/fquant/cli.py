@@ -20,6 +20,7 @@ from . import diagnostics, oracles
 from .config import ExperimentConfig, load_config, print_schema
 from .errors import ConfigError, FquantError
 from .optimize import _runs_at, optimize_codebook, product_quantizer, splitting_init
+from .path_space import _to_json
 from .process_sim import sample_paths
 from .quantize_core import Codebook, assign, distortion
 
@@ -41,8 +42,7 @@ def _write(out_dir: FsPath, name: str, data: str | bytes, files: list[str] | Non
 
 
 def _error_record(out_dir: FsPath | None, stage: str, exc: Exception) -> None:
-    record = json.dumps({"error": type(exc).__name__, "stage": stage,
-                         "message": str(exc)}, sort_keys=True)
+    record = _to_json({"error": type(exc).__name__, "stage": stage, "message": str(exc)})
     if out_dir is not None:
         try:
             _write(out_dir, "error.json", record + "\n")
@@ -55,14 +55,14 @@ def _error_record(out_dir: FsPath | None, stage: str, exc: Exception) -> None:
 def _manifest(cfg: ExperimentConfig, seed: int, files: list[str], extra: dict) -> str:
     body = {"config_hash": cfg.config_hash, "seed": seed, "files": sorted(files),
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"), **extra}
-    return json.dumps(body, sort_keys=True) + "\n"
+    return _to_json(body) + "\n"
 
 
 def _stamp_json(payload: str, cfg_hash: str) -> str:
     """Embed the config hash in a JSON report (all result files carry it)."""
     body = json.loads(payload)
     body["config_hash"] = cfg_hash
-    return json.dumps(body, sort_keys=True) + "\n"
+    return _to_json(body) + "\n"
 
 
 def _stamp_csv(payload: str, cfg_hash: str) -> str:
@@ -169,7 +169,7 @@ def run_oracles(selection: list[str], out_dir: FsPath, m_sharp: int = 10) -> int
         "checks": [c.as_dict() for c in checks],
         "all_passed": all(c.passed for c in checks),
     }
-    _write(out_dir, "oracle_manifest.json", json.dumps(manifest, sort_keys=True) + "\n")
+    _write(out_dir, "oracle_manifest.json", _to_json(manifest) + "\n")
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name} value={c.value:.12g}")
     print(f"oracle manifest -> {out_dir / 'oracle_manifest.json'}")
@@ -199,7 +199,7 @@ def run_bounds(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
     report = marginal_bounds_report(sample, space, n, sizes, cfg.r, seed, opt, norm=norm)
     report["config_hash"] = cfg.config_hash
     files = []
-    _write(out_dir, "bounds.json", json.dumps(report, sort_keys=True) + "\n", files)
+    _write(out_dir, "bounds.json", _to_json(report) + "\n", files)
     _write(out_dir, "manifest.json", _manifest(cfg, seed, files, {"holds": report["holds"]}))
     print(f"bounds[{norm}]: lower={report['lower']:.6g} joint={report['joint']:.6g} "
           f"upper={report['upper']:.6g} holds={report['holds']} -> {out_dir}")

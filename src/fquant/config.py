@@ -12,13 +12,14 @@ reads once, then builds the space, the process and the optimizer to validate the
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError, FquantError
 from .optimize import DEFAULT_MAX_ITERS, OptimizerConfig, default_config_for
-from .path_space import DiscretePathSpace, exp_weighted_space
-from .process_sim import _KIND_TABLE, KINDS, ProcessSpec
+from .path_space import DiscretePathSpace, uniform_space
+from .process_sim import _KIND_TABLE, ProcessSpec
 
 SCHEMA = """\
 # fquant experiment config: sectioned key = value lines, '#' comments.
@@ -121,7 +122,6 @@ _PARAMS = set(_PARAM_OF.values())  # each read only under its own kind
 _UNSET = {"kind", "method", "max_iters", "c0", "decay",
           "marginal_sizes"} | _PARAMS  # no default: read only where the file writes them
 _CHECKS = {  # key: (test of its value alone, what the value must be)
-    "kind": (lambda v: v in KINDS, f"must be one of {KINDS}"),
     "t_end": (lambda v: 0.0 < v < float("inf"), "must be finite and > 0"),
     "p": (lambda v: v < float("inf"), "must be finite; [bounds] norm = sup measures the sup norm"),
     "measure": (lambda v: v == "lebesgue" or v[:4] == "exp:", "must be 'lebesgue' or 'exp:<b>'"),
@@ -180,21 +180,19 @@ class ExperimentConfig:
     def build_space(self) -> DiscretePathSpace:
         sp = self.values["space"]  # the measure's form is checked at load
         rate = "0" if sp["measure"] == "lebesgue" else sp["measure"][4:]  # b of exp:<b>
-        half = sp["t_end"] / max(sp["m"] - 1, 1) / 2.0  # the end nodes' trapezoid mass
-        t_prev = max(sp["m"] - 2, 0) * (2.0 * half)  # the node before t_end, as np.linspace's
-        try:  # e^{-b t} is monotone: the extreme weights are half e^{-b t_end} and, at b < 0
-            b = float(rate)  # with dt > 1, dt e^{-b t_prev}; both are checked before np.exp
-            ends = half * math.exp(-b * sp["t_end"]), 2.0 * half * math.exp(-b * t_prev)
+        try:
+            b = float(rate)
         except ValueError as exc:
             raise ConfigError(f"[space] measure = {rate!r}: must be a real number") from exc
-        except OverflowError:
-            ends = (math.inf,)
-        if half > 0.0 and not all(0.0 < w < math.inf for w in ends):  # a b that is not finite
-            raise ConfigError(f"[space] measure = {sp['measure']!r}: weights must be finite, > 0")
         try:  # lebesgue is exp:0: its weights are the trapezoid's times e^{-0 t} = 1
-            return exp_weighted_space(sp["t_end"], sp["m"], b=b, p=sp["p"], d=sp["d"])
+            space = uniform_space(sp["t_end"], sp["m"], p=sp["p"], d=sp["d"])
         except Exception as exc:
             raise ConfigError(f"[space] {exc}") from exc
+        with np.errstate(all="ignore"):  # exp_weighted_space's product, bit for bit
+            weights = space.weights * np.exp(-b * space.grid)
+        if not np.all((weights > 0.0) & (weights < np.inf)):  # NaN (b not finite) fails both
+            raise ConfigError(f"[space] measure = {sp['measure']!r}: weights must be finite, > 0")
+        return replace(space, weights=weights)
 
     def build_process_spec(self) -> ProcessSpec:
         pr = dict(self.values["process"])

@@ -15,13 +15,12 @@ rather than exceptions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FquantError
-from .path_space import PathSample
+from .path_space import PathSample, _to_json
 from .quantize_core import Codebook, VoronoiAssignment, _row_chunks, assign, distortion
 
 _DOMAIN = "stationarity condition needs p <= r < inf, got r={r}, p={p}"
@@ -45,15 +44,7 @@ class StationarityReport:
     r: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "residuals": self.residuals.tolist(),
-            "max_residual": self.max_residual,
-            "cell_masses": self.cell_masses.tolist(),
-            "tie_mass": self.tie_mass,
-            "atom_hit_mass": self.atom_hit_mass.tolist(),
-            "admissible": self.admissible,
-            "r": self.r,
-        }, sort_keys=True)
+        return _to_json(vars(self))
 
 
 def _integrand_means(vor: VoronoiAssignment, r: float) -> np.ndarray:
@@ -186,13 +177,9 @@ class HolderFit:
     lags: np.ndarray            # (L,) lag durations
     max_increments: np.ndarray  # (n, d, L)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "beta": self.beta.tolist(),
-            "intercept": self.intercept.tolist(),
-            "r_squared": self.r_squared.tolist(),
-            "lag_range": list(self.lag_range),
-        }, sort_keys=True)
+    def to_json(self) -> str:  # the fit alone: lags and increments go to to_csv
+        return _to_json({k: getattr(self, k) for k in ("beta", "intercept", "r_squared",
+                                                      "lag_range")})
 
     def to_csv(self) -> str:
         lines = ["atom,coord,lag,max_increment"]

@@ -8,6 +8,7 @@ interpolation happens anywhere in the package.
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -148,7 +149,7 @@ class Path:
 class PathSample:
     """A seeded batch of N paths standing in for the law of the process.
 
-    values      : (N, d, m) array, path i is values[i]: a read-only view, since what is
+    values      : (N, d, m) finite array, path i is values[i]: a read-only view, since what is
                   derived from it is kept (the p = 2 pass's norms, per weights); an array
                   it wraps without a copy is the caller's not to change afterwards
     seed        : top-level seed the batch was generated from
@@ -166,6 +167,8 @@ class PathSample:
             values = values[:, None, :]
         if values.ndim != 3 or values.shape[0] < 1:
             raise FquantError(f"sample values must be (N, d, m) with N >= 1, got {values.shape}")
+        if values.size and not np.isfinite([values.min(), values.max()]).all():
+            raise FquantError("sample values must be finite")  # min, max: no (N, d, m) mask
         values = values.view()  # read-only here, the caller's array left as it is
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -244,8 +247,19 @@ def dual_pairing(space: DiscretePathSpace, g: Path, f: Path) -> float:
 # ---------------------------------------------------------------------------
 # Serialization: header (d, m, N, seed) as little-endian int64, then
 # row-major float64 values.  The space itself (grid, weights) is not part of
-# the layout; readers supply it.
+# the layout; readers supply it.  Every JSON file is _to_json's text.
 # ---------------------------------------------------------------------------
+
+def _to_json(body: dict) -> str:
+    """RFC 8259 JSON of body, keys sorted, arrays and tuples as lists, non-finite floats null."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple, np.ndarray)):
+            return [plain(x) for x in (v.tolist() if isinstance(v, np.ndarray) else v)]
+        return None if isinstance(v, float) and not np.isfinite(v) else v
+    return json.dumps(plain(body), sort_keys=True, allow_nan=False)
+
 
 def pack_paths(values: np.ndarray, seed: int = 0) -> bytes:
     """Binary encoding of a (N, d, m) stack of paths."""

@@ -19,15 +19,14 @@ Optimizers score a pass by distortion_value: the report's value, without the rep
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, FquantError
-from .path_space import (DiscretePathSpace, Path, PathSample, _check_shape, pack_paths,
-                         paths_to_csv, unpack_paths)
+from .path_space import (DiscretePathSpace, Path, PathSample, _check_shape, _to_json,
+                         pack_paths, paths_to_csv, unpack_paths)
 
 _CHUNK_BUDGET = 2 ** 20  # floats of scratch per chunk of sample rows
 _ATOM_ROWS_MAX = 16  # atoms; past them np.argmin over a p = 2 pass's path rows is faster
@@ -247,13 +246,7 @@ class DistortionReport:
     r: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "value": self.value,
-            "r": self.r,
-            "stderr": self.stderr,
-            "per_cell_mass": self.per_cell_mass.tolist(),
-            "per_cell_distortion": self.per_cell_distortion.tolist(),
-        }, sort_keys=True)
+        return _to_json(vars(self))
 
     def error_with_stderr(self) -> tuple[float, float]:
         """value^(1/r) with its delta-method standard error."""

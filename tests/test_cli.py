@@ -871,3 +871,98 @@ def test_manifest_lists_every_file_the_run_wrote(tmp_path, capsys, command, text
     files = json.loads((out / "manifest.json").read_text())["files"]
     assert files == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
     assert ("holder.json" in files) == (command != "bounds" and "m = 96" in text)
+
+
+def _refuse(constant):
+    raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+
+def _constant_atoms(tmp_path, space) -> str:
+    """A codebook file of the constant paths 0 and 1 on space."""
+    saved = tmp_path / "const.bin"
+    saved.write_bytes(Codebook(space=space, values=np.arange(2.0)[:, None, None]
+                               + np.zeros(space.shape)).to_binary())
+    return str(saved)
+
+
+def test_every_json_file_is_rfc_8259(bm_config, tmp_path, capsys):
+    # no file holds Infinity, -Infinity or NaN, which RFC 8259 has no token for
+    bounds = tmp_path / "b.cfg"
+    bounds.write_text(BOUNDS_CFG)
+    space = load_config(str(bm_config)).build_space()
+    runs = {"q": ["quantize", "--config", str(bm_config)],
+            "d": ["diagnose", "--config", str(bm_config), "--codebook",
+                  str(tmp_path / "q" / "codebook.bin")],
+            "c": ["diagnose", "--config", str(bm_config), "--codebook",
+                  _constant_atoms(tmp_path, space)],
+            "b": ["bounds", "--config", str(bounds)],
+            "o": ["oracle", "--all"],
+            "e": ["diagnose", "--config", str(bm_config), "--codebook", str(bm_config)]}
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == (3 if name == "e" else 0)
+    files = sorted(tmp_path.glob("?/*.json"))
+    assert {f.parent.name for f in files} == set(runs)
+    assert (tmp_path / "e" / "error.json") in files and (tmp_path / "c" / "holder.json") in files
+    for f in files:
+        json.loads(f.read_text(), parse_constant=_refuse)
+
+
+def test_diagnose_constant_atoms_writes_null_flags(tmp_path, capsys):
+    # holder_fit flags an atom constant on some lag window with beta = +inf and
+    # intercept = -inf; the file holds them as null
+    path = tmp_path / "c.cfg"
+    path.write_text(BM_CFG.replace("m = 96", "m = 65"))
+    out = tmp_path / "d"
+    codebook = _constant_atoms(tmp_path, load_config(str(path)).build_space())
+    assert main(["diagnose", "--config", str(path), "--codebook", codebook,
+                 "--out", str(out)]) == 0
+    text = (out / "holder.json").read_text()
+    assert '"beta": [[null], [null]]' in text and '"intercept": [[null], [null]]' in text
+    fit = json.loads(text, parse_constant=_refuse)
+    assert fit["r_squared"] == [[0.0], [0.0]]
+
+
+STABLE_CFG = _edited(BM_CFG, {"kind = brownian": "kind = stable_levy\nrho = 0.01",
+                              "m = 96": "m = 64", "n_paths = 1500": "n_paths = 500",
+                              "seed = 77": "seed = 1"})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sampler's overflow
+@pytest.mark.parametrize("command", ["quantize", "diagnose"])
+def test_non_finite_sample_exit_3(tmp_path, capsys, command):
+    # stable_levy at rho = 0.01 draws increments past the float range: the sample is refused
+    # by name, not left to land in a cell that does not exist
+    path = tmp_path / "s.cfg"
+    path.write_text(STABLE_CFG)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "diagnose":
+        argv += ["--codebook", _constant_atoms(tmp_path, load_config(str(path)).build_space())]
+    assert main(argv) == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "FquantError", "stage": command,
+                      "message": "sample values must be finite"}
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry_run"])
+def test_unknown_process_kind_exit_2(tmp_path, capsys, dry_run):
+    path = tmp_path / "k.cfg"
+    path.write_text(BM_CFG.replace("kind = brownian", "kind = riemann"))
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out)]
+                + ["--dry-run"] * dry_run) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError" and record["stage"] == "config"
+    assert record["message"] == (f"[process] unknown process kind 'riemann'; "
+                                 f"known: {fquant.process_sim.KINDS}")
+
+
+@pytest.mark.parametrize("rate", ["0", "0.5", "-0.1", "700", "-709.7"])
+def test_build_space_weights_are_exp_weighted_space_bit_for_bit(tmp_path, rate):
+    path = tmp_path / "w.cfg"
+    path.write_text(BM_CFG.replace("\nd = 1\n", f"\nd = 2\nmeasure = exp:{rate}\n"))
+    space = load_config(str(path)).build_space()
+    want = fquant.exp_weighted_space(1.0, 96, b=float(rate), p=2.0, d=2)
+    assert (space.p, space.d) == (want.p, want.d)
+    np.testing.assert_array_equal(space.grid, want.grid)
+    assert space.weights.tobytes() == want.weights.tobytes()

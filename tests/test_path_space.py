@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from fquant import (DiscretePathSpace, Path, PathSample, dual_pairing, exp_weigh
 from fquant.errors import (DimensionMismatchError, FquantError,
                            NonSmoothNormError, ZeroPathError)
 from fquant.oracles import bump_function_values, step_function_values, sup_example_grid
-from fquant.path_space import (load_sample, pack_paths, paths_to_csv,
+from fquant.path_space import (_to_json, load_sample, pack_paths, paths_to_csv,
                                save_sample, unpack_paths)
 
 
@@ -227,6 +229,49 @@ def test_path_sample_invariants():
         PathSample(values=np.zeros((0, 1, 4)), seed=0, process_tag="x")
     with pytest.raises(FquantError):
         Path(values=np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_path_sample_refuses_non_finite_values(bad):
+    # a NaN path would land in cell n, which does not exist, in an atom-major pass
+    values = np.zeros((3, 2, 5))
+    values[1, 1, 3] = bad
+    with pytest.raises(FquantError, match="^sample values must be finite$"):
+        PathSample(values=values, seed=0, process_tag="x")
+    values[1, 1, 3] = np.finfo(float).max  # the largest finite values still load
+    values[0, 0, 0] = -np.finfo(float).max
+    assert PathSample(values=values, seed=0, process_tag="x").values[1, 1, 3] == values[1, 1, 3]
+
+
+def _refuse(constant):
+    raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.none() | st.booleans() | st.integers() | _FINITE | st.text(max_size=4)
+_ARRAYS = st.lists(_FINITE, max_size=6).map(np.array) | st.lists(
+    st.lists(_FINITE, min_size=2, max_size=2), max_size=3).map(np.array)
+_BODIES = st.dictionaries(st.text(max_size=4), st.recursive(
+    _LEAVES | _ARRAYS, lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(
+        tuple) | st.dictionaries(st.text(max_size=4), kids, max_size=3), max_leaves=12),
+    max_size=5)
+
+
+@given(_BODIES)
+def test_to_json_is_json_dumps_on_finite_bodies(body):
+    # the old writers' text: json.dumps with sorted keys, each array as its tolist()
+    text = _to_json(body)
+    assert text == json.dumps(body, sort_keys=True, default=np.ndarray.tolist)
+    json.loads(text, parse_constant=_refuse)
+
+
+def test_to_json_writes_non_finite_floats_as_null():
+    body = {"b": [np.inf, -np.inf, np.nan, 1.5], "a": np.array([[np.inf], [2.0]]),
+            "c": (np.float64(-np.inf), {"d": np.nan, "e": 0}), "f": np.float64(np.nan)}
+    text = _to_json(body)
+    assert text == ('{"a": [[null], [2.0]], "b": [null, null, null, 1.5], '
+                    '"c": [null, {"d": null, "e": 0}], "f": null}')
+    assert json.loads(text, parse_constant=_refuse)["b"] == [None, None, None, 1.5]
 
 
 def test_path_sample_values_are_read_only():

@@ -66,7 +66,7 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                          for name, size in bench.SIZES.items()})
     monkeypatch.setattr(script, "_bench_run", lambda: bench)
     assert script.main([str(ROOT), str(ROOT)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["76 files compared, 0 differences"]
+    assert capsys.readouterr().out.splitlines() == ["81 files compared, 0 differences"]
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "src" / "fquant" / "cli.py"
@@ -93,9 +93,10 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                                     "lloyd_chunks/input0: manifest.json: differs",
                                                     "diagnose_r2/input0: manifest.json: differs",
                                                     "diagnose_r1.5/input0: manifest.json: differs",
+                                                    "diagnose_const/input0: manifest.json: differs",
                                                     "bounds_lp/input0: manifest.json: differs",
                                                     "bounds_sup/input0: manifest.json: differs",
-                                                    "76 files compared, 16 differences"]
+                                                    "81 files compared, 17 differences"]
 
 
 def _script(name):
