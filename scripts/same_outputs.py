@@ -20,7 +20,9 @@ compared.  Four run Lloyd (LLOYD_OPS): n = 20 (a p = 2 pass of path rows, past
 `fquant diagnose` (DIAGNOSE_OPS) on a fixed codebook file, written into the op's
 inputs: at r = p, at r < p, where no stationarity.json is written, and on a
 codebook holding a constant atom, whose Hoelder flags holder.json writes as null.  Two
-run `fquant bounds` (BOUNDS_OPS) at d = 2, under norm = lp and norm = sup.  It
+run `fquant bounds` (BOUNDS_OPS) at d = 2, under norm = lp and norm = sup.  One
+runs `fquant oracle sharp2 --m 20` (ORACLE_OPS): its LP family has 5 738 rows, more
+than one stacked linprog call takes, so its LPs are solved in two calls.  It
 compares the two output directories file by file, byte for byte; manifest.json
 is compared without its `created` stamp.
 Prints one line per difference and a summary, and exits 1 on any difference.
@@ -90,6 +92,7 @@ BOUNDS_OPS = {  # small marginal-sandwich ops at d = 2, marginal sizes 2, 2
     "bounds_sup": dict(BOUNDS, bounds="norm = sup"),
 }
 SMALL_OPS = SGD_OPS | LLOYD_OPS | DIAGNOSE_OPS | BOUNDS_OPS
+ORACLE_OPS = {"oracle_sharp2_m20": ["oracle", "sharp2", "--m", "20"]}  # LPs split over calls
 
 
 def _bench_run():
@@ -131,9 +134,13 @@ def _codebook_file(levels: tuple[float, ...], d: int, m: int) -> bytes:
 
 
 def _small_ops(bench, name: str, seed: int, work: Path) -> list:
-    """The op SMALL_OPS[name], as bench/run.py's make_inputs writes a workload's."""
-    op = SMALL_OPS[name]
+    """The op SMALL_OPS[name] or ORACLE_OPS[name], as bench/run.py's make_inputs writes a
+    workload's."""
     work.mkdir(parents=True)
+    if name in ORACLE_OPS:
+        return [bench.Op("input0", "oracle", ORACLE_OPS[name] + ["--out", str(work / "out0")],
+                         work / "out0")]
+    op = SMALL_OPS[name]
     cfg, out = work / "input0.cfg", work / "out0"
     cfg.write_text(OP_CONFIG.format(seed=seed, **op))
     argv = [op["command"], "--config", str(cfg), "--out", str(out)]
@@ -181,10 +188,10 @@ def main(argv: list[str] | None = None) -> int:
             n_diffs += 1
             print(f"cli/{label}: differs")
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for workload in WORKLOADS + tuple(SMALL_OPS):
+        for workload in WORKLOADS + tuple(SMALL_OPS) + tuple(ORACLE_OPS):
             work = Path(tmp) / workload
             ops = (_small_ops(bench, workload, args.seed, work / "inputs")
-                   if workload in SMALL_OPS
+                   if workload not in WORKLOADS
                    else bench.make_inputs(workload, args.seed, bench.SIZES[workload],
                                           work / "inputs"))
             for op in ops:

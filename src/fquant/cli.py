@@ -142,12 +142,10 @@ def run_oracles(selection: list[str], out_dir: FsPath, m_sharp: int = 10) -> int
         values["l1"] = {"e_plane": rep.e_plane, "e_full": rep.e_full,
                         "e_hyperplane_upper": rep.e_hyperplane_upper}
     if "sharp2" in chosen:
-        ratios = {}
-        for m in range(2, m_sharp + 1):
-            rep = oracles.sharp_constant_example(m)
-            checks += rep.checks
-            ratios[m] = rep.ratio
-        values["sharp2"] = {"ratios": ratios}
+        ms = range(2, m_sharp + 1)
+        reports = oracles.sharp_constant_examples(ms)
+        checks += [c for rep in reports for c in rep.checks]
+        values["sharp2"] = {"ratios": {m: rep.ratio for m, rep in zip(ms, reports)}}
     if "supnorm" in chosen:
         rep = oracles.sup_counterexample()
         checks += rep.checks

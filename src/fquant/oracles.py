@@ -3,9 +3,10 @@
 Each oracle reconstructs a sequence-space or C([0,1]) construction with a
 known best value, evaluates it by independent routes (closed forms / vertex
 enumeration / coordinate medians / linear programming), and reports named
-checks that the CLI aggregates into a manifest.  Every LP value carries a
-duality certificate checked in numpy outside the solver.  scipy (HiGHS) is
-imported only when an LP runs, so importing this module loads numpy alone.
+checks that the CLI aggregates into a manifest.  The LPs are built as sparse
+matrices and solved in block-diagonal batches, several per HiGHS call; every LP
+value carries a duality certificate checked in numpy outside the solver.  scipy
+is imported only when an LP runs, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ def coordinate_median_minimize(law: AtomicLaw) -> tuple[np.ndarray, float]:
     return out, law.mean_norm_to(out, "l1")
 
 
-def lp_certificate(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, n_free: int,
+def lp_certificate(c: np.ndarray, A_ub, b_ub: np.ndarray, n_free: int,
                    x: np.ndarray, value: float, y: np.ndarray, lam: np.ndarray) -> float:
     """Largest residual of an optimality certificate for min c.x s.t. A_ub x <= b_ub,
-    x_i >= 0 for i >= n_free (the first n_free variables are free).
+    x_i >= 0 for i >= n_free (the first n_free variables are free; A_ub dense or sparse).
 
     Checks, in numpy and without trusting the solver that produced them, the
     primal point x, the reported optimal value, inequality duals y and
@@ -140,50 +141,78 @@ def lp_certificate(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, n_free: in
     return max(primal, dual, gap)
 
 
-def _center_lp(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cost: np.ndarray,
-               what: str) -> tuple[np.ndarray, float, float]:
-    """LP solution of min_x sum_i slack_cost[i] z_i subject to |v_nj - (P x)_j| <= z[slack[n, j]],
-    with the residual of its duality certificate (see lp_certificate).
+# one sharp2 family as one LP beat one LP per m at 2 478 rows, lost at 5 738 (2-vCPU VM)
+_LP_BATCH_ROWS = 4096
 
-    Each bound is the row pair (P x)_j - z <= v_nj, -(P x)_j - z <= -v_nj, ordered by
-    atom n, then coordinate j.
-    """
-    from scipy.optimize import linprog
+
+def _center_lp_parts(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cost: np.ndarray):
+    """(c, A_ub, b_ub, k) of min_x sum_i slack_cost[i] z_i subject to |v_nj - (P x)_j| <=
+    z[slack[n, j]], as rows (P x)_j - z <= v_nj (row 2(nM + j)) and -(P x)_j - z <= -v_nj;
+    x = (k free variables, z).  A_ub is a csc_array with no explicit zero."""
+    from scipy.sparse import csc_array
     K, M = law.atoms.shape
-    k, n_slack = P.shape[1], slack_cost.size
-    A = np.zeros((K, M, 2, k + n_slack))
-    A[:, :, 0, :k] = P
-    A[:, :, 1, :k] = -P
-    A[np.arange(K)[:, None], np.arange(M), :, k + slack] = -1.0
-    A = A.reshape(2 * K * M, -1)
+    j, col = np.nonzero(P)
+    nj = np.concatenate([(M * np.arange(K)[:, None] + j).ravel(), np.arange(K * M)])
+    cols = np.concatenate([np.tile(col, K), P.shape[1] + slack.ravel()])
+    p_vals, z_vals = np.tile(P[j, col], K), np.full(K * M, -1.0)
+    A = csc_array((np.r_[p_vals, z_vals, -p_vals, z_vals], (np.r_[2 * nj, 2 * nj + 1],
+                   np.r_[cols, cols])), shape=(2 * K * M, P.shape[1] + slack_cost.size))
     b = np.stack([law.atoms, -law.atoms], axis=-1).ravel()
-    c = np.concatenate([np.zeros(k), slack_cost])
-    res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * k + [(0, None)] * n_slack,
-                  method="highs")
+    return np.concatenate([np.zeros(P.shape[1]), slack_cost]), A, b, P.shape[1]
+
+
+def _solve_stacked(lps: list, what: str) -> list[tuple[np.ndarray, float, float]]:
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag
+    cs, As, bs, ks = zip(*lps)
+    bounds = [(None, None) if i < k else (0, None) for c, k in zip(cs, ks) for i in range(c.size)]
+    res = linprog(np.concatenate(cs), A_ub=As[0] if len(lps) == 1 else block_diag(As, "csc"),
+                  b_ub=np.concatenate(bs), bounds=bounds, method="highs")
     if not res.success:
         raise OracleError(f"{what} center LP failed: {res.message}")
-    value = float(res.fun)
-    certificate = lp_certificate(c, A, b, k, res.x, value, res.ineqlin.marginals,
-                                 res.lower.marginals)
-    return res.x[:k], value, certificate
+    out, x0, y0 = [], 0, 0
+    for c, A, b, k in lps:
+        x, y = res.x[x0:x0 + c.size], res.ineqlin.marginals[y0:y0 + b.size]
+        value = float(res.fun) if len(lps) == 1 else float(c @ x)  # res.fun sums the stack
+        out.append((x[:k], value, lp_certificate(c, A, b, k, x, value, y,
+                                                 res.lower.marginals[x0:x0 + c.size])))
+        x0, y0 = x0 + c.size, y0 + b.size
+    return out
+
+
+def _center_lps(problems, what: str) -> list[tuple[np.ndarray, float, float]]:
+    """(x, value, certificate residual) of each center LP (law, P, slack, slack_cost) in
+    problems (see _center_lp_parts, lp_certificate).  Consecutive LPs are stacked block-
+    diagonally into linprog calls of at most _LP_BATCH_ROWS rows, or of one larger LP.  A
+    lone LP's value is HiGHS's objective, a stacked one's c . x of its own block."""
+    out, batch = [], []
+    for problem in problems:
+        lp = _center_lp_parts(*problem)
+        if batch and sum(b.size for _, _, b, _ in batch) + lp[2].size > _LP_BATCH_ROWS:
+            out, batch = out + _solve_stacked(batch, what), []
+        batch.append(lp)
+    return out + (_solve_stacked(batch, what) if batch else [])
+
+
+def _l1_problem(law: AtomicLaw, basis: np.ndarray | None = None) -> tuple:
+    K, M = law.atoms.shape
+    B = np.eye(M) if basis is None else np.asarray(basis, dtype=np.float64)
+    return law, B, np.arange(K * M).reshape(K, M), np.repeat(law.probs, M)
 
 
 def linf_center_lp(law: AtomicLaw) -> tuple[np.ndarray, float, float]:
     """LP solution of min_b E ||V - b||_inf (variables b plus one bound per atom):
     (center, value, certificate residual)."""
     K, M = law.atoms.shape
-    slack = np.repeat(np.arange(K)[:, None], M, axis=1)
-    return _center_lp(law, np.eye(M), slack, law.probs, "l-infinity")
+    problem = (law, np.eye(M), np.arange(K)[:, None].repeat(M, axis=1), law.probs)
+    return _center_lps([problem], "l-infinity")[0]
 
 
 def l1_center_lp(law: AtomicLaw,
                  basis: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
     """LP solution of min_s E ||V - B s||_1 (B = identity when basis is None):
     (s, value, certificate residual)."""
-    K, M = law.atoms.shape
-    B = np.eye(M) if basis is None else np.asarray(basis, dtype=np.float64)
-    slack = np.arange(K * M).reshape(K, M)
-    return _center_lp(law, B, slack, np.repeat(law.probs, M), "l1")
+    return _center_lps([_l1_problem(law, basis)], "l1")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +340,10 @@ def l1_hyperplane_example(M: int = 16) -> L1HyperplaneReport:
     cvec = default_constraint(M)
     law = _l1_three_point_law(M)
 
-    B = _plane_basis(M)
-    _, e_plane_lp, plane_certificate = l1_center_lp(law, basis=B)
+    (_, e_plane_lp, plane_certificate), (_, e_full_lp, full_certificate) = _center_lps(
+        [_l1_problem(law, _plane_basis(M)), _l1_problem(law)], "l1")
     e_plane_vertex = _plane_vertex_minimum(law, M)
-
     minimizer_full, e_full_med = coordinate_median_minimize(law)
-    _, e_full_lp, full_certificate = l1_center_lp(law)
 
     u1 = np.zeros(M)
     u1[0] = 1.0
@@ -361,34 +388,32 @@ class SharpConstantReport:
     checks: list[OracleCheck] = field(default_factory=list)
 
 
-def sharp_constant_example(m: int) -> SharpConstantReport:
-    """Uniform m-point law in l^1: subspace error 2(m-1)/m against full-space 1."""
-    if m < 2:
-        raise OracleError(f"support size must be >= 2, got {m}")
-    law = _l1_three_point_law(m, m_points=m)
-    _, e_full = coordinate_median_minimize(law)
-    u1 = np.zeros(m)
-    u1[0] = 1.0
-    e_at_u1 = law.mean_norm_to(u1, "l1")
-    e_full = min(e_full, e_at_u1)
-
+def sharp_constant_examples(ms) -> list[SharpConstantReport]:
+    """Uniform m-point law in l^1 for each m in the sequence ms: subspace error 2(m-1)/m
+    against full-space 1.  The subspace LPs are solved together (see _center_lps)."""
+    if min(ms, default=2) < 2:
+        raise OracleError(f"support size must be >= 2, got {min(ms)}")
+    laws = [_l1_three_point_law(m, m_points=m) for m in ms]
     # span{v_2, ..., v_m}: a = (sum s_j) u1 - sum s_j u_j
-    B = np.zeros((m, m - 1))
-    B[0] = 1.0
-    for j in range(1, m):
-        B[j, j - 1] = -1.0
-    _, e_sub_lp, certificate = l1_center_lp(law, basis=B)
+    lps = _center_lps([_l1_problem(law, np.vstack([np.ones((1, m - 1)), -np.eye(m - 1)]))
+                       for m, law in zip(ms, laws)], "l1")
+    reports = []
+    for m, law, (_, e_sub_lp, certificate) in zip(ms, laws, lps):
+        e_full = min(coordinate_median_minimize(law)[1], law.mean_norm_to(np.eye(m)[0], "l1"))
+        expected, ratio = 2.0 * (m - 1) / m, e_sub_lp / e_full
+        reports.append(SharpConstantReport(ratio=ratio, checks=[
+            OracleCheck(f"sharp2.full_minimum[m={m}]", e_full, 1.0, 1e-12),
+            OracleCheck(f"sharp2.subspace_lp[m={m}]", e_sub_lp, expected, 1e-9),
+            OracleCheck(f"sharp2.subspace_lp_certificate[m={m}]", certificate, 0.0, 1e-12),
+            OracleCheck(f"sharp2.ratio[m={m}]", ratio, expected, 1e-9),
+            indicator_check(f"sharp2.ratio_below_2[m={m}]", ratio <= 2.0, ratio),
+        ]))
+    return reports
 
-    expected = 2.0 * (m - 1) / m
-    ratio = e_sub_lp / e_full
-    checks = [
-        OracleCheck(f"sharp2.full_minimum[m={m}]", e_full, 1.0, 1e-12),
-        OracleCheck(f"sharp2.subspace_lp[m={m}]", e_sub_lp, expected, 1e-9),
-        OracleCheck(f"sharp2.subspace_lp_certificate[m={m}]", certificate, 0.0, 1e-12),
-        OracleCheck(f"sharp2.ratio[m={m}]", ratio, expected, 1e-9),
-        indicator_check(f"sharp2.ratio_below_2[m={m}]", ratio <= 2.0, ratio),
-    ]
-    return SharpConstantReport(ratio=ratio, checks=checks)
+
+def sharp_constant_example(m: int) -> SharpConstantReport:
+    """sharp_constant_examples of the one support size m."""
+    return sharp_constant_examples([m])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +515,12 @@ def sup_counterexample(n_funcs: int = 12) -> SupExampleReport:
     value_at_h = float(p @ sup_dists)
     lr_values = {r: float((p @ sup_dists ** r) ** (1.0 / r)) for r in (1.0, 2.0, 4.0)}
 
-    best_probe = min(float(p @ sup_dists_to(np.polyval(coeffs, grid))) for coeffs in PROBE_POLYS)
+    best_probe, g = np.inf, np.empty_like(grid)
+    for coeffs in PROBE_POLYS:  # np.polyval's Horner steps, in place in one buffer
+        g.fill(0.0)
+        for coeff in coeffs:
+            np.add(np.multiply(g, grid, out=g), coeff, out=g)
+        best_probe = min(best_probe, float(p @ sup_dists_to(g)))
 
     checks = [
         OracleCheck("supnorm.bump_distances_to_h",

@@ -363,7 +363,7 @@ def test_failed_allocation_exit_3_with_error_record(bm_config, tmp_path, capsys,
                                                     command, exc):
     # an allocation that fails mid-run exits 3 and names its stage, as the docstring promises
     if command == "oracle":
-        monkeypatch.setattr(fquant.oracles, "sharp_constant_example", _raise(exc))
+        monkeypatch.setattr(fquant.oracles, "sharp_constant_examples", _raise(exc))
         argv = ["oracle", "sharp2", "--m", "3"]
     else:
         monkeypatch.setattr("fquant.cli.sample_paths", _raise(exc))
@@ -650,7 +650,7 @@ def test_only_the_kinds_own_parameter_is_read_as_real(tmp_path, capsys):
 
 def test_measure_rate_must_be_a_number(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text(BM_CFG.replace("d = 1", "d = 1\nmeasure = exp:true"))
+    path.write_text(BM_CFG.replace("\nd = 1\n", "\nd = 1\nmeasure = exp:true\n"))
     out = tmp_path / "out"
     assert main(["quantize", "--config", str(path), "--out", str(out), "--dry-run"]) == 2
     message = json.loads((out / "error.json").read_text())["message"]
@@ -661,7 +661,7 @@ def test_measure_rate_must_be_a_number(tmp_path, capsys):
 def test_measure_rate_must_be_finite(tmp_path, capsys, rate):
     # refused at load by name, before e^{-b t} is taken: no RuntimeWarning on the way
     path = tmp_path / "bad.cfg"
-    path.write_text(BM_CFG.replace("d = 1", f"d = 1\nmeasure = exp:{rate}"))
+    path.write_text(BM_CFG.replace("\nd = 1\n", f"\nd = 1\nmeasure = exp:{rate}\n"))
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -671,12 +671,12 @@ def test_measure_rate_must_be_finite(tmp_path, capsys, rate):
     assert record["message"].startswith(f"[space] measure = 'exp:{rate}': ")
 
 
-def _dry_run_rate(tmp_path, capsys, rate):
+def _dry_run_rate(tmp_path, capsys, rate, text=None):
     """Exit code and stdout of quantize --dry-run at measure = exp:<rate>, m = 17 and
-    t_end = 1, with warnings as errors."""
+    t_end = 1, with warnings as errors; `text`, when given, is the config file instead."""
     path = tmp_path / "rate.cfg"
-    path.write_text(BM_CFG.replace("m = 96", "m = 17")
-                    .replace("d = 1", f"d = 1\nmeasure = exp:{rate}"))
+    path.write_text(text if text is not None else BM_CFG.replace("m = 96", "m = 17")
+                    .replace("\nd = 1\n", f"\nd = 1\nmeasure = exp:{rate}\n"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["quantize", "--config", str(path), "--out", str(tmp_path / "out"),
@@ -694,12 +694,24 @@ def test_measure_rate_whose_weights_leave_the_float_range(tmp_path, capsys, rate
     assert record["message"].startswith(f"[space] measure = 'exp:{rate}': ")
 
 
+# the hash of each near-range rate's file from _dry_run_rate
+_NEAR_RANGE_HASHES = {"740": "ebe8371b21507d43", "-709.7": "6fb7fa9621871677",
+                      "0.5": "741cbdc6914d834a"}
+
+
 @pytest.mark.parametrize("rate, config_hash", [("740", "9d32c5d0c82da3a4"),
                                                ("-709.7", "c46a8305a3587a64"),
                                                ("0.5", "887d72724243aa08")])
 def test_measure_rate_near_the_float_range_loads(tmp_path, capsys, rate, config_hash):
-    # the last rates whose weights are finite and > 0 still load, under their old hash
+    # the last rates whose weights are finite and > 0 still load, under their old hash.
+    # config_hash is that of the file these cases first wrote: replacing "d = 1" also hit
+    # "t_end = 1.0", giving t_end = 1 and a measure = exp:<rate>.0 line that the later
+    # measure line overrides. That file keeps its hash too.
     code, out = _dry_run_rate(tmp_path, capsys, rate)
+    assert code == 0 and f"hash={_NEAR_RANGE_HASHES[rate]} " in out
+    first = BM_CFG.replace("m = 96", "m = 17").replace("d = 1", f"d = 1\nmeasure = exp:{rate}")
+    assert "t_end = 1\nmeasure = " in first
+    code, out = _dry_run_rate(tmp_path, capsys, rate, first)
     assert code == 0 and f"hash={config_hash} " in out
 
 
@@ -708,7 +720,7 @@ def _peak_node_config(tmp_path, t_end):
     # before t_end, twice the end node's mass at e^{-0.1 dt} its density
     path = tmp_path / "peak.cfg"
     path.write_text(BM_CFG.replace("m = 96", "m = 2365").replace("t_end = 1.0", f"t_end = {t_end}")
-                    .replace("d = 1", "d = 1\nmeasure = exp:-0.1"))
+                    .replace("\nd = 1\n", "\nd = 1\nmeasure = exp:-0.1\n"))
     return path
 
 

@@ -9,7 +9,8 @@ from fquant.oracles import (AtomicLaw, bump_function_values,
                             c0_example, closed_form_errors, coordinate_median_minimize,
                             default_constraint, default_probs, l1_center_lp,
                             l1_hyperplane_example, linf_center_lp, lp_certificate,
-                            sharp_constant_example, step_function_values,
+                            sharp_constant_example, sharp_constant_examples,
+                            step_function_values,
                             sup_counterexample, sup_example_grid)
 
 
@@ -351,21 +352,30 @@ def test_center_lps_certify_on_random_laws(seed, k, dim):
     assert v_l1 == pytest.approx(coordinate_median_minimize(law)[1], abs=1e-9)
 
 
-def _captured_lp(monkeypatch, solve) -> dict:
-    """Run solve() and return the last linprog call's arguments (c, A_ub, b_ub,
-    bounds, method) and its result (res).  The LP imports linprog from
-    scipy.optimize on each call, so the spy replaces it there."""
+def _linprog_spy(monkeypatch) -> list:
+    """Record each linprog call's arguments (c, A_ub, b_ub, bounds, method) and result
+    (res) in the returned list.  The LP imports linprog from scipy.optimize on each
+    call, so the spy replaces it there."""
     import scipy.optimize
-    seen = {}
+    calls = []
 
     def spy(c, **kw):
-        seen.update(c=c, res=linprog(c, **kw), **kw)
-        return seen["res"]
+        calls.append(dict(c=c, res=linprog(c, **kw), **kw))
+        return calls[-1]["res"]
 
     linprog = scipy.optimize.linprog
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return calls
+
+
+def _captured_lp(monkeypatch, solve) -> dict:
+    """Run solve() and return the last linprog call's arguments, with A_ub dense, and its
+    result (res).  The sparse A_ub must store no explicit zero."""
+    calls = _linprog_spy(monkeypatch)
     solve()
-    return seen
+    seen = calls[-1]
+    assert np.count_nonzero(seen["A_ub"].data) == seen["A_ub"].nnz
+    return dict(seen, A_ub=seen["A_ub"].toarray())
 
 
 def test_first_lp_in_a_fresh_process_is_certified(fresh_python):
@@ -456,3 +466,52 @@ def test_center_lp_input_matches_loop_builder(monkeypatch, kind, with_basis):
     np.testing.assert_array_equal(seen["A_ub"], A)
     np.testing.assert_array_equal(seen["b_ub"], b)
     assert seen["bounds"] == bounds and seen["method"] == "highs"
+
+
+def test_sharp2_family_is_one_linprog_call(monkeypatch):
+    calls = _linprog_spy(monkeypatch)
+    family = sharp_constant_examples(range(2, 11))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for m, rep in zip(range(2, 11), family):
+        assert rep.ratio == pytest.approx(sharp_constant_example(m).ratio, abs=1e-12)
+        cert = next(c for c in rep.checks if "certificate" in c.name)
+        assert cert.value <= 1e-12 and all(c.passed for c in rep.checks)
+
+
+def test_sharp2_family_split_over_the_row_budget(monkeypatch):
+    whole = sharp_constant_examples(range(2, 11))
+    monkeypatch.setattr(oracles, "_LP_BATCH_ROWS", 64)
+    calls = _linprog_spy(monkeypatch)
+    split = sharp_constant_examples(range(2, 11))
+    # support m has 2 m^2 rows: m = 2, 3, 4 share a call, and each m >= 5 is alone
+    assert [call["A_ub"].shape[0] for call in calls] == [8 + 18 + 32, 50, 72, 98, 128, 162, 200]
+    for a, b in zip(whole, split):
+        assert [c.name for c in a.checks] == [c.name for c in b.checks]
+        np.testing.assert_allclose([c.value for c in b.checks], [c.value for c in a.checks],
+                                   rtol=0, atol=1e-12)
+        assert all(c.passed for c in b.checks)
+
+
+def test_lp_certificate_same_for_sparse_and_dense(monkeypatch):
+    calls = _linprog_spy(monkeypatch)
+    l1_center_lp(oracles._l1_three_point_law(16), basis=oracles._plane_basis(16))
+    seen = calls[-1]
+    A, res = seen["A_ub"], seen["res"]
+    n_free = sum(lo is None for lo, _ in seen["bounds"])
+    args = (seen["b_ub"], n_free, res.x, float(res.fun), res.ineqlin.marginals,
+            res.lower.marginals)
+    assert lp_certificate(seen["c"], A, *args) == lp_certificate(seen["c"], A.toarray(), *args)
+
+
+def test_sharp2_lp_memory_is_quadratic_in_m():
+    import tracemalloc
+    sharp_constant_example(3)  # scipy imported and warmed outside the trace
+    tracemalloc.start()
+    try:
+        rep = sharp_constant_example(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in rep.checks)
+    assert peak < 10e6  # the dense 3200 x 1639 matrix alone was 42 MB

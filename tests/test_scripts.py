@@ -66,7 +66,7 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                          for name, size in bench.SIZES.items()})
     monkeypatch.setattr(script, "_bench_run", lambda: bench)
     assert script.main([str(ROOT), str(ROOT)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["81 files compared, 0 differences"]
+    assert capsys.readouterr().out.splitlines() == ["82 files compared, 0 differences"]
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "src" / "fquant" / "cli.py"
@@ -96,7 +96,7 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                                     "diagnose_const/input0: manifest.json: differs",
                                                     "bounds_lp/input0: manifest.json: differs",
                                                     "bounds_sup/input0: manifest.json: differs",
-                                                    "81 files compared, 17 differences"]
+                                                    "82 files compared, 17 differences"]
 
 
 def _script(name):
