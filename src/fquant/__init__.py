@@ -15,7 +15,6 @@ from .optimize import (OptimizerConfig, OptimizeTrace, default_config_for,
 from .diagnostics import (HolderFit, MonotonicityReport, StationarityReport,
                           boundary_pinning, holder_fit, monotonicity_check,
                           stationarity_residual)
-from . import oracles
 from .rng import derive_rng
 
 __version__ = "0.1.0"
@@ -34,3 +33,11 @@ __all__ = [
     "stationarity_residual", "monotonicity_check", "holder_fit", "boundary_pinning",
     "oracles", "derive_rng",
 ]
+
+
+def __getattr__(name: str):
+    """fquant.oracles on first use (PEP 562): quantize, diagnose and bounds never compile it."""
+    if name == "oracles":
+        from importlib import import_module  # not `from . import`: that asks __getattr__
+        return import_module(f"{__name__}.oracles")  # and binds fquant.oracles
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from . import diagnostics, oracles
+from . import diagnostics
 from .config import ExperimentConfig, load_config, print_schema
 from .errors import ConfigError, FquantError
 from .optimize import _runs_at, optimize_codebook, product_quantizer, splitting_init
@@ -121,6 +121,7 @@ def run_quantize(cfg: ExperimentConfig, seed: int, out_dir: FsPath,
 
 
 def run_oracles(selection: list[str], out_dir: FsPath, m_sharp: int = 10) -> int:
+    from . import oracles  # here, so that the other commands never compile it
     chosen = list(ORACLE_NAMES) if not selection or "all" in selection else selection
     unknown = set(chosen) - set(ORACLE_NAMES)
     if unknown:

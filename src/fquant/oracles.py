@@ -3,10 +3,10 @@
 Each oracle reconstructs a sequence-space or C([0,1]) construction with a
 known best value, evaluates it by independent routes (closed forms / vertex
 enumeration / coordinate medians / linear programming), and reports named
-checks that the CLI aggregates into a manifest.  The LPs are built as sparse
-matrices and solved in block-diagonal batches, several per HiGHS call; every LP
-value carries a duality certificate checked in numpy outside the solver.  scipy
-is imported only when an LP runs, so importing this module loads numpy alone.
+checks that the CLI aggregates into a manifest.  The LPs are solved in block-diagonal
+batches: per HiGHS call, one sparse build and one numpy pass that checks each LP's
+duality certificate outside the solver.  scipy is imported only when an LP runs, and
+the CLI imports this module only for `fquant oracle`.
 """
 
 from __future__ import annotations
@@ -106,14 +106,11 @@ def default_constraint(M: int) -> np.ndarray:
 
 
 def coordinate_median_minimize(law: AtomicLaw) -> tuple[np.ndarray, float]:
-    """Exact minimizer of a -> E ||V - a||_1 via per-coordinate weighted medians."""
-    K, M = law.atoms.shape
-    out = np.empty(M)
-    for j in range(M):
-        order = np.argsort(law.atoms[:, j], kind="stable")
-        vals = law.atoms[order, j]
-        cum = np.cumsum(law.probs[order])
-        out[j] = vals[int(np.searchsorted(cum, 0.5))]
+    """Exact minimizer of a -> E ||V - a||_1 via per-coordinate weighted medians: in each
+    column, the first atom in stable sorted order where the cumulative weight reaches 1/2."""
+    order = np.argsort(law.atoms, axis=0, kind="stable")
+    first = np.argmax(np.cumsum(law.probs[order], axis=0) >= 0.5, axis=0)
+    out = np.take_along_axis(law.atoms, order, axis=0)[first, np.arange(law.atoms.shape[1])]
     return out, law.mean_norm_to(out, "l1")
 
 
@@ -131,14 +128,21 @@ def lp_certificate(c: np.ndarray, A_ub, b_ub: np.ndarray, n_free: int,
       - duality gap: the reported value against both c.x and the dual bound b_ub.y.
     All three vanish exactly at an optimal primal-dual pair (LP strong duality).
     """
-    primal = max(float(np.max(A_ub @ x - b_ub, initial=0.0)),
-                 float(np.max(-x[n_free:], initial=0.0)))
-    dual = max(float(np.abs(A_ub.T @ y + lam - c).max()),
-               float(np.max(y, initial=0.0)),
-               float(np.max(-lam[n_free:], initial=0.0)),
-               float(np.abs(lam[:n_free]).max(initial=0.0)))
-    gap = max(abs(value - float(c @ x)), abs(value - float(b_ub @ y)))
-    return max(primal, dual, gap)
+    return float(_certificates(c, A_ub, b_ub, np.arange(c.size) < n_free, x, y, lam,
+                               [value], [0, c.size], [0, b_ub.size])[0])
+
+
+def _certificates(c, A, b, free, x, y, lam, values, x_at, y_at) -> np.ndarray:
+    """lp_certificate of each block i of a block-diagonal LP: variables x_at[i]:x_at[i + 1]
+    (free where free is set), rows y_at[i]:y_at[i + 1], value values[i].  Both products
+    run once; each residual is reduced per block by a max, which is exact in any order."""
+    per_row = np.maximum(A @ x - b, y)
+    per_var = np.maximum(np.abs(A.T @ y + lam - c), np.where(free, abs(lam), np.maximum(-x, -lam)))
+    gaps = [max(abs(v - c[i:j] @ x[i:j]), abs(v - b[k:l] @ y[k:l]))
+            for v, i, j, k, l in zip(values, x_at, x_at[1:], y_at, y_at[1:])]
+    worst = np.maximum(np.maximum.reduceat(per_row, y_at[:-1]),
+                       np.maximum.reduceat(per_var, x_at[:-1]))
+    return np.maximum(worst, gaps) + 0.0  # -0.0 (-x or y at a zero) + 0.0 is 0.0
 
 
 # one sharp2 family as one LP beat one LP per m at 2 478 rows, lost at 5 738 (2-vCPU VM)
@@ -148,36 +152,37 @@ _LP_BATCH_ROWS = 4096
 def _center_lp_parts(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cost: np.ndarray):
     """(c, A_ub, b_ub, k) of min_x sum_i slack_cost[i] z_i subject to |v_nj - (P x)_j| <=
     z[slack[n, j]], as rows (P x)_j - z <= v_nj (row 2(nM + j)) and -(P x)_j - z <= -v_nj;
-    x = (k free variables, z).  A_ub is a csc_array with no explicit zero."""
-    from scipy.sparse import csc_array
+    x = (k free variables, z).  A_ub is COO triplets (values, rows, cols), no explicit zero."""
     K, M = law.atoms.shape
     j, col = np.nonzero(P)
     nj = np.concatenate([(M * np.arange(K)[:, None] + j).ravel(), np.arange(K * M)])
     cols = np.concatenate([np.tile(col, K), P.shape[1] + slack.ravel()])
     p_vals, z_vals = np.tile(P[j, col], K), np.full(K * M, -1.0)
-    A = csc_array((np.r_[p_vals, z_vals, -p_vals, z_vals], (np.r_[2 * nj, 2 * nj + 1],
-                   np.r_[cols, cols])), shape=(2 * K * M, P.shape[1] + slack_cost.size))
+    rows, cols = np.ravel(2 * nj + [[0], [1]]), np.tile(cols, 2)  # the rows <= v_nj, then >=
+    A = np.concatenate([p_vals, z_vals, -p_vals, z_vals]), rows, cols
     b = np.stack([law.atoms, -law.atoms], axis=-1).ravel()
     return np.concatenate([np.zeros(P.shape[1]), slack_cost]), A, b, P.shape[1]
 
 
 def _solve_stacked(lps: list, what: str) -> list[tuple[np.ndarray, float, float]]:
     from scipy.optimize import linprog
-    from scipy.sparse import block_diag
+    from scipy.sparse import csc_array
     cs, As, bs, ks = zip(*lps)
-    bounds = [(None, None) if i < k else (0, None) for c, k in zip(cs, ks) for i in range(c.size)]
-    res = linprog(np.concatenate(cs), A_ub=As[0] if len(lps) == 1 else block_diag(As, "csc"),
-                  b_ub=np.concatenate(bs), bounds=bounds, method="highs")
+    x_at, y_at = np.cumsum([0, *map(len, cs)]), np.cumsum([0, *map(len, bs)])
+    vals, rows, cols = map(np.concatenate, zip(*[(v, r + y0, q + x0)
+                                                 for (v, r, q), x0, y0 in zip(As, x_at, y_at)]))
+    A = csc_array((vals, (rows, cols)), shape=(y_at[-1], x_at[-1]))
+    c, b = np.concatenate(cs), np.concatenate(bs)
+    free = np.concatenate([np.arange(len(c_i)) < k for c_i, k in zip(cs, ks)])
+    bounds = np.c_[np.where(free, -np.inf, 0.0), np.full(len(c), np.inf)]
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
     if not res.success:
         raise OracleError(f"{what} center LP failed: {res.message}")
-    out, x0, y0 = [], 0, 0
-    for c, A, b, k in lps:
-        x, y = res.x[x0:x0 + c.size], res.ineqlin.marginals[y0:y0 + b.size]
-        value = float(res.fun) if len(lps) == 1 else float(c @ x)  # res.fun sums the stack
-        out.append((x[:k], value, lp_certificate(c, A, b, k, x, value, y,
-                                                 res.lower.marginals[x0:x0 + c.size])))
-        x0, y0 = x0 + c.size, y0 + b.size
-    return out
+    values = [float(res.fun)] if len(lps) == 1 else [float(c_i @ res.x[i:j])
+                                                     for c_i, i, j in zip(cs, x_at, x_at[1:])]
+    certs = _certificates(c, A, b, free, res.x, res.ineqlin.marginals, res.lower.marginals,
+                          values, x_at, y_at)
+    return [(res.x[i:i + k], v, float(r)) for i, k, v, r in zip(x_at, ks, values, certs)]
 
 
 def _center_lps(problems, what: str) -> list[tuple[np.ndarray, float, float]]:

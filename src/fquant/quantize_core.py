@@ -5,11 +5,12 @@ Distances between sample paths and atoms are computed brute force for every
 returns.  At p = 2, ||x - a||^2 = ||x||^2 + ||a||^2 - 2 <x, a> over flattened
 (N, d*m) rows: the buffer takes the norm sums (the paths' made once per sample and
 kept on it), then adds in place the cross term, one matrix product with the atoms
-scaled by -2.  Pairs where the sum cancels are recomputed directly, so a path equal
-to an atom is at distance exactly 0; they are sought only when the least entry is
-under the largest pair's bound.  Other p loop over atoms on the same rows, reducing |x - a_i| by a weighted sum
-of p-th powers (binary powering at integral p: p = 3 is a square and a multiply)
-or, at p = inf, the grid sup norm, by its max.  The buffer has a row per atom, or
+scaled by -2.  Pairs where the sum cancels, or overflows to NaN (inf - inf), are
+recomputed directly, so a path equal to an atom is at distance exactly 0; they are sought
+only when the least entry is NaN or under the largest pair's bound.  Other p loop over
+atoms on the same rows, reducing |x - a_i| by a weighted sum of p-th powers (binary
+powering at integral p: p = 3 is a square and a multiply) or, at p = inf, the grid sup
+norm, by its max.  The buffer has a row per atom, or
 per path at p = 2 past _ATOM_ROWS_MAX atoms.  Every consumer reads a pass, with its
 codebook and sample, through one VoronoiAssignment, whose reductions over atoms run
 along those rows: a path's cell, the lowest atom at its best distance, is the top of
@@ -154,8 +155,8 @@ def pairwise_distances(codebook: Codebook, sample: PathSample) -> np.ndarray:
         # the inner-product expansion cancels catastrophically for (near-)
         # coincident pairs; recompute those few entries directly so that
         # identical path/atom pairs come out at exactly zero
-        if np.fmin.reduce(d2, axis=None) <= cut:  # else none is (fmin: nor is a NaN entry)
-            close = d2 <= np.add(an[:, None], sample_sq[rows]) * 1e-13
+        if not np.minimum.reduce(d2, axis=None) > cut:  # else none is, nor NaN (inf - inf)
+            close = ~(d2 > np.add(an[:, None], sample_sq[rows]) * 1e-13)  # NaN: recomputed
             paths, atoms = np.nonzero(close.T)  # path order: gemv bits move with row order
             diff = x[paths] - af[atoms]
             d2[atoms, paths] = (diff * diff) @ wf

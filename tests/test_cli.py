@@ -101,6 +101,21 @@ def test_load_config_validates(tmp_path):
         load_config(str(p2))
 
 
+def test_cli_import_loads_neither_the_oracles_nor_scipy(fresh_python):
+    # quantize, diagnose and bounds never compile oracles.py; fquant.oracles loads on use
+    out = fresh_python(
+        "import sys\n"
+        "import fquant.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'fquant.oracles' or m == 'scipy'\n"
+        "             or m.startswith('scipy.')))\n"
+        "import fquant\n"
+        "print(fquant.oracles.c0_example.__module__, 'oracles' in fquant.__all__)\n"
+        "from fquant import oracles\n"
+        "import fquant.oracles as direct\n"
+        "print(oracles is direct is sys.modules['fquant.oracles'])\n")
+    assert out.split("\n") == ["[]", "fquant.oracles True", "True", ""]
+
+
 def test_print_schema(capsys, tmp_path):
     assert main(["--print-schema"]) == 0
     out = capsys.readouterr().out

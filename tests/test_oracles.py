@@ -321,6 +321,33 @@ def test_median_matches_lp_on_random_laws(seed, k, dim):
     assert v_med == pytest.approx(v_lp, abs=1e-9)
 
 
+def _median_by_columns(law):
+    # the per-column loop coordinate_median_minimize replaced: a stable sort of column j,
+    # and the first atom where the cumulative weight reaches 1/2
+    out = np.empty(law.atoms.shape[1])
+    for j in range(out.size):
+        order = np.argsort(law.atoms[:, j], kind="stable")
+        out[j] = law.atoms[order, j][int(np.searchsorted(np.cumsum(law.probs[order]), 0.5))]
+    return out
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       k=st.integers(min_value=2, max_value=14),
+       dim=st.integers(min_value=1, max_value=19))
+def test_coordinate_median_is_the_per_column_loop(seed, k, dim):
+    # integer atoms and weights: repeated values in a column and cumulative weights of
+    # exactly 1/2 are common
+    g = np.random.default_rng(seed)
+    atoms = g.integers(-3, 4, size=(k, dim)).astype(np.float64)
+    w = g.integers(1, 5, size=k).astype(np.float64)
+    if len({a.tobytes() for a in atoms}) < k or abs((w / w.sum()).sum() - 1.0) > 1e-15:
+        return
+    law = AtomicLaw(atoms=atoms, probs=w / w.sum())
+    center, value = coordinate_median_minimize(law)
+    assert center.tobytes() == _median_by_columns(law).tobytes()
+    assert value == law.mean_norm_to(center, "l1")
+
+
 def test_linf_lp_on_simple_law():
     # two points 0 and 2 on the line: best mean sup-distance is 1, attained on
     # the whole segment between them
@@ -403,7 +430,7 @@ def test_lp_certificate_rejects_perturbed_solutions(monkeypatch, case):
     }[case]
     seen = _captured_lp(monkeypatch, solve)
     c, A, b, res = seen["c"], seen["A_ub"], seen["b_ub"], seen["res"]
-    n_free = sum(lo is None for lo, _ in seen["bounds"])
+    n_free = int(np.isneginf(seen["bounds"][:, 0]).sum())
     x, y, lam, value = res.x, res.ineqlin.marginals, res.lower.marginals, float(res.fun)
     assert lp_certificate(c, A, b, n_free, x, value, y, lam) <= 1e-12
     shifted_center = x.copy()
@@ -449,7 +476,8 @@ def _reference_lp_input(law, kind, basis=None):
             lo[zi] = -1.0
             rows.append(lo)
             rhs.append(-law.atoms[n, j])
-    return cost, np.array(rows), np.array(rhs), [(None, None)] * k + [(0, None)] * n_slack
+    bounds = np.array([(-np.inf, np.inf)] * k + [(0.0, np.inf)] * n_slack)
+    return cost, np.array(rows), np.array(rhs), bounds
 
 
 @pytest.mark.parametrize("kind, with_basis", [("linf", False), ("l1", False), ("l1", True)],
@@ -465,7 +493,8 @@ def test_center_lp_input_matches_loop_builder(monkeypatch, kind, with_basis):
     assert seen["A_ub"].shape == A.shape
     np.testing.assert_array_equal(seen["A_ub"], A)
     np.testing.assert_array_equal(seen["b_ub"], b)
-    assert seen["bounds"] == bounds and seen["method"] == "highs"
+    np.testing.assert_array_equal(seen["bounds"], bounds)
+    assert seen["method"] == "highs"
 
 
 def test_sharp2_family_is_one_linprog_call(monkeypatch):
@@ -498,10 +527,80 @@ def test_lp_certificate_same_for_sparse_and_dense(monkeypatch):
     l1_center_lp(oracles._l1_three_point_law(16), basis=oracles._plane_basis(16))
     seen = calls[-1]
     A, res = seen["A_ub"], seen["res"]
-    n_free = sum(lo is None for lo, _ in seen["bounds"])
+    n_free = int(np.isneginf(seen["bounds"][:, 0]).sum())
     args = (seen["b_ub"], n_free, res.x, float(res.fun), res.ineqlin.marginals,
             res.lower.marginals)
     assert lp_certificate(seen["c"], A, *args) == lp_certificate(seen["c"], A.toarray(), *args)
+
+
+def _stacked_calls(monkeypatch, solve) -> list:
+    """Run solve(); return, per linprog call, its captured arguments and result (res) with
+    the parts (c, (values, rows, cols), b, k) of the LPs it stacked, under "blocks", and
+    what _center_lps returned for them, under "out"."""
+    calls, parts, outs = _linprog_spy(monkeypatch), [], []
+    lp_parts, center_lps = oracles._center_lp_parts, oracles._center_lps
+
+    def parts_spy(*args):
+        parts.append(lp_parts(*args))
+        return parts[-1]
+
+    def lps_spy(*args):
+        outs.extend(out := center_lps(*args))
+        return out
+    monkeypatch.setattr(oracles, "_center_lp_parts", parts_spy)
+    monkeypatch.setattr(oracles, "_center_lps", lps_spy)
+    solve()
+    for call in calls:
+        n_rows, call["blocks"], call["out"] = 0, [], []
+        while n_rows < call["A_ub"].shape[0]:
+            call["blocks"].append(parts.pop(0))
+            call["out"].append(outs.pop(0))
+            n_rows += call["blocks"][-1][2].size
+        assert n_rows == call["A_ub"].shape[0]
+    assert not parts and not outs
+    return calls
+
+
+def _all_center_lps():
+    oracles.c0_example()
+    oracles.l1_hyperplane_example()
+    sharp_constant_examples(range(2, 11))
+
+
+@pytest.mark.parametrize("batch_rows", [None, 64], ids=["oracle_all", "split"])
+def test_each_stacked_certificate_is_its_blocks_own(monkeypatch, batch_rows):
+    if batch_rows is not None:
+        monkeypatch.setattr(oracles, "_LP_BATCH_ROWS", batch_rows)
+    calls = _stacked_calls(monkeypatch, _all_center_lps)
+    # at 64 rows each l1 LP (96 rows) and each sharp2 m >= 5 goes alone
+    assert len(calls) == (3 if batch_rows is None else 1 + 2 + 7)
+    for call in calls:
+        res, x0, y0 = call["res"], 0, 0
+        for (c, (vals, rows, cols), b, k), (point, value, cert) in zip(call["blocks"],
+                                                                     call["out"]):
+            A = np.zeros((b.size, c.size))
+            A[rows, cols] = vals
+            x, y = res.x[x0:x0 + c.size], res.ineqlin.marginals[y0:y0 + b.size]
+            lam = res.lower.marginals[x0:x0 + c.size]
+            assert value == (float(res.fun) if len(call["blocks"]) == 1 else float(c @ x))
+            np.testing.assert_array_equal(point, x[:k])
+            assert cert == lp_certificate(c, A, b, k, x, value, y, lam) <= 1e-12
+            x0, y0 = x0 + c.size, y0 + b.size
+
+
+@pytest.mark.parametrize("batch_rows", [None, 64], ids=["oracle_all", "split"])
+def test_stacked_a_ub_is_block_diag_of_the_blocks(monkeypatch, batch_rows):
+    from scipy.sparse import block_diag, csc_array
+    if batch_rows is not None:
+        monkeypatch.setattr(oracles, "_LP_BATCH_ROWS", batch_rows)
+    for call in _stacked_calls(monkeypatch, _all_center_lps):
+        A = call["A_ub"]
+        want = block_diag([csc_array((vals, (rows, cols)), shape=(b.size, c.size))
+                           for c, (vals, rows, cols), b, _ in call["blocks"]], "csc")
+        assert A.format == "csc" and A.shape == want.shape
+        assert np.count_nonzero(A.data) == A.nnz
+        for a, w in ((A.indptr, want.indptr), (A.indices, want.indices), (A.data, want.data)):
+            np.testing.assert_array_equal(a, w)
 
 
 def test_sharp2_lp_memory_is_quadratic_in_m():

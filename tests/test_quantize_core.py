@@ -543,3 +543,21 @@ def test_codebook_from_paths(unit_space):
     paths = [Path.constant(unit_space, v) for v in (0.0, 1.0)]
     cb = codebook_from_paths(unit_space, paths)
     assert cb.n == 2 and cb.values.shape == (2, 1, unit_space.m)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing expansion warns
+@pytest.mark.parametrize("n", [2, 18], ids=["atom_rows", "path_rows"])
+def test_overflowing_p2_expansion_is_recomputed(n):
+    # a path and an atom both at 1e200: ||x||^2 + ||a||^2 - 2<x, a> is inf + inf - inf = NaN,
+    # which the close test must send to the direct recompute like a cancelled entry
+    space = uniform_space(1.0, 5, p=2.0, d=1)
+    atoms = np.concatenate([np.full((1, 1, 5), 1e200), np.zeros((1, 1, 5)),
+                            np.arange(10.0, 10.0 + n - 2)[:, None, None] * np.ones((1, 1, 5))])
+    paths = np.stack([np.full((1, 5), 1e200), np.ones((1, 5)), np.full((1, 5), 1e200)])
+    sample = PathSample(values=paths, seed=0, process_tag="overflow")
+    vor = assign(Codebook(space=space, values=atoms), sample)
+    assert not np.isnan(vor.dists).any()
+    np.testing.assert_array_equal(vor.dists[:, :2], [[0.0, np.inf], [np.inf, 1.0], [0.0, np.inf]])
+    np.testing.assert_array_equal(vor.best, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(vor.cell_index, [0, 1, 0])
+    np.testing.assert_array_equal(vor.counts, [2, 1] + [0] * (n - 2))
