@@ -10,11 +10,13 @@ config_hash) on each scripts/configs/*.cfg, each counted as one file.  Then it
 takes the ops of the lloyd_bm, sgd_p3 and oracle_suite workloads from
 bench/run.py's make_inputs (the `fquant quantize` configs and the
 `fquant oracle --all` call), and small ops, each on a path no workload
-takes.  Four `fquant quantize` ops run SGD (SGD_OPS): d = 2 at p = 2.5 on an
+takes.  Six `fquant quantize` ops run SGD (SGD_OPS): d = 2 at p = 2.5 on an
 exp-weighted grid (a sum over coordinates and a non-integral power); d = 1 at
 p = 1.5 (sqrt at p - 1); d = 1 at p = 2 (sqrt at 1/p, the identity at p - 1);
-and a run that diverges (c0 = 1e200), whose exit code and error.json are
-compared.  Four run Lloyd (LLOYD_OPS): n = 20 (a p = 2 pass of path rows, past
+p = 2.5 at r = 3.5 (path weights ||x - a||^(r-p) in the residual's floor and
+kernel); p = r = 3 at tol = 0.012, whose runs exit by tol in mid-run, so the
+full residual decides the exit; and a run that diverges (c0 = 1e200), whose
+exit code and error.json are compared.  Four run Lloyd (LLOYD_OPS): n = 20 (a p = 2 pass of path rows, past
 16 atoms); r = 3 (the weighted centroid); d = 2 on an exp-weighted grid; and
 53 000 paths, whose p = 2 passes at n = 4 run in two row chunks.  Three run
 `fquant diagnose` (DIAGNOSE_OPS) on a fixed codebook file, written into the op's
@@ -70,6 +72,9 @@ SGD_OPS = {  # small SGD quantize ops, each on a step path no workload takes
                    optimizer=SGD.format(c0=0.01)),
     "sgd_p1.5": dict(SMALL, p=1.5, optimizer=SGD.format(c0=0.01)),  # sqrt at p - 1
     "sgd_p2": dict(SMALL, optimizer=SGD.format(c0=0.01)),  # sqrt, positive
+    "sgd_r3.5": dict(SMALL, p=2.5, r=3.5, optimizer=SGD.format(c0=0.01)),  # weights at r > p
+    "sgd_tol": dict(SMALL, p=3.0, r=3.0,  # exits by tol at 80-360 of 1000 steps (seeds 1-3)
+                    optimizer=SGD.format(c0=0.01) + "\ntol = 0.012"),
     "sgd_diverge": dict(SMALL, p=3.0, r=3.0, optimizer=SGD.format(c0=1e200)),  # exit 3
 }
 LLOYD = "method = lloyd\nmax_iters = 200"

@@ -6,7 +6,10 @@ The first-order condition behind the stationarity residual and the distortion
 differential is one kernel: per row chunk of the sample, |a_i - x|^(p-1) sign(a_i - x)
 is summed into each path's cell by a one-hot product weighted by ||x - a_i||^(r-p)
 (0 for a path equal to its atom), so its scratch follows the chunk budget, not N.
-pass_scores gives SGD the distortion value and max residual alone, not the reports.
+pass_scores gives SGD the distortion value and its tol test alone, not the reports.  The test
+reads a one-node floor of the max residual first: the middle grid node's sums, less a margin
+no rounding crosses, in the residual's own norm.  Only a floor below tol runs the kernel, as a
+floor at or above tol proves the residual is too, so every exit is the kernel's.
 _residuals alone says where the residual exists, p <= r < inf; each consumer follows it.
 
 All analyses are read-only; degenerate inputs produce flags in the reports
@@ -47,6 +50,24 @@ class StationarityReport:
         return _to_json(vars(self))
 
 
+def _phi(diff: np.ndarray, p: float) -> np.ndarray:
+    """phi(a - x) = |a - x|^(p-1) sign(a - x), in place over diff = a - x."""
+    if p == 1.0:
+        np.sign(diff, out=diff)
+    elif p < 2.0:
+        np.copysign(np.abs(diff) ** (p - 1.0), diff, out=diff)
+    elif p > 2.0:  # as d |d|^(p-2): no sign pass, and at p = 3 no power pass
+        diff *= np.abs(diff) if p == 3.0 else np.abs(diff) ** (p - 2.0)
+    return diff
+
+
+def _path_weights(best: np.ndarray, p: float, r: float) -> tuple:
+    """(paths, weights): the paths off their atom and their weights ||x - a_i||^(r-p).  A path
+    on its atom weighs 0 and is left out: 0 ** (r - p) is inf for r < p."""
+    hit = np.flatnonzero(best > 0.0)
+    return hit, 1.0 if r == p else best[hit] ** (r - p)
+
+
 def _integrand_means(vor: VoronoiAssignment, r: float) -> np.ndarray:
     """(n, d, m) integrand means M_i of stationarity_residual, by the module docstring's kernel."""
     codebook = vor.codebook
@@ -55,19 +76,13 @@ def _integrand_means(vor: VoronoiAssignment, r: float) -> np.ndarray:
     af = codebook.values.reshape(n, -1)
     out = np.zeros_like(af)
     for rows in _row_chunks(N, 3 * af.shape[1] + n):
-        cells, best = vor.cell_index[rows], vor.best[rows]
+        cells = vor.cell_index[rows]
         phi = af[cells]
         phi -= xf[rows]
-        if p == 1.0:
-            np.sign(phi, out=phi)
-        elif p < 2.0:
-            np.copysign(np.abs(phi) ** (p - 1.0), phi, out=phi)
-        elif p > 2.0:  # as d |d|^(p-2): no sign pass, and at p = 3 no power pass
-            phi *= np.abs(phi) if p == 3.0 else np.abs(phi) ** (p - 2.0)
-        hit = best > 0.0  # weigh only these rows: 0 ** (r - p) is inf for r < p
+        hit, weights = _path_weights(vor.best[rows], p, r)
         onehot = np.zeros((n, len(cells)))
-        onehot[cells[hit], np.flatnonzero(hit)] = 1.0 if r == p else best[hit] ** (r - p)
-        out += onehot @ phi
+        onehot[cells[hit], hit] = weights
+        out += onehot @ _phi(phi, p)
     return (out / N).reshape(codebook.values.shape)
 
 
@@ -92,28 +107,69 @@ def stationarity_residual(codebook: Codebook, sample: PathSample, r: float) -> S
     return stat
 
 
-def _residuals(vor: VoronoiAssignment, r: float) -> np.ndarray | None:
-    """(n, d) residuals of stationarity_residual from the codebook's distance pass; None
-    where r < p.  The one place that says where the residual exists."""
+def _residuals(vor: VoronoiAssignment, r: float, means=None) -> np.ndarray | None:
+    """(n, d) weighted grid L^q norms of means(vor, r), by default (_integrand_means) the
+    residuals of stationarity_residual, from the codebook's distance pass; None where r < p.
+    The one place that says where the residual exists."""
     space = vor.codebook.space
     p = space.p
     if not r < np.inf:
         raise FquantError(_DOMAIN.format(r=r, p=p))
     if r < p:
         return None
-    means = _integrand_means(vor, r)
+    means = (means or _integrand_means)(vor, r)
     if p == 1.0:
         return np.abs(means).max(axis=2)
     q = p / (p - 1.0)
     return ((np.abs(means) ** q) @ space.weights) ** (1.0 / q)
 
 
-def pass_scores(codebook: Codebook, sample: PathSample, r: float) -> tuple:
-    """(pass, distortion value, max residual, nan where r < p) from one pass, without reports."""
+def _node_floor_means(vor: VoronoiAssignment, r: float) -> np.ndarray:
+    """(n, d, m): at the middle grid node, a lower bound of each |_integrand_means| entry that
+    no rounding of the kernel crosses; 0 at every other node.
+
+    Per cell and coordinate, S sums the node's terms w_x phi(a - x) and A their absolute values,
+    each by one bincount over the cells.  S and the kernel's sum (its products, additions and
+    chunks) each lie within (N + 4) eps A, plus (N + 4) underflows, of the terms' exact sum.  So
+    (|S| - 2 gamma A - 4 (N + 4) 2^-1074)_+ with gamma = 8 (N + 4) eps is at most the kernel's
+    |sum|; the 8 leaves room for phi's powers to round apart.
+    """
+    codebook, sample, p = vor.codebook, vor.sample, vor.codebook.space.p
+    (n, d, m), N = codebook.values.shape, len(sample)
+    k = m // 2
+    hit, weights = _path_weights(vor.best, p, r)
+    cells = vor.cell_index[hit]
+    phi = codebook.values[:, :, k][cells]
+    phi -= sample.values[:, :, k][hit]
+    _phi(phi, p)
+    index = (cells[:, None] * d + np.arange(d)).ravel()
+    gamma = 8.0 * (N + 4) * np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan leaves it to the kernel
+        terms = (phi * np.reshape(weights, (-1, 1))).ravel()
+        sums = np.bincount(index, terms, n * d)
+        bound = (np.abs(sums) - 2.0 * gamma * np.bincount(index, np.abs(terms), n * d)
+                 - 4.0 * (N + 4) * np.finfo(float).smallest_subnormal)
+    out = np.zeros((n, d, m))
+    out[:, :, k] = np.maximum(bound, 0.0).reshape(n, d) / N
+    return out
+
+
+def _residual_floor(vor: VoronoiAssignment, r: float) -> float | None:
+    """A lower bound of the max residual of stationarity_residual, from the middle grid node
+    alone (Brownian, OU and fBM paths all sit at 0 at t = 0, bridges also at T); None where
+    r < p.  It is _residuals' own norm of _node_floor_means, less 1e-12 of it; that norm rounds
+    monotonically, so a floor at or above tol proves the kernel's max residual is too."""
+    floors = _residuals(vor, r, _node_floor_means)
+    return None if floors is None else float(floors.max()) * (1.0 - 1e-12)
+
+
+def pass_scores(codebook: Codebook, sample: PathSample, r: float, tol: float) -> tuple:
+    """(pass, distortion value, whether the max residual is below tol, False where r < p) from
+    one pass, without reports.  The floor decides first; the kernel runs where it is below tol."""
     vor = assign(codebook, sample)
-    residuals = _residuals(vor, r)
-    residual = float("nan") if residuals is None else float(residuals.max())
-    return vor, vor.distortion_value(r), residual
+    floor = _residual_floor(vor, r)
+    below = floor is not None and not floor >= tol and bool(_residuals(vor, r).max() < tol)
+    return vor, vor.distortion_value(r), below
 
 
 def _stationarity_from(vor: VoronoiAssignment, r: float) -> StationarityReport | None:

@@ -7,8 +7,9 @@ default iteration budget only in ``DEFAULT_MAX_ITERS``.  Empty cells are
 treated as bad iterates, not valid states: before each centroid update the
 atom of an empty cell is re-split from the cell carrying the largest
 distortion share.  Iterates are scored by distortion value alone (SGD's also by
-the max residual its tol test reads); a run builds its reports once, from its final
-pass, the stationarity one on first read, so splitting stages compute no residual.
+its tol test, which reads diagnostics' one-node floor of the max residual first and runs the
+stationarity kernel only where the floor is below tol); a run builds its reports once, from its
+final pass, the stationarity one on first read, so splitting stages build no such report.
 A Lloyd iteration makes its (n, N) pass, the pass's reductions and its two matrix products
 new; the one-hot behind the cell sums is made once per run and rewritten where cells moved.
 SGD steps run in blocks of max_iters // 25, one per evaluation, in buffers made once per run:
@@ -207,6 +208,8 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
     Each step draws one path x, finds its nearest atom a_i and moves it by
     -((step_k r) ||x - a_i||^(r-1)) grad||.||_p(a_i - x), the dual element's grid values.
     Exits on max_iters or when the max stationarity residual of a block's pass drops below tol.
+    The test reads the residual's one-node floor first and runs the stationarity kernel only
+    where the floor is below tol; a floor at or above tol proves the residual is too.
     """
     space, p = init.space, init.space.p
     if not _runs_at("sgd", p, r):
@@ -255,14 +258,14 @@ def sgd_run(config: OptimizerConfig, init: Codebook, sample: PathSample,
             trace._end("diverged", last, r)
             raise DivergenceError(f"non-finite atoms at iteration {stop}", trace=trace)
         cb = Codebook(space=space, values=values.copy())  # frozen: values keeps moving
-        vor, value, residual = pass_scores(cb, sample, r)
+        vor, value, below_tol = pass_scores(cb, sample, r, config.tol)
         trace.distortions.append(value)
         if value > 10.0 * d0:
             trace._end("diverged", last, r)
             raise DivergenceError(
                 f"distortion {value:.6g} exceeded 10x initial {d0:.6g}", trace=trace)
         last = vor
-        if residual < config.tol:
+        if below_tol:
             trace._end("tol", vor, r)
             return cb, trace
     # the last iteration is always checked, so cb and its pass are current

@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fquant import (Codebook, OptimizerConfig, PathSample, ProcessSpec, assign,
                     boundary_pinning, distortion_differential, holder_fit, lloyd_run,
                     monotonicity_check, quant_error, sample_paths, stationarity_residual,
                     uniform_space)
 from fquant import quantize_core
-from fquant.diagnostics import _integrand_means
+from fquant.diagnostics import _integrand_means, _residual_floor, _residuals
 from fquant.errors import FquantError
 
 
@@ -131,6 +133,43 @@ def test_integrand_means_match_per_cell_reference(p, chunk_rows, monkeypatch):
                 got = _integrand_means(vor, r)
         assert np.all(np.abs(got - means) <= 1e-12 * scale), (r, np.abs(got - means).max())
         assert np.all(got[3] == 0.0)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0]),
+       excess=st.sampled_from([0.0, 0.5, 1.0]), d=st.sampled_from([1, 2]),
+       kind=st.sampled_from(["brownian", "bridge"]))
+def test_residual_floor_never_exceeds_the_exact_residual(seed, p, excess, d, kind):
+    # atoms are sample rows, some moved by 1e-12 to 1: the rows left alone are paths on
+    # their atom, of weight 0
+    rng = np.random.default_rng(seed)
+    space = uniform_space(1.0, int(rng.integers(3, 40)), p=p, d=d)
+    sample = sample_paths(ProcessSpec(kind), space, int(rng.integers(5, 300)), seed=seed % 997)
+    rows = rng.choice(len(sample), int(rng.integers(1, 6)), replace=False)
+    moved = (rng.random(len(rows)) < 0.6) * 10.0 ** rng.uniform(-12.0, 0.0, len(rows))
+    values = sample.values[rows] + moved[:, None, None] * rng.standard_normal((len(rows), d, space.m))
+    vor = assign(Codebook(space=space, values=values), sample)
+    r = p + excess
+    assert _residual_floor(vor, r) <= _residuals(vor, r).max()
+
+
+def test_residual_floor_reads_zero_at_a_lloyd_fixed_point(unit_space, bm_sample):
+    # the kernel's residual there is rounding alone, which the floor's margin covers
+    cfg = OptimizerConfig(method="lloyd", max_iters=100, tol=1e-13)
+    init = constant_codebook(unit_space, [-1.0, -0.3, 0.3, 1.0])
+    cb, trace = lloyd_run(cfg, init, bm_sample, r=2.0)
+    assert trace.exit_reason == "fixed_point"
+    vor = assign(cb, bm_sample)
+    assert 0.0 < _residuals(vor, 2.0).max() < 1e-15
+    assert _residual_floor(vor, 2.0) == 0.0
+
+
+def test_residual_floor_exists_where_the_residual_does(unit_space, bm_sample):
+    cb = constant_codebook(unit_space, [-0.5, 0.5])
+    vor = assign(cb, bm_sample)
+    assert _residual_floor(vor, 1.5) is None and _residuals(vor, 1.5) is None
+    assert 0.0 < _residual_floor(vor, 2.0) <= _residuals(vor, 2.0).max()
+    with pytest.raises(FquantError, match="needs p <= r < inf"):
+        _residual_floor(vor, np.inf)
 
 
 def test_first_order_condition_memory_is_bounded_by_the_chunk(monkeypatch):

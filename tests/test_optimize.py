@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -406,14 +407,58 @@ def test_sgd_run_one_pass_per_evaluation(bm_sample, monkeypatch, tol, evals):
     assert trace.distortions[-1] == distortion(cb, bm_sample, 3.0).value
 
 
+@pytest.mark.parametrize("exit_by", ["max_iters", "tol"])
+@pytest.mark.parametrize("p, r, d", [(3.0, 3.0, 1), (2.5, 3.5, 1), (1.5, 2.0, 1), (2.5, 2.5, 2)])
+def test_sgd_residual_floor_changes_no_output(monkeypatch, p, r, d, exit_by):
+    # with the floor at 0 the exact residual decides every block's exit test: nothing moves
+    space = uniform_space(1.0, 17, p=p, d=d)
+    sample = sample_paths(ProcessSpec("brownian"), space, 200, seed=11)
+    init = Codebook(space=space, values=sample.values[:3].copy())
+    cfg = OptimizerConfig(method="sgd", max_iters=500, tol=1e-30, seed=3, sgd_c0=0.01)
+    if exit_by == "tol":  # tol just above the 10th evaluation's residual: a mid-run exit
+        seen, score = [], optimize.pass_scores
+        monkeypatch.setattr(optimize, "pass_scores",
+                            lambda cb, *args: seen.append(cb) or score(cb, *args))
+        sgd_run(cfg, init, sample, r)
+        monkeypatch.undo()
+        tenth = stationarity_residual(seen[9], sample, r).max_residual
+        cfg = dataclasses.replace(cfg, tol=float(np.nextafter(tenth, np.inf)))
+    runs = []
+    for floor in (None, 0.0):
+        if floor is not None:
+            monkeypatch.setattr(diagnostics, "_residual_floor", lambda vor, r: floor)
+        cb, trace = sgd_run(cfg, init, sample, r)
+        runs.append((cb.values.tobytes(), trace.distortions, trace.iterations, trace.exit_reason,
+                     trace.final_distortion.to_json(), trace.final_stationarity.to_json(),
+                     trace.to_csv()))
+    assert runs[0] == runs[1]
+    assert runs[0][3] == exit_by and (runs[0][2] < cfg.max_iters) == (exit_by == "tol")
+
+
+def test_sgd_runs_the_stationarity_kernel_only_for_its_report(bm_sample, monkeypatch):
+    # at tol = 1e-30 the floor decides every block; final_stationarity takes the kernel once
+    calls = []
+    means = diagnostics._integrand_means
+    monkeypatch.setattr(diagnostics, "_integrand_means",
+                        lambda vor, r: calls.append(vor) or means(vor, r))
+    space = uniform_space(1.0, bm_sample.m, p=3.0)
+    cfg = OptimizerConfig(method="sgd", max_iters=100, tol=1e-30, seed=3, sgd_c0=0.01)
+    init = Codebook(space=space, values=bm_sample.values[:3].copy())
+    cb, trace = sgd_run(cfg, init, bm_sample, r=3.0)
+    assert trace.exit_reason == "max_iters" and calls == []
+    stat = trace.final_stationarity
+    assert len(calls) == 1 and calls[0] is trace._final_pass
+    assert stat.to_json() == stationarity_residual(cb, bm_sample, 3.0).to_json()
+
+
 def test_sgd_evaluation_codebooks_are_frozen(bm_sample, monkeypatch):
     # each evaluation's codebook keeps the atoms it was scored on
     space = uniform_space(1.0, bm_sample.m, p=3.0)
     seen = []
 
-    def recorded(codebook, sample, r):
+    def recorded(codebook, sample, r, tol):
         seen.append((codebook, codebook.values.copy()))
-        return score(codebook, sample, r)
+        return score(codebook, sample, r, tol)
 
     score = optimize.pass_scores
     monkeypatch.setattr(optimize, "pass_scores", recorded)
@@ -649,10 +694,10 @@ def test_sgd_divergence_trace_carries_last_accepted_reports(bm_sample, monkeypat
     space = uniform_space(1.0, bm_sample.m, p=3.0)
     seen = []
 
-    def third_blows_up(codebook, sample, r):
+    def third_blows_up(codebook, sample, r, tol):
         seen.append(codebook)
-        vor, value, residual = score(codebook, sample, r)
-        return vor, (value if len(seen) < 3 else 1e300), residual
+        vor, value, below_tol = score(codebook, sample, r, tol)
+        return vor, (value if len(seen) < 3 else 1e300), below_tol
 
     score = optimize.pass_scores
     monkeypatch.setattr(optimize, "pass_scores", third_blows_up)

@@ -66,7 +66,7 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                          for name, size in bench.SIZES.items()})
     monkeypatch.setattr(script, "_bench_run", lambda: bench)
     assert script.main([str(ROOT), str(ROOT)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["82 files compared, 0 differences"]
+    assert capsys.readouterr().out.splitlines() == ["94 files compared, 0 differences"]
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "src" / "fquant" / "cli.py"
@@ -87,6 +87,8 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                                     "sgd_d2/input0: manifest.json: differs",
                                                     "sgd_p1.5/input0: manifest.json: differs",
                                                     "sgd_p2/input0: manifest.json: differs",
+                                                    "sgd_r3.5/input0: manifest.json: differs",
+                                                    "sgd_tol/input0: manifest.json: differs",
                                                     "lloyd_n20/input0: manifest.json: differs",
                                                     "lloyd_r3/input0: manifest.json: differs",
                                                     "lloyd_d2/input0: manifest.json: differs",
@@ -96,7 +98,7 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
                                                     "diagnose_const/input0: manifest.json: differs",
                                                     "bounds_lp/input0: manifest.json: differs",
                                                     "bounds_sup/input0: manifest.json: differs",
-                                                    "82 files compared, 17 differences"]
+                                                    "94 files compared, 19 differences"]
 
 
 def _script(name):
