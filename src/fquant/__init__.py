@@ -1,13 +1,11 @@
 """Functional quantization of stochastic processes on discretized L^p path spaces."""
 
 from .path_space import (DiscretePathSpace, Path, PathSample, dual_pairing,
-                         exp_weighted_space, lp_dist, lp_norm, norm_gradient,
-                         uniform_space, weighted_space)
-from .process_sim import (MomentCheck, ProcessSpec, intrinsic_semimetric,
-                          moment_check, sample_paths)
+                         exp_weighted_space, lp_dist, lp_norm, uniform_space,
+                         weighted_space)
+from .process_sim import MomentCheck, ProcessSpec, moment_check, sample_paths
 from .quantize_core import (Codebook, DistortionReport, VoronoiAssignment,
-                            assign, codebook_from_paths, cross_exponent_bounds,
-                            distortion, quant_error, quantize_paths)
+                            assign, distortion, quant_error)
 from .optimize import (OptimizerConfig, OptimizeTrace, default_config_for,
                        distortion_differential, lloyd_run, lloyd_step,
                        optimize_codebook, product_quantizer, sgd_run,
@@ -21,11 +19,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscretePathSpace", "Path", "PathSample", "uniform_space", "weighted_space",
-    "exp_weighted_space", "lp_norm", "lp_dist", "norm_gradient", "dual_pairing",
-    "ProcessSpec", "sample_paths", "intrinsic_semimetric", "moment_check",
-    "MomentCheck",
+    "exp_weighted_space", "lp_norm", "lp_dist", "dual_pairing",
+    "ProcessSpec", "sample_paths", "moment_check", "MomentCheck",
     "Codebook", "VoronoiAssignment", "DistortionReport", "assign", "distortion",
-    "quant_error", "quantize_paths", "cross_exponent_bounds", "codebook_from_paths",
+    "quant_error",
     "OptimizerConfig", "OptimizeTrace", "lloyd_step", "lloyd_run", "sgd_run",
     "optimize_codebook", "splitting_init", "product_quantizer", "default_config_for",
     "distortion_differential",

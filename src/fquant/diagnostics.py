@@ -192,11 +192,6 @@ class MonotonicityReport:
     entries: list[tuple[int, float, float]]   # (n, error, stderr)
     flagged: list[tuple[int, int]]            # consecutive size pairs violating decrease
 
-    @property
-    def strictly_decreasing(self) -> bool:
-        errs = [e for _, e, _ in self.entries]
-        return all(a > b for a, b in zip(errs, errs[1:]))
-
 
 def monotonicity_check(codebooks: list[Codebook], sample: PathSample,
                        r: float) -> MonotonicityReport:

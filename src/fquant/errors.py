@@ -14,14 +14,6 @@ class DimensionMismatchError(FquantError):
         super().__init__(f"{what} shape {self.got} does not match expected {self.expected}")
 
 
-class ZeroPathError(FquantError):
-    """Norm gradient requested at the zero path, where it is undefined."""
-
-
-class NonSmoothNormError(FquantError):
-    """Gradient requested for an exponent at which the norm is not smooth (p = 1 or inf)."""
-
-
 class SimulationError(FquantError):
     """Path sampler could not produce the requested sample."""
 

@@ -1,8 +1,8 @@
-"""Discretized L^p path spaces: grids, quadrature weights, norms, duality map.
+"""Discretized L^p path spaces: grids, quadrature weights, norms.
 
 A path space is a time grid with strictly positive quadrature masses and a
 norm exponent p.  A path is a d x m matrix of values on that grid, and every
-norm, distance and gradient below reduces to weighted sums over the grid; no
+norm and distance below reduces to weighted sums over the grid; no
 interpolation happens anywhere in the package.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FquantError, NonSmoothNormError, ZeroPathError
+from .errors import DimensionMismatchError, FquantError
 
 _HEADER = struct.Struct("<qqqq")  # d, m, N, seed as little-endian int64
 
@@ -129,14 +129,6 @@ class Path:
         return self.values.shape[1]
 
     @classmethod
-    def from_function(cls, space: DiscretePathSpace, fn) -> "Path":
-        """Sample fn on the grid; fn maps a (m,) time array to (m,) or (d, m) values."""
-        vals = np.asarray(fn(space.grid), dtype=np.float64)
-        if vals.ndim == 1:
-            vals = np.tile(vals, (space.d, 1))
-        return cls(values=vals)
-
-    @classmethod
     def constant(cls, space: DiscretePathSpace, level: float) -> "Path":
         return cls(values=np.full((space.d, space.m), float(level)))
 
@@ -220,23 +212,6 @@ def lp_dist(space: DiscretePathSpace, f: Path, g: Path) -> float:
     return float(lp_norm_values(space, f.values - g.values))
 
 
-def norm_gradient(space: DiscretePathSpace, f: Path) -> Path:
-    """Duality map of the L^p norm at f (1 < p < inf, f != 0).
-
-    Entry (j, k) is (|f_{jk}| / ||f||_p)^{p-1} sign f_{jk}; as an element of
-    the conjugate space it pairs with g through the weighted grid sum
-    sum_{jk} grad_{jk} g_{jk} w_k, and pairing with f itself returns ||f||_p.
-    """
-    if not 1.0 < space.p < np.inf:
-        raise NonSmoothNormError(f"the L^{space.p:g} norm has no gradient; need 1 < p < inf")
-    _check_shape(space, f.values)
-    norm = lp_norm(space, f)
-    if norm == 0.0:
-        raise ZeroPathError("norm gradient undefined at the zero path")
-    vals = f.values
-    return Path(values=(np.abs(vals) / norm) ** (space.p - 1.0) * np.sign(vals))
-
-
 def dual_pairing(space: DiscretePathSpace, g: Path, f: Path) -> float:
     """Weighted grid pairing <g, f> = sum_j sum_k g_{jk} f_{jk} w_k."""
     _check_shape(space, f.values)
@@ -280,17 +255,6 @@ def unpack_paths(data: bytes) -> tuple[np.ndarray, int]:
         raise FquantError(f"binary payload has {len(data)} bytes, expected {expected}")
     flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
     return flat.reshape(n, d, m).astype(np.float64), seed
-
-
-def save_sample(path, sample: PathSample):
-    with open(path, "wb") as fh:
-        fh.write(pack_paths(sample.values, seed=sample.seed))
-
-
-def load_sample(path, process_tag: str = "loaded") -> PathSample:
-    with open(path, "rb") as fh:
-        values, seed = unpack_paths(fh.read())
-    return PathSample(values=values, seed=seed, process_tag=process_tag)
 
 
 def paths_to_csv(space: DiscretePathSpace, values: np.ndarray, header_prefix: str = "path") -> str:

@@ -274,18 +274,6 @@ def sample_paths(spec: ProcessSpec, space: DiscretePathSpace, n_paths: int,
                       process_tag=spec.tag)
 
 
-def intrinsic_semimetric(sample: PathSample, q: float, s_idx: int, t_idx: int) -> float:
-    """Monte Carlo estimate of rho_X^q(s, t) = (E |X_s - X_t|_q^q)^(1 / max(q, 1))."""
-    if q <= 0:
-        raise FquantError(f"semimetric order q must be > 0, got {q}")
-    m = sample.m
-    if not (-m <= s_idx < m and -m <= t_idx < m):
-        raise FquantError(f"node indices ({s_idx}, {t_idx}) outside grid of size {m}")
-    diff = sample.values[:, :, s_idx] - sample.values[:, :, t_idx]
-    moment = float((np.abs(diff) ** q).sum(axis=1).mean())
-    return moment ** (1.0 / max(q, 1.0))
-
-
 @dataclass(frozen=True)
 class MomentCheck:
     """E ||X||_p^r estimate with a half-sample stability gate."""

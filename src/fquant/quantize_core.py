@@ -85,11 +85,6 @@ class Codebook:
         return paths_to_csv(self.space, self.values, header_prefix="atom")
 
 
-def codebook_from_paths(space: DiscretePathSpace, paths) -> Codebook:
-    values = np.stack([p.values if isinstance(p, Path) else np.asarray(p) for p in paths])
-    return Codebook(space=space, values=values)
-
-
 def _row_chunks(n_rows: int, per_row: int):
     """Consecutive row slices of at most _CHUNK_BUDGET // per_row rows (at least one)."""
     chunk = max(1, _CHUNK_BUDGET // per_row)
@@ -266,32 +261,3 @@ def quant_error(codebook: Codebook, sample: PathSample, r: float) -> float:
     """distortion^(1/r) on this sample.  On the sample the codebook was fitted to, it is
     biased low as an estimate of the codebook's error on the process."""
     return distortion(codebook, sample, r).value ** (1.0 / r)
-
-
-def quantize_paths(codebook: Codebook, sample: PathSample) -> PathSample:
-    """Replace each path by its assigned atom (the quantized version of the sample)."""
-    cells = assign(codebook, sample).cell_index
-    return PathSample(values=codebook.values[cells], seed=sample.seed,
-                      process_tag=f"quantized[n={codebook.n}]:{sample.process_tag}")
-
-
-def cross_exponent_bounds(sample: PathSample, space: DiscretePathSpace,
-                          codebook: Codebook, r: float) -> tuple[float, float]:
-    """Empirical sandwich relating the (L^r, L^p) error to the p^r and p^vr ones.
-
-    Re-measures the same atoms under the exponents p^r := min(p, r) and
-    pvr := max(p, r), with outer moment matching the inner exponent, and scales
-    by total_mass^(1/p - 1/exponent).  Pathwise Hoelder plus outer-moment
-    monotonicity make lower <= quant_error(codebook, sample, r) <= upper an
-    algebraic identity on any fixed sample.
-    """
-    p = space.p
-    if not 1 <= r < np.inf or p == np.inf:
-        raise FquantError(f"cross-exponent bounds need finite p and r >= 1, got p={p}, r={r}")
-    mass = space.total_mass
-    lo_exp, hi_exp = min(p, r), max(p, r)
-    cb_lo = Codebook(space=space.with_p(lo_exp), values=codebook.values)
-    cb_hi = Codebook(space=space.with_p(hi_exp), values=codebook.values)
-    lower = mass ** (1.0 / p - 1.0 / lo_exp) * quant_error(cb_lo, sample, lo_exp)
-    upper = mass ** (1.0 / p - 1.0 / hi_exp) * quant_error(cb_hi, sample, hi_exp)
-    return lower, upper

@@ -209,7 +209,6 @@ def test_monotonicity_two_point_support(unit_space):
     (n1, e1, _), (n2, e2, _) = rep.entries
     assert (n1, n2) == (1, 2)
     assert e2 == 0.0 < e1
-    assert rep.strictly_decreasing
     assert rep.flagged == []
 
 

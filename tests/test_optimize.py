@@ -212,14 +212,15 @@ def test_sgd_quadratic_update_direction(unit_space, bm_sample):
                                0.0, atol=1e-13)
 
 
-def test_differential_matches_finite_differences(unit_space, rng):
-    # Gateaux differential against central differences on a small empirical law
-    space = unit_space.with_p(2.5)
+@pytest.mark.parametrize("p, r", [(2.5, 2.5), (3.0, 2.0), (2.5, 1.5), (4.0, 1.5)])
+def test_differential_matches_finite_differences(unit_space, rng, p, r):
+    # Gateaux differential against central differences on a small empirical law, r < p too
+    space = unit_space.with_p(p)
     sample = sample_paths(ProcessSpec("brownian"), space, 50, seed=3)
     cb, _ = sgd_run(OptimizerConfig(method="sgd", max_iters=400, tol=1e-14, seed=5),
                     Codebook(space=space, values=sample.values[:3] * 0.8),
-                    sample, r=2.5)
-    diff = distortion_differential(cb, sample, 2.5)
+                    sample, r=r)
+    diff = distortion_differential(cb, sample, r)
     g = np.random.default_rng(11)
     for i in range(cb.n):
         h = g.normal(size=(1, space.m))
@@ -229,8 +230,8 @@ def test_differential_matches_finite_differences(unit_space, rng):
         up, dn = cb.values.copy(), cb.values.copy()
         up[i] += eps * h
         dn[i] -= eps * h
-        fd = (distortion(Codebook(space=space, values=up), sample, 2.5).value
-              - distortion(Codebook(space=space, values=dn), sample, 2.5).value) / (2 * eps)
+        fd = (distortion(Codebook(space=space, values=up), sample, r).value
+              - distortion(Codebook(space=space, values=dn), sample, r).value) / (2 * eps)
         assert fd == pytest.approx(pairing, rel=1e-4)
 
 

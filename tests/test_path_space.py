@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fquant import (DiscretePathSpace, Path, PathSample, dual_pairing, exp_weighted_space,
-                    lp_dist, lp_norm, norm_gradient, uniform_space)
-from fquant.errors import (DimensionMismatchError, FquantError,
-                           NonSmoothNormError, ZeroPathError)
+from fquant import (DiscretePathSpace, Path, PathSample, exp_weighted_space, lp_dist, lp_norm,
+                    uniform_space)
+from fquant.errors import DimensionMismatchError, FquantError
 from fquant.oracles import bump_function_values, step_function_values, sup_example_grid
-from fquant.path_space import (_to_json, load_sample, pack_paths, paths_to_csv,
-                               save_sample, unpack_paths)
+from fquant.path_space import _to_json, pack_paths, paths_to_csv, unpack_paths
 
 
 def test_space_invariants_rejected():
@@ -45,7 +43,7 @@ def test_lp_norm_zero(unit_space):
 def test_lp_norm_linear_function_closed_form():
     # integral of t^2 on [0,1] is 1/3
     space = uniform_space(1.0, 1025, p=2.0)
-    f = Path.from_function(space, lambda t: t)
+    f = Path(values=space.grid)
     assert lp_norm(space, f) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-4)
 
 
@@ -57,7 +55,7 @@ def test_lp_norm_dimension_mismatch(unit_space):
 
 
 def test_lp_dist_trivials(unit_space):
-    f = Path.from_function(unit_space, lambda t: np.sin(t))
+    f = Path(values=np.sin(unit_space.grid))
     assert lp_dist(unit_space, f, f) == 0.0
     one = Path.constant(unit_space, 1.0)
     zero = Path.zero(unit_space)
@@ -103,50 +101,6 @@ def test_sup_norm_is_the_limit_of_the_family(rng, p):
         assert norm <= (2 * space.total_mass) ** (1.0 / p) * sup * (1 + 1e-12)
 
 
-def test_norm_gradient_p2_identity_on_sphere(unit_space, rng):
-    f = Path(values=rng.normal(size=(1, unit_space.m)))
-    f = Path(values=f.values / lp_norm(unit_space, f))
-    g = norm_gradient(unit_space, f)
-    np.testing.assert_allclose(g.values, f.values, rtol=1e-12)
-
-
-def test_norm_gradient_norming_identity(unit_space, rng):
-    for p in (1.5, 2.0, 3.0, 4.0):
-        sp = unit_space.with_p(p)
-        f = Path(values=rng.normal(size=(1, sp.m)))
-        g = norm_gradient(sp, f)
-        assert dual_pairing(sp, g, f) == pytest.approx(lp_norm(sp, f), rel=1e-12)
-
-
-def test_norm_gradient_p3_constant_two():
-    space = uniform_space(1.0, 65, p=3.0)
-    f = Path.constant(space, 2.0)
-    g = norm_gradient(space, f)
-    np.testing.assert_allclose(g.values, 1.0, rtol=1e-12)
-
-
-def test_norm_gradient_errors(unit_space):
-    with pytest.raises(ZeroPathError):
-        norm_gradient(unit_space, Path.zero(unit_space))
-    with pytest.raises(NonSmoothNormError):
-        norm_gradient(unit_space.with_p(1.0), Path.constant(unit_space, 1.0))
-    with pytest.raises(NonSmoothNormError):
-        norm_gradient(unit_space.with_p(np.inf), Path.constant(unit_space, 1.0))
-
-
-def test_norm_gradient_finite_difference(unit_space, rng):
-    # directional derivative of the norm matches the dual pairing
-    for p in (1.5, 2.0, 3.0):
-        sp = unit_space.with_p(p)
-        f = Path(values=rng.normal(size=(1, sp.m)) + 0.1)
-        h = Path(values=rng.normal(size=(1, sp.m)))
-        g = norm_gradient(sp, f)
-        eps = 1e-6
-        fd = (lp_norm(sp, Path(values=f.values + eps * h.values))
-              - lp_norm(sp, Path(values=f.values - eps * h.values))) / (2 * eps)
-        assert fd == pytest.approx(dual_pairing(sp, g, h), rel=1e-5)
-
-
 @given(c=st.one_of(st.just(0.0),
                    st.floats(min_value=1e-6, max_value=100.0),
                    st.floats(min_value=-100.0, max_value=-1e-6)),
@@ -178,23 +132,17 @@ def test_grid_refinement_quadratic_convergence():
     errs = []
     for m in (65, 129, 257):
         space = uniform_space(1.0, m, p=2.0)
-        f = Path.from_function(space, lambda t: t)
+        f = Path(values=space.grid)
         errs.append(abs(lp_norm(space, f) - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
 
-def test_binary_roundtrip(tmp_path, bm_sample):
+def test_binary_roundtrip(bm_sample):
     blob = pack_paths(bm_sample.values, seed=bm_sample.seed)
     values, seed = unpack_paths(blob)
     assert seed == bm_sample.seed
     np.testing.assert_array_equal(values, bm_sample.values)
-
-    target = tmp_path / "sample.bin"
-    save_sample(target, bm_sample)
-    loaded = load_sample(target, process_tag=bm_sample.process_tag)
-    np.testing.assert_array_equal(loaded.values, bm_sample.values)
-    assert loaded.seed == bm_sample.seed
 
 
 def test_binary_header_layout():

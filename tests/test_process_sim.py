@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fquant import (PathSample, ProcessSpec, exp_weighted_space,
-                    intrinsic_semimetric, moment_check, sample_paths,
-                    uniform_space)
+from fquant import (PathSample, ProcessSpec, exp_weighted_space, moment_check,
+                    sample_paths, uniform_space)
 from fquant.errors import FquantError, SimulationError
 from fquant import process_sim
 from fquant.process_sim import (_bridge_values, _brownian_values, _compound_poisson_increments,
@@ -284,30 +283,6 @@ def test_diffusion_euler_step_halving_convergence():
     assert errs[2] < errs[0]
 
 
-def test_intrinsic_semimetric_zero_at_equal_nodes(bm_sample):
-    assert intrinsic_semimetric(bm_sample, 2.0, 10, 10) == 0.0
-
-
-def test_intrinsic_semimetric_brownian():
-    space = uniform_space(1.0, 129)
-    sample = sample_paths(ProcessSpec("brownian"), space, 100_000, seed=81)
-    s_idx, t_idx = 32, 96
-    gap = space.grid[t_idx] - space.grid[s_idx]
-    rho = intrinsic_semimetric(sample, 2.0, s_idx, t_idx)
-    assert rho ** 2 == pytest.approx(gap, rel=0.05)
-
-
-def test_intrinsic_semimetric_fbm_loglog_slope():
-    space = uniform_space(1.0, 257)
-    H = 0.7
-    sample = sample_paths(ProcessSpec("fbm", params={"H": H}), space, 30_000, seed=82)
-    lags = np.array([4, 8, 16, 32, 64])
-    rho2 = [intrinsic_semimetric(sample, 2.0, 0, int(l)) ** 2 for l in lags]
-    dt = space.grid[1] - space.grid[0]
-    slope = np.polyfit(np.log(lags * dt), np.log(rho2), 1)[0]
-    assert slope == pytest.approx(2 * H, abs=0.1)
-
-
 def test_moment_check_oracles():
     space = uniform_space(1.0, 257)
     bm = sample_paths(ProcessSpec("brownian"), space, 100_000, seed=91)
@@ -327,6 +302,3 @@ def test_moment_check_oracles():
 def test_sample_paths_rejects_bad_inputs(unit_space):
     with pytest.raises(SimulationError):
         sample_paths(ProcessSpec("brownian"), unit_space, 0, seed=1)
-    with pytest.raises(FquantError):
-        intrinsic_semimetric(
-            sample_paths(ProcessSpec("brownian"), unit_space, 5, seed=1), 2.0, 0, 10**6)

@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fquant import (Codebook, Path, PathSample, ProcessSpec, VoronoiAssignment, assign,
-                    codebook_from_paths, cross_exponent_bounds, distortion,
-                    exp_weighted_space, lp_dist, quant_error, quantize_paths,
-                    sample_paths, stationarity_residual, uniform_space)
+                    distortion, exp_weighted_space, lp_dist, quant_error, sample_paths,
+                    stationarity_residual, uniform_space)
 from fquant import quantize_core
 from fquant.errors import FquantError
 from fquant.quantize_core import _weighted_sq_norms, pairwise_distances
@@ -441,59 +440,12 @@ def test_distortion_lipschitz_coupled_perturbation(unit_space, bm_sample, rng):
             assert abs(dx - dy) <= coupling + 1e-12
 
 
-def test_quantize_paths_properties(unit_space, bm_sample):
-    cb = constant_codebook(unit_space, [-0.5, 0.0, 0.7])
-    quantized = quantize_paths(cb, bm_sample)
-    uniq = np.unique(quantized.values.reshape(len(quantized), -1), axis=0)
-    assert uniq.shape[0] <= cb.n
-    again = quantize_paths(cb, quantized)
-    np.testing.assert_array_equal(again.values, quantized.values)
-
-    single = constant_codebook(unit_space, [0.1])
-    q1 = quantize_paths(single, bm_sample)
-    assert np.all(q1.values == 0.1)
-
-
 def test_quant_error_monotone_in_refinement(unit_space, bm_sample, rng):
     values = rng.normal(size=(4, 1, unit_space.m))
     small = Codebook(space=unit_space, values=values[:3])
     big = Codebook(space=unit_space, values=values)
     for r in (1.0, 2.0, 2.5):
         assert quant_error(big, bm_sample, r) <= quant_error(small, bm_sample, r)
-
-
-def test_cross_exponent_bounds_collapse(unit_space, bm_sample, rng):
-    cb = Codebook(space=unit_space, values=rng.normal(size=(3, 1, unit_space.m)))
-    lower, upper = cross_exponent_bounds(bm_sample, unit_space, cb, r=2.0)
-    value = quant_error(cb, bm_sample, 2.0)
-    assert lower == value == upper
-
-
-def test_cross_exponent_bounds_sandwich(unit_space, bm_sample, rng):
-    cb = Codebook(space=unit_space, values=rng.normal(size=(4, 1, unit_space.m)))
-    r = 4.0
-    lower, upper = cross_exponent_bounds(bm_sample, unit_space, cb, r)
-    value = quant_error(cb, bm_sample, r)
-    assert lower <= value * (1 + 1e-12)
-    assert value <= upper * (1 + 1e-12)
-    assert unit_space.total_mass == pytest.approx(1.0, rel=1e-12)
-
-
-def test_cross_exponent_bounds_rejects_bad_exponents(unit_space, bm_sample):
-    for space, r in ((unit_space, 0.5), (unit_space, np.inf), (unit_space.with_p(np.inf), 2.0)):
-        with pytest.raises(FquantError):
-            cross_exponent_bounds(bm_sample, space, constant_codebook(space, [-0.5, 0.5]), r)
-
-
-def test_cross_exponent_bounds_nonunit_mass(rng):
-    space = uniform_space(3.0, 65, p=3.0)
-    sample = PathSample(values=rng.normal(size=(50, 1, 65)), seed=0, process_tag="t")
-    cb = Codebook(space=space, values=rng.normal(size=(3, 1, 65)))
-    for r in (1.5, 4.0):
-        lower, upper = cross_exponent_bounds(sample, space, cb, r)
-        value = quant_error(cb, sample, r)
-        assert lower <= value * (1 + 1e-12)
-        assert value <= upper * (1 + 1e-12)
 
 
 def test_sup_distances_exact_across_chunks(rng, monkeypatch):
@@ -537,12 +489,6 @@ def test_empty_codebook_error(unit_space, bm_sample):
     for r in (0.0, np.inf, np.nan):
         with pytest.raises(FquantError):
             distortion(constant_codebook(unit_space, [0.0]), bm_sample, r=r)
-
-
-def test_codebook_from_paths(unit_space):
-    paths = [Path.constant(unit_space, v) for v in (0.0, 1.0)]
-    cb = codebook_from_paths(unit_space, paths)
-    assert cb.n == 2 and cb.values.shape == (2, 1, unit_space.m)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing expansion warns
