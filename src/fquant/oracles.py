@@ -5,7 +5,9 @@ known best value, evaluates it by independent routes (closed forms / vertex
 enumeration / coordinate medians / linear programming), and reports named
 checks that the CLI aggregates into a manifest.  The LPs are solved in block-diagonal
 batches: per HiGHS call, one sparse build and one numpy pass that checks each LP's
-duality certificate outside the solver.  scipy is imported only when an LP runs, and
+duality certificate outside the solver.  The l1 center LPs go to HiGHS as their box-
+bounded duals, and their primal optimality triples are recovered from that solve; only
+the l-infinity LP is solved in primal form.  scipy is imported only when an LP runs, and
 the CLI imports this module only for `fquant oracle`.
 """
 
@@ -145,7 +147,8 @@ def _certificates(c, A, b, free, x, y, lam, values, x_at, y_at) -> np.ndarray:
     return np.maximum(worst, gaps) + 0.0  # -0.0 (-x or y at a zero) + 0.0 is 0.0
 
 
-# one sharp2 family as one LP beat one LP per m at 2 478 rows, lost at 5 738 (2-vCPU VM)
+# one sharp2 family as one LP beat one LP per m at 2 478 rows, lost at 5 738 (2-vCPU VM);
+# as box duals at sharp2 --m 20..80, 8192 or 16384 rows gained <= 0.03 s and cost <= 8 MB
 _LP_BATCH_ROWS = 4096
 
 
@@ -164,8 +167,37 @@ def _center_lp_parts(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cos
     return np.concatenate([np.zeros(P.shape[1]), slack_cost]), A, b, P.shape[1]
 
 
-def _solve_stacked(lps: list, what: str) -> list[tuple[np.ndarray, float, float]]:
+def _linprog(what: str, c: np.ndarray, **constraints):
     from scipy.optimize import linprog
+    res = linprog(c, **constraints, method="highs")
+    if not res.success:
+        raise OracleError(f"{what} center LP failed: {res.message}")
+    return res
+
+
+def _box_dual_solution(c, b, free, vals, rows, cols, what: str):
+    """(x, y, lam) of the stacked primal min c.x s.t. A x <= b, when each slack z carries
+    one term t (rows 2t: (P s)_t - z <= v_t, 2t + 1: -(P s)_t - z <= -v_t), read off one
+    solve of its dual  min -v.u  s.t.  sum_t P_t^T u_t = 0,  |u_t| <= cost of t's slack
+    (Barrodale and Roberts 1973): s = -(equality marginals), z = |v - P s|, y = min(u, 0)
+    on row 2t and min(-u, 0) on row 2t + 1, lam = 0 on s and cost - |u| on z."""
+    from scipy.sparse import csc_array
+    even = rows % 2 == 0
+    on_free, on_slack = even & free[cols], even & ~free[cols]
+    slack_of = np.empty(b.size // 2, dtype=np.intp)
+    slack_of[rows[on_slack] // 2] = cols[on_slack]
+    A_eq = csc_array((vals[on_free], ((np.cumsum(free) - 1)[cols[on_free]], rows[on_free] // 2)),
+                     shape=(np.count_nonzero(free), slack_of.size))
+    cost, v = c[slack_of], b[0::2]
+    res = _linprog(what, -v, A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]), bounds=np.c_[-cost, cost])
+    x, lam = np.zeros(c.size), np.zeros(c.size)
+    x[free] = -res.eqlin.marginals
+    x[slack_of] = np.abs(v - A_eq.T @ x[free])
+    lam[slack_of] = cost - np.abs(res.x)
+    return x, np.minimum(np.c_[res.x, -res.x], 0.0).ravel(), lam
+
+
+def _solve_stacked(lps: list, what: str) -> list[tuple[np.ndarray, float, float]]:
     from scipy.sparse import csc_array
     cs, As, bs, ks = zip(*lps)
     x_at, y_at = np.cumsum([0, *map(len, cs)]), np.cumsum([0, *map(len, bs)])
@@ -174,22 +206,26 @@ def _solve_stacked(lps: list, what: str) -> list[tuple[np.ndarray, float, float]
     A = csc_array((vals, (rows, cols)), shape=(y_at[-1], x_at[-1]))
     c, b = np.concatenate(cs), np.concatenate(bs)
     free = np.concatenate([np.arange(len(c_i)) < k for c_i, k in zip(cs, ks)])
-    bounds = np.c_[np.where(free, -np.inf, 0.0), np.full(len(c), np.inf)]
-    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if not res.success:
-        raise OracleError(f"{what} center LP failed: {res.message}")
-    values = [float(res.fun)] if len(lps) == 1 else [float(c_i @ res.x[i:j])
-                                                     for c_i, i, j in zip(cs, x_at, x_at[1:])]
-    certs = _certificates(c, A, b, free, res.x, res.ineqlin.marginals, res.lower.marginals,
-                          values, x_at, y_at)
-    return [(res.x[i:i + k], v, float(r)) for i, k, v, r in zip(x_at, ks, values, certs)]
+    fun = None
+    if b.size == 2 * (c.size - sum(ks)):  # one term per slack, as in the l1 family
+        x, y, lam = _box_dual_solution(c, b, free, vals, rows, cols, what)
+    else:
+        bounds = np.c_[np.where(free, -np.inf, 0.0), np.full(len(c), np.inf)]
+        res = _linprog(what, c, A_ub=A, b_ub=b, bounds=bounds)
+        x, y, lam, fun = res.x, res.ineqlin.marginals, res.lower.marginals, float(res.fun)
+    values = [fun] if fun is not None and len(lps) == 1 else [
+        float(c_i @ x[i:j]) for c_i, i, j in zip(cs, x_at, x_at[1:])]
+    certs = _certificates(c, A, b, free, x, y, lam, values, x_at, y_at)
+    return [(x[i:i + k], v, float(r)) for i, k, v, r in zip(x_at, ks, values, certs)]
 
 
 def _center_lps(problems, what: str) -> list[tuple[np.ndarray, float, float]]:
     """(x, value, certificate residual) of each center LP (law, P, slack, slack_cost) in
     problems (see _center_lp_parts, lp_certificate).  Consecutive LPs are stacked block-
-    diagonally into linprog calls of at most _LP_BATCH_ROWS rows, or of one larger LP.  A
-    lone LP's value is HiGHS's objective, a stacked one's c . x of its own block."""
+    diagonally into linprog calls of at most _LP_BATCH_ROWS primal rows, or of one larger
+    LP; a batch whose slacks carry one term each (the l1 family) is solved as its box dual
+    (_box_dual_solution).  A lone l-infinity LP's value is HiGHS's objective, every other
+    LP's c . x of its own block."""
     out, batch = [], []
     for problem in problems:
         lp = _center_lp_parts(*problem)

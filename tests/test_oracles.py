@@ -360,7 +360,7 @@ def test_linf_lp_on_simple_law():
 def _random_law(g, k, dim):
     # rounded atoms give exact ties in the |diff| argmax and zero signs
     atoms = np.round(g.normal(size=(k, dim)), 1)
-    if len({a.tobytes() for a in atoms}) < k:
+    if len({a.tobytes() for a in atoms + 0.0}) < k:  # -0.0 and 0.0 are one atom to AtomicLaw
         return None
     w = g.uniform(0.1, 1.0, size=k)
     return AtomicLaw(atoms=atoms, probs=w / w.sum())
@@ -396,13 +396,31 @@ def _linprog_spy(monkeypatch) -> list:
 
 
 def _captured_lp(monkeypatch, solve) -> dict:
-    """Run solve() and return the last linprog call's arguments, with A_ub dense, and its
-    result (res).  The sparse A_ub must store no explicit zero."""
+    """Run solve() and return the last linprog call's arguments, with its constraint matrix
+    (A_ub, or A_eq for a box dual) dense, and its result (res).  The sparse matrix must
+    store no explicit zero."""
     calls = _linprog_spy(monkeypatch)
     solve()
-    seen = calls[-1]
-    assert np.count_nonzero(seen["A_ub"].data) == seen["A_ub"].nnz
-    return dict(seen, A_ub=seen["A_ub"].toarray())
+    seen = dict(calls[-1])
+    key = "A_ub" if "A_ub" in seen else "A_eq"
+    assert np.count_nonzero(seen[key].data) == seen[key].nnz
+    seen[key] = seen[key].toarray()
+    return seen
+
+
+def _certified_spy(monkeypatch) -> list:
+    """Record each _certificates call's arguments in the returned list: the stacked primal
+    system (c, A, b, free) and the solution (x, y, lam, values) that it certifies, with the
+    blocks' offsets (x_at, y_at)."""
+    calls = []
+    certificates = oracles._certificates
+
+    def spy(*args):
+        calls.append(dict(zip(("c", "A", "b", "free", "x", "y", "lam", "values", "x_at", "y_at"),
+                              args)))
+        return certificates(*args)
+    monkeypatch.setattr(oracles, "_certificates", spy)
+    return calls
 
 
 def test_first_lp_in_a_fresh_process_is_certified(fresh_python):
@@ -428,10 +446,13 @@ def test_lp_certificate_rejects_perturbed_solutions(monkeypatch, case):
         "l1_full": lambda: l1_center_lp(oracles._l1_three_point_law(M)),
         "sharp2_m5": lambda: sharp_constant_example(5),
     }[case]
-    seen = _captured_lp(monkeypatch, solve)
-    c, A, b, res = seen["c"], seen["A_ub"], seen["b_ub"], seen["res"]
-    n_free = int(np.isneginf(seen["bounds"][:, 0]).sum())
-    x, y, lam, value = res.x, res.ineqlin.marginals, res.lower.marginals, float(res.fun)
+    # the primal system and the (x, y, lam) certified on it: HiGHS's own for c0, the
+    # recovery from the box dual for the l1 LPs
+    calls = _certified_spy(monkeypatch)
+    solve()
+    seen = calls[-1]
+    c, A, b, n_free = seen["c"], seen["A"].toarray(), seen["b"], int(seen["free"].sum())
+    x, y, lam, (value,) = seen["x"], seen["y"], seen["lam"], seen["values"]
     assert lp_certificate(c, A, b, n_free, x, value, y, lam) <= 1e-12
     shifted_center = x.copy()
     shifted_center[:n_free] += 1e-9  # same objective, violates a tight bound
@@ -489,10 +510,14 @@ def test_center_lp_input_matches_loop_builder(monkeypatch, kind, with_basis):
     seen = _captured_lp(monkeypatch, lambda: linf_center_lp(law) if kind == "linf"
                         else l1_center_lp(law, basis=basis))
     cost, A, b, bounds = _reference_lp_input(law, kind, basis)
+    key = "A_ub"
+    if kind == "l1":  # the box dual: the free columns' even rows, transposed; |u| <= cost
+        key, k = "A_eq", int(np.isneginf(bounds[:, 0]).sum())
+        cost, A, b, bounds = -b[0::2], A[0::2, :k].T, np.zeros(k), np.c_[-cost[k:], cost[k:]]
     np.testing.assert_array_equal(seen["c"], cost)
-    assert seen["A_ub"].shape == A.shape
-    np.testing.assert_array_equal(seen["A_ub"], A)
-    np.testing.assert_array_equal(seen["b_ub"], b)
+    assert seen[key].shape == A.shape
+    np.testing.assert_array_equal(seen[key], A)
+    np.testing.assert_array_equal(seen["b" + key[1:]], b)
     np.testing.assert_array_equal(seen["bounds"], bounds)
     assert seen["method"] == "highs"
 
@@ -513,8 +538,11 @@ def test_sharp2_family_split_over_the_row_budget(monkeypatch):
     monkeypatch.setattr(oracles, "_LP_BATCH_ROWS", 64)
     calls = _linprog_spy(monkeypatch)
     split = sharp_constant_examples(range(2, 11))
-    # support m has 2 m^2 rows: m = 2, 3, 4 share a call, and each m >= 5 is alone
-    assert [call["A_ub"].shape[0] for call in calls] == [8 + 18 + 32, 50, 72, 98, 128, 162, 200]
+    # support m has 2 m^2 primal rows, so m^2 dual variables and m - 1 equality rows:
+    # m = 2, 3, 4 share a call, and each m >= 5 is alone
+    assert [2 * call["A_eq"].shape[1] for call in calls] == [8 + 18 + 32, 50, 72, 98, 128, 162,
+                                                             200]
+    assert [call["A_eq"].shape[0] for call in calls] == [1 + 2 + 3, 4, 5, 6, 7, 8, 9]
     for a, b in zip(whole, split):
         assert [c.name for c in a.checks] == [c.name for c in b.checks]
         np.testing.assert_allclose([c.value for c in b.checks], [c.value for c in a.checks],
@@ -523,21 +551,22 @@ def test_sharp2_family_split_over_the_row_budget(monkeypatch):
 
 
 def test_lp_certificate_same_for_sparse_and_dense(monkeypatch):
-    calls = _linprog_spy(monkeypatch)
+    calls = _certified_spy(monkeypatch)
     l1_center_lp(oracles._l1_three_point_law(16), basis=oracles._plane_basis(16))
     seen = calls[-1]
-    A, res = seen["A_ub"], seen["res"]
-    n_free = int(np.isneginf(seen["bounds"][:, 0]).sum())
-    args = (seen["b_ub"], n_free, res.x, float(res.fun), res.ineqlin.marginals,
-            res.lower.marginals)
+    A = seen["A"]
+    args = (seen["b"], int(seen["free"].sum()), seen["x"], *seen["values"], seen["y"],
+            seen["lam"])
     assert lp_certificate(seen["c"], A, *args) == lp_certificate(seen["c"], A.toarray(), *args)
 
 
 def _stacked_calls(monkeypatch, solve) -> list:
     """Run solve(); return, per linprog call, its captured arguments and result (res) with
-    the parts (c, (values, rows, cols), b, k) of the LPs it stacked, under "blocks", and
-    what _center_lps returned for them, under "out"."""
-    calls, parts, outs = _linprog_spy(monkeypatch), [], []
+    the stacked primal and solution that _certificates checked, under "certified", the parts
+    (c, (values, rows, cols), b, k) of the LPs it stacked, under "blocks", and what
+    _center_lps returned for them, under "out"."""
+    calls, certified = _linprog_spy(monkeypatch), _certified_spy(monkeypatch)
+    parts, outs = [], []
     lp_parts, center_lps = oracles._center_lp_parts, oracles._center_lps
 
     def parts_spy(*args):
@@ -550,13 +579,14 @@ def _stacked_calls(monkeypatch, solve) -> list:
     monkeypatch.setattr(oracles, "_center_lp_parts", parts_spy)
     monkeypatch.setattr(oracles, "_center_lps", lps_spy)
     solve()
-    for call in calls:
-        n_rows, call["blocks"], call["out"] = 0, [], []
-        while n_rows < call["A_ub"].shape[0]:
+    assert len(certified) == len(calls)
+    for call, seen in zip(calls, certified):
+        n_rows, call["certified"], call["blocks"], call["out"] = 0, seen, [], []
+        while n_rows < seen["A"].shape[0]:
             call["blocks"].append(parts.pop(0))
             call["out"].append(outs.pop(0))
             n_rows += call["blocks"][-1][2].size
-        assert n_rows == call["A_ub"].shape[0]
+        assert n_rows == seen["A"].shape[0]
     assert not parts and not outs
     return calls
 
@@ -574,15 +604,25 @@ def test_each_stacked_certificate_is_its_blocks_own(monkeypatch, batch_rows):
     calls = _stacked_calls(monkeypatch, _all_center_lps)
     # at 64 rows each l1 LP (96 rows) and each sharp2 m >= 5 goes alone
     assert len(calls) == (3 if batch_rows is None else 1 + 2 + 7)
+    # c0's l-infinity LP alone is solved in primal form, the l1 family by its box dual
+    assert ["A_ub" in call for call in calls] == [True] + [False] * (len(calls) - 1)
     for call in calls:
-        res, x0, y0 = call["res"], 0, 0
+        res, seen, x0, y0 = call["res"], call["certified"], 0, 0
+        if "A_ub" in call:  # HiGHS's own primal point and duals are certified
+            for got, want in zip((seen["x"], seen["y"], seen["lam"]),
+                                 (res.x, res.ineqlin.marginals, res.lower.marginals)):
+                np.testing.assert_array_equal(got, want)
+        else:  # centers from the equality marginals, row duals from the dual point u
+            np.testing.assert_array_equal(seen["x"][seen["free"]], -res.eqlin.marginals)
+            np.testing.assert_array_equal(seen["y"][0::2] - seen["y"][1::2], res.x)
         for (c, (vals, rows, cols), b, k), (point, value, cert) in zip(call["blocks"],
                                                                      call["out"]):
             A = np.zeros((b.size, c.size))
             A[rows, cols] = vals
-            x, y = res.x[x0:x0 + c.size], res.ineqlin.marginals[y0:y0 + b.size]
-            lam = res.lower.marginals[x0:x0 + c.size]
-            assert value == (float(res.fun) if len(call["blocks"]) == 1 else float(c @ x))
+            x, y = seen["x"][x0:x0 + c.size], seen["y"][y0:y0 + b.size]
+            lam = seen["lam"][x0:x0 + c.size]
+            lone_primal = len(call["blocks"]) == 1 and "A_ub" in call
+            assert value == (float(res.fun) if lone_primal else float(c @ x))
             np.testing.assert_array_equal(point, x[:k])
             assert cert == lp_certificate(c, A, b, k, x, value, y, lam) <= 1e-12
             x0, y0 = x0 + c.size, y0 + b.size
@@ -594,13 +634,56 @@ def test_stacked_a_ub_is_block_diag_of_the_blocks(monkeypatch, batch_rows):
     if batch_rows is not None:
         monkeypatch.setattr(oracles, "_LP_BATCH_ROWS", batch_rows)
     for call in _stacked_calls(monkeypatch, _all_center_lps):
-        A = call["A_ub"]
+        A = call["certified"]["A"]  # the stacked primal that certifies the call
         want = block_diag([csc_array((vals, (rows, cols)), shape=(b.size, c.size))
                            for c, (vals, rows, cols), b, _ in call["blocks"]], "csc")
         assert A.format == "csc" and A.shape == want.shape
         assert np.count_nonzero(A.data) == A.nnz
         for a, w in ((A.indptr, want.indptr), (A.indices, want.indices), (A.data, want.data)):
             np.testing.assert_array_equal(a, w)
+        if "A_ub" in call:
+            assert call["A_ub"] is A
+        else:  # the box dual's A_eq: the free columns' even rows, transposed
+            np.testing.assert_array_equal(call["A_eq"].toarray(),
+                                          want.toarray()[0::2, call["certified"]["free"]].T)
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       k_atoms=st.integers(min_value=2, max_value=6),
+       dim=st.integers(min_value=2, max_value=5), data=st.data())
+def test_box_dual_matches_the_primal_on_random_bases(seed, k_atoms, dim, data):
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+    g = np.random.default_rng(seed)
+    law = _random_law(g, k_atoms, dim)
+    if law is None:
+        return
+    B = g.normal(size=(dim, data.draw(st.integers(min_value=1, max_value=dim))))
+    s, value, cert = l1_center_lp(law, basis=B)
+    c, (vals, rows, cols), b, k = oracles._center_lp_parts(*oracles._l1_problem(law, B))
+    bounds = np.c_[np.where(np.arange(c.size) < k, -np.inf, 0.0), np.full(c.size, np.inf)]
+    primal = linprog(c, A_ub=csc_array((vals, (rows, cols)), shape=(b.size, c.size)), b_ub=b,
+                     bounds=bounds, method="highs")
+    assert primal.success
+    assert value == pytest.approx(primal.fun, abs=1e-9)
+    assert law.mean_norm_to(B @ s, "l1") == pytest.approx(value, abs=1e-12)
+    assert cert <= 1e-12
+
+
+@pytest.mark.parametrize("solve, message", [(l1_center_lp, "l1 center LP failed"),
+                                            (linf_center_lp, "l-infinity center LP failed")],
+                         ids=["l1", "linf"])
+def test_failed_lp_raises_naming_its_family(monkeypatch, solve, message):
+    import scipy.optimize
+    calls = []
+
+    def failed(c, **kw):
+        calls.append(kw)
+        return scipy.optimize.OptimizeResult(success=False, message="stub failure")
+    monkeypatch.setattr(scipy.optimize, "linprog", failed)
+    with pytest.raises(OracleError, match=f"^{message}: stub failure$"):
+        solve(AtomicLaw(atoms=np.eye(3), probs=default_probs(3)))
+    assert len(calls) == 1 and ("A_eq" in calls[0]) == message.startswith("l1")
 
 
 def test_sharp2_lp_memory_is_quadratic_in_m():
