@@ -24,7 +24,7 @@ inputs: at r = p, at r < p, where no stationarity.json is written, and on a
 codebook holding a constant atom, whose Hoelder flags holder.json writes as null.  Two
 run `fquant bounds` (BOUNDS_OPS) at d = 2, under norm = lp and norm = sup.  One
 runs `fquant oracle sharp2 --m 20` (ORACLE_OPS): its LP family has 5 738 primal rows,
-more than one stacked linprog call takes, so its LPs are solved in two calls.  It
+more than one stacked HiGHS call takes, so its LPs are solved in two calls.  It
 compares the two output directories file by file, byte for byte; manifest.json
 is compared without its `created` stamp.
 Prints one line per difference and a summary, and exits 1 on any difference.

@@ -4,11 +4,12 @@ Each oracle reconstructs a sequence-space or C([0,1]) construction with a
 known best value, evaluates it by independent routes (closed forms / vertex
 enumeration / coordinate medians / linear programming), and reports named
 checks that the CLI aggregates into a manifest.  The LPs are solved in block-diagonal
-batches: per HiGHS call, one sparse build and one numpy pass that checks each LP's
-duality certificate outside the solver.  The l1 center LPs go to HiGHS as their box-
-bounded duals, and their primal optimality triples are recovered from that solve; only
-the l-infinity LP is solved in primal form.  scipy is imported only when an LP runs, and
-the CLI imports this module only for `fquant oracle`.
+batches: per HiGHS call, one sparse build, handed to HiGHS as is (not through scipy's
+linprog), and one numpy pass that checks each LP's duality certificate outside the
+solver.  The l1 center LPs go to HiGHS as their box-bounded duals, and their primal
+optimality triples are recovered from that solve; only the l-infinity LP is solved in
+primal form.  scipy is imported only when an LP runs, and the CLI imports this module
+only for `fquant oracle`.
 """
 
 from __future__ import annotations
@@ -167,12 +168,33 @@ def _center_lp_parts(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cos
     return np.concatenate([np.zeros(P.shape[1]), slack_cost]), A, b, P.shape[1]
 
 
-def _linprog(what: str, c: np.ndarray, **constraints):
-    from scipy.optimize import linprog
-    res = linprog(c, **constraints, method="highs")
-    if not res.success:
-        raise OracleError(f"{what} center LP failed: {res.message}")
-    return res
+def _highs(what: str, c, A, row_lower, row_upper, bounds, lower_duals: bool = False):
+    """min c.x s.t. row_lower <= A x <= row_upper, bounds[:, 0] <= x <= bounds[:, 1] (A a
+    csc_array) on one fresh HiGHS, with the model and the options linprog(method="highs")
+    passes: (x, row duals, the lower-bound duals if lower_duals else None, objective)."""
+    from scipy.optimize._highspy import _core as hs
+    lp = hs.HighsLp()
+    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+    lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, bounds[:, 0], bounds[:, 1]
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    options = hs.HighsOptions()
+    options.presolve, options.highs_debug_level = "on", hs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs, error = hs._Highs(), hs.HighsStatus.kError
+    loaded = highs.passOptions(options) != error and highs.passModel(lp) != error
+    ran = loaded and highs.run() != error
+    status = highs.getModelStatus() if loaded else hs.HighsModelStatus.kModelError
+    if not ran or status != hs.HighsModelStatus.kOptimal:
+        raise OracleError(f"{what} center LP failed: {highs.modelStatusToString(status)}")
+    solution, lam = highs.getSolution(), None
+    if lower_duals:  # a column's dual is its lower bound's only when it sits at kLower
+        col_status = np.asarray(highs.getBasis().col_status, dtype=np.int8)
+        lam = np.where(col_status == int(hs.HighsBasisStatus.kLower), solution.col_dual, 0.0)
+    return (np.array(solution.col_value), np.array(solution.row_dual), lam,
+            highs.getInfo().objective_function_value)
 
 
 def _box_dual_solution(c, b, free, vals, rows, cols, what: str):
@@ -189,12 +211,13 @@ def _box_dual_solution(c, b, free, vals, rows, cols, what: str):
     A_eq = csc_array((vals[on_free], ((np.cumsum(free) - 1)[cols[on_free]], rows[on_free] // 2)),
                      shape=(np.count_nonzero(free), slack_of.size))
     cost, v = c[slack_of], b[0::2]
-    res = _linprog(what, -v, A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]), bounds=np.c_[-cost, cost])
+    zero = np.zeros(A_eq.shape[0])
+    u, marginals, _, _ = _highs(what, -v, A_eq, zero, zero, np.c_[-cost, cost])
     x, lam = np.zeros(c.size), np.zeros(c.size)
-    x[free] = -res.eqlin.marginals
+    x[free] = -marginals
     x[slack_of] = np.abs(v - A_eq.T @ x[free])
-    lam[slack_of] = cost - np.abs(res.x)
-    return x, np.minimum(np.c_[res.x, -res.x], 0.0).ravel(), lam
+    lam[slack_of] = cost - np.abs(u)
+    return x, np.minimum(np.c_[u, -u], 0.0).ravel(), lam
 
 
 def _solve_stacked(lps: list, what: str) -> list[tuple[np.ndarray, float, float]]:
@@ -211,8 +234,7 @@ def _solve_stacked(lps: list, what: str) -> list[tuple[np.ndarray, float, float]
         x, y, lam = _box_dual_solution(c, b, free, vals, rows, cols, what)
     else:
         bounds = np.c_[np.where(free, -np.inf, 0.0), np.full(len(c), np.inf)]
-        res = _linprog(what, c, A_ub=A, b_ub=b, bounds=bounds)
-        x, y, lam, fun = res.x, res.ineqlin.marginals, res.lower.marginals, float(res.fun)
+        x, y, lam, fun = _highs(what, c, A, np.full(b.size, -np.inf), b, bounds, lower_duals=True)
     values = [fun] if fun is not None and len(lps) == 1 else [
         float(c_i @ x[i:j]) for c_i, i, j in zip(cs, x_at, x_at[1:])]
     certs = _certificates(c, A, b, free, x, y, lam, values, x_at, y_at)
@@ -222,7 +244,7 @@ def _solve_stacked(lps: list, what: str) -> list[tuple[np.ndarray, float, float]
 def _center_lps(problems, what: str) -> list[tuple[np.ndarray, float, float]]:
     """(x, value, certificate residual) of each center LP (law, P, slack, slack_cost) in
     problems (see _center_lp_parts, lp_certificate).  Consecutive LPs are stacked block-
-    diagonally into linprog calls of at most _LP_BATCH_ROWS primal rows, or of one larger
+    diagonally into HiGHS calls (_highs) of at most _LP_BATCH_ROWS primal rows, or of one larger
     LP; a batch whose slacks carry one term each (the l1 family) is solved as its box dual
     (_box_dual_solution).  A lone l-infinity LP's value is HiGHS's objective, every other
     LP's c . x of its own block."""

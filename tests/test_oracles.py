@@ -379,32 +379,34 @@ def test_center_lps_certify_on_random_laws(seed, k, dim):
     assert v_l1 == pytest.approx(coordinate_median_minimize(law)[1], abs=1e-9)
 
 
-def _linprog_spy(monkeypatch) -> list:
-    """Record each linprog call's arguments (c, A_ub, b_ub, bounds, method) and result
-    (res) in the returned list.  The LP imports linprog from scipy.optimize on each
-    call, so the spy replaces it there."""
-    import scipy.optimize
+def _highs_spy(monkeypatch) -> list:
+    """Record each HiGHS call's arguments (what, c, A, row_lower, row_upper, bounds,
+    lower_duals) and result (x, row_dual, lam, fun) in the returned list, and under
+    "primal" whether its rows are all "A x <= row_upper" (c0's l-infinity primal) rather
+    than equalities (an l1 box dual)."""
     calls = []
+    highs = oracles._highs
 
-    def spy(c, **kw):
-        calls.append(dict(c=c, res=linprog(c, **kw), **kw))
-        return calls[-1]["res"]
+    def spy(what, c, A, row_lower, row_upper, bounds, lower_duals=False):
+        out = highs(what, c, A, row_lower, row_upper, bounds, lower_duals)
+        calls.append(dict(what=what, c=c, A=A, row_lower=row_lower, row_upper=row_upper,
+                          bounds=bounds, lower_duals=lower_duals,
+                          primal=bool(np.isneginf(row_lower).all()),
+                          **dict(zip(("x", "row_dual", "lam", "fun"), out))))
+        return out
 
-    linprog = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    monkeypatch.setattr(oracles, "_highs", spy)
     return calls
 
 
 def _captured_lp(monkeypatch, solve) -> dict:
-    """Run solve() and return the last linprog call's arguments, with its constraint matrix
-    (A_ub, or A_eq for a box dual) dense, and its result (res).  The sparse matrix must
-    store no explicit zero."""
-    calls = _linprog_spy(monkeypatch)
+    """Run solve() and return the last HiGHS call's arguments, with its constraint matrix
+    A dense, and its result.  The sparse matrix must store no explicit zero."""
+    calls = _highs_spy(monkeypatch)
     solve()
     seen = dict(calls[-1])
-    key = "A_ub" if "A_ub" in seen else "A_eq"
-    assert np.count_nonzero(seen[key].data) == seen[key].nnz
-    seen[key] = seen[key].toarray()
+    assert np.count_nonzero(seen["A"].data) == seen["A"].nnz
+    seen["A"] = seen["A"].toarray()
     return seen
 
 
@@ -510,20 +512,22 @@ def test_center_lp_input_matches_loop_builder(monkeypatch, kind, with_basis):
     seen = _captured_lp(monkeypatch, lambda: linf_center_lp(law) if kind == "linf"
                         else l1_center_lp(law, basis=basis))
     cost, A, b, bounds = _reference_lp_input(law, kind, basis)
-    key = "A_ub"
+    row_lower = np.full(b.size, -np.inf)  # A_ub x <= b_ub
     if kind == "l1":  # the box dual: the free columns' even rows, transposed; |u| <= cost
-        key, k = "A_eq", int(np.isneginf(bounds[:, 0]).sum())
+        k = int(np.isneginf(bounds[:, 0]).sum())
         cost, A, b, bounds = -b[0::2], A[0::2, :k].T, np.zeros(k), np.c_[-cost[k:], cost[k:]]
+        row_lower = b  # A_eq x == b_eq
     np.testing.assert_array_equal(seen["c"], cost)
-    assert seen[key].shape == A.shape
-    np.testing.assert_array_equal(seen[key], A)
-    np.testing.assert_array_equal(seen["b" + key[1:]], b)
+    assert seen["A"].shape == A.shape
+    np.testing.assert_array_equal(seen["A"], A)
+    np.testing.assert_array_equal(seen["row_upper"], b)
+    np.testing.assert_array_equal(seen["row_lower"], row_lower)
     np.testing.assert_array_equal(seen["bounds"], bounds)
-    assert seen["method"] == "highs"
+    assert seen["primal"] == seen["lower_duals"] == (kind == "linf")
 
 
-def test_sharp2_family_is_one_linprog_call(monkeypatch):
-    calls = _linprog_spy(monkeypatch)
+def test_sharp2_family_is_one_highs_call(monkeypatch):
+    calls = _highs_spy(monkeypatch)
     family = sharp_constant_examples(range(2, 11))
     assert len(calls) == 1
     monkeypatch.undo()
@@ -536,13 +540,14 @@ def test_sharp2_family_is_one_linprog_call(monkeypatch):
 def test_sharp2_family_split_over_the_row_budget(monkeypatch):
     whole = sharp_constant_examples(range(2, 11))
     monkeypatch.setattr(oracles, "_LP_BATCH_ROWS", 64)
-    calls = _linprog_spy(monkeypatch)
+    calls = _highs_spy(monkeypatch)
     split = sharp_constant_examples(range(2, 11))
     # support m has 2 m^2 primal rows, so m^2 dual variables and m - 1 equality rows:
     # m = 2, 3, 4 share a call, and each m >= 5 is alone
-    assert [2 * call["A_eq"].shape[1] for call in calls] == [8 + 18 + 32, 50, 72, 98, 128, 162,
-                                                             200]
-    assert [call["A_eq"].shape[0] for call in calls] == [1 + 2 + 3, 4, 5, 6, 7, 8, 9]
+    assert not any(call["primal"] for call in calls)
+    assert [2 * call["A"].shape[1] for call in calls] == [8 + 18 + 32, 50, 72, 98, 128, 162,
+                                                          200]
+    assert [call["A"].shape[0] for call in calls] == [1 + 2 + 3, 4, 5, 6, 7, 8, 9]
     for a, b in zip(whole, split):
         assert [c.name for c in a.checks] == [c.name for c in b.checks]
         np.testing.assert_allclose([c.value for c in b.checks], [c.value for c in a.checks],
@@ -561,11 +566,11 @@ def test_lp_certificate_same_for_sparse_and_dense(monkeypatch):
 
 
 def _stacked_calls(monkeypatch, solve) -> list:
-    """Run solve(); return, per linprog call, its captured arguments and result (res) with
+    """Run solve(); return, per HiGHS call, its captured arguments and result (_highs_spy) with
     the stacked primal and solution that _certificates checked, under "certified", the parts
     (c, (values, rows, cols), b, k) of the LPs it stacked, under "blocks", and what
     _center_lps returned for them, under "out"."""
-    calls, certified = _linprog_spy(monkeypatch), _certified_spy(monkeypatch)
+    calls, certified = _highs_spy(monkeypatch), _certified_spy(monkeypatch)
     parts, outs = [], []
     lp_parts, center_lps = oracles._center_lp_parts, oracles._center_lps
 
@@ -605,24 +610,24 @@ def test_each_stacked_certificate_is_its_blocks_own(monkeypatch, batch_rows):
     # at 64 rows each l1 LP (96 rows) and each sharp2 m >= 5 goes alone
     assert len(calls) == (3 if batch_rows is None else 1 + 2 + 7)
     # c0's l-infinity LP alone is solved in primal form, the l1 family by its box dual
-    assert ["A_ub" in call for call in calls] == [True] + [False] * (len(calls) - 1)
+    assert [call["primal"] for call in calls] == [True] + [False] * (len(calls) - 1)
     for call in calls:
-        res, seen, x0, y0 = call["res"], call["certified"], 0, 0
-        if "A_ub" in call:  # HiGHS's own primal point and duals are certified
+        seen, x0, y0 = call["certified"], 0, 0
+        if call["primal"]:  # HiGHS's own primal point and duals are certified
             for got, want in zip((seen["x"], seen["y"], seen["lam"]),
-                                 (res.x, res.ineqlin.marginals, res.lower.marginals)):
+                                 (call["x"], call["row_dual"], call["lam"])):
                 np.testing.assert_array_equal(got, want)
         else:  # centers from the equality marginals, row duals from the dual point u
-            np.testing.assert_array_equal(seen["x"][seen["free"]], -res.eqlin.marginals)
-            np.testing.assert_array_equal(seen["y"][0::2] - seen["y"][1::2], res.x)
+            np.testing.assert_array_equal(seen["x"][seen["free"]], -call["row_dual"])
+            np.testing.assert_array_equal(seen["y"][0::2] - seen["y"][1::2], call["x"])
         for (c, (vals, rows, cols), b, k), (point, value, cert) in zip(call["blocks"],
                                                                      call["out"]):
             A = np.zeros((b.size, c.size))
             A[rows, cols] = vals
             x, y = seen["x"][x0:x0 + c.size], seen["y"][y0:y0 + b.size]
             lam = seen["lam"][x0:x0 + c.size]
-            lone_primal = len(call["blocks"]) == 1 and "A_ub" in call
-            assert value == (float(res.fun) if lone_primal else float(c @ x))
+            lone_primal = len(call["blocks"]) == 1 and call["primal"]
+            assert value == (call["fun"] if lone_primal else float(c @ x))
             np.testing.assert_array_equal(point, x[:k])
             assert cert == lp_certificate(c, A, b, k, x, value, y, lam) <= 1e-12
             x0, y0 = x0 + c.size, y0 + b.size
@@ -641,10 +646,10 @@ def test_stacked_a_ub_is_block_diag_of_the_blocks(monkeypatch, batch_rows):
         assert np.count_nonzero(A.data) == A.nnz
         for a, w in ((A.indptr, want.indptr), (A.indices, want.indices), (A.data, want.data)):
             np.testing.assert_array_equal(a, w)
-        if "A_ub" in call:
-            assert call["A_ub"] is A
+        if call["primal"]:
+            assert call["A"] is A
         else:  # the box dual's A_eq: the free columns' even rows, transposed
-            np.testing.assert_array_equal(call["A_eq"].toarray(),
+            np.testing.assert_array_equal(call["A"].toarray(),
                                           want.toarray()[0::2, call["certified"]["free"]].T)
 
 
@@ -659,7 +664,11 @@ def test_box_dual_matches_the_primal_on_random_bases(seed, k_atoms, dim, data):
     if law is None:
         return
     B = g.normal(size=(dim, data.draw(st.integers(min_value=1, max_value=dim))))
-    s, value, cert = l1_center_lp(law, basis=B)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _highs_spy(monkeypatch)
+        s, value, cert = l1_center_lp(law, basis=B)
+    (call,) = calls
+    _assert_same_as_linprog(call)
     c, (vals, rows, cols), b, k = oracles._center_lp_parts(*oracles._l1_problem(law, B))
     bounds = np.c_[np.where(np.arange(c.size) < k, -np.inf, 0.0), np.full(c.size, np.inf)]
     primal = linprog(c, A_ub=csc_array((vals, (rows, cols)), shape=(b.size, c.size)), b_ub=b,
@@ -674,16 +683,75 @@ def test_box_dual_matches_the_primal_on_random_bases(seed, k_atoms, dim, data):
                                             (linf_center_lp, "l-infinity center LP failed")],
                          ids=["l1", "linf"])
 def test_failed_lp_raises_naming_its_family(monkeypatch, solve, message):
-    import scipy.optimize
+    from scipy.optimize._highspy import _core
     calls = []
 
-    def failed(c, **kw):
-        calls.append(kw)
-        return scipy.optimize.OptimizeResult(success=False, message="stub failure")
-    monkeypatch.setattr(scipy.optimize, "linprog", failed)
+    class Failed(_core._Highs):  # solves, then reports a failed run
+        def run(self):
+            lp = self.getLp()
+            calls.append(dict(A_eq=np.array_equal(lp.row_lower_, lp.row_upper_)))
+            super().run()
+            return _core.HighsStatus.kError
+
+        def modelStatusToString(self, status):
+            return "stub failure"
+    monkeypatch.setattr(_core, "_Highs", Failed)
     with pytest.raises(OracleError, match=f"^{message}: stub failure$"):
         solve(AtomicLaw(atoms=np.eye(3), probs=default_probs(3)))
-    assert len(calls) == 1 and ("A_eq" in calls[0]) == message.startswith("l1")
+    assert len(calls) == 1 and calls[0]["A_eq"] == message.startswith("l1")
+
+
+@pytest.mark.parametrize("what", ["l1", "l-infinity"])
+@pytest.mark.parametrize("case, status", [("unbounded", "kUnbounded"),
+                                          ("infeasible", "kInfeasible")])
+def test_highs_failure_names_the_model_status(what, case, status):
+    from scipy.optimize._highspy import _core
+    from scipy.sparse import csc_array
+    if case == "unbounded":  # one free column of cost -1 and no rows
+        lp = (np.array([-1.0]), csc_array((0, 1)), np.zeros(0), np.zeros(0),
+              np.array([[-np.inf, np.inf]]))
+    else:  # x >= 0 and x <= -1
+        lp = (np.array([1.0]), csc_array(np.ones((1, 1))), np.array([-np.inf]),
+              np.array([-1.0]), np.array([[0.0, np.inf]]))
+    name = _core._Highs().modelStatusToString(getattr(_core.HighsModelStatus, status))
+    for lower_duals in (False, True):
+        with pytest.raises(OracleError) as failed:
+            oracles._highs(what, *lp, lower_duals)
+        assert str(failed.value) == f"{what} center LP failed: {name}"
+
+
+def _assert_same_as_linprog(call):
+    """The HiGHS call's x, row duals (linprog's eqlin or ineqlin marginals), lower-bound
+    duals and objective equal linprog(method="highs")'s on the same LP, bit for bit."""
+    from scipy.optimize import linprog
+    if call["primal"]:
+        res = linprog(call["c"], A_ub=call["A"], b_ub=call["row_upper"], bounds=call["bounds"],
+                      method="highs")
+        marginals, lower = res.ineqlin.marginals, res.lower.marginals
+    else:
+        np.testing.assert_array_equal(call["row_lower"], call["row_upper"])
+        res = linprog(call["c"], A_eq=call["A"], b_eq=call["row_upper"], bounds=call["bounds"],
+                      method="highs")
+        marginals, lower = res.eqlin.marginals, None
+    assert res.success
+    if lower is None:
+        assert call["lam"] is None
+    for got, want in ((call["x"], res.x), (call["row_dual"], marginals), (call["lam"], lower),
+                      (call["fun"], res.fun)):
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+            _assert_same_bits(np.asarray(got), np.asarray(want))  # -0.0 too
+
+
+@pytest.mark.parametrize("batch_rows", [None, 64], ids=["oracle_all", "split"])
+def test_highs_matches_linprog_bit_for_bit(monkeypatch, batch_rows):
+    if batch_rows is not None:
+        monkeypatch.setattr(oracles, "_LP_BATCH_ROWS", batch_rows)
+    calls = _highs_spy(monkeypatch)
+    _all_center_lps()
+    assert len(calls) == (3 if batch_rows is None else 1 + 2 + 7)
+    for call in calls:
+        _assert_same_as_linprog(call)
 
 
 def test_sharp2_lp_memory_is_quadratic_in_m():
