@@ -4,17 +4,21 @@ Each oracle reconstructs a sequence-space or C([0,1]) construction with a
 known best value, evaluates it by independent routes (closed forms / vertex
 enumeration / coordinate medians / linear programming), and reports named
 checks that the CLI aggregates into a manifest.  The LPs are solved in block-diagonal
-batches: per HiGHS call, one sparse build, handed to HiGHS as is (not through scipy's
-linprog), and one numpy pass that checks each LP's duality certificate outside the
-solver.  The l1 center LPs go to HiGHS as their box-bounded duals, and their primal
-optimality triples are recovered from that solve; only the l-infinity LP is solved in
-primal form.  scipy is imported only when an LP runs, and the CLI imports this module
-only for `fquant oracle`.
+batches: per HiGHS call, one sparse build in numpy, handed to HiGHS as is, and one numpy
+pass that checks each LP's duality certificate outside the solver.  The l1 center LPs go
+to HiGHS as their box-bounded duals, and their primal optimality triples are recovered from
+that solve; only the l-infinity LP is solved in primal form.  An LP loads one scipy module,
+HiGHS's binding scipy.optimize._highspy._core; the CLI imports this module only for
+`fquant oracle`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,7 +124,7 @@ def coordinate_median_minimize(law: AtomicLaw) -> tuple[np.ndarray, float]:
 def lp_certificate(c: np.ndarray, A_ub, b_ub: np.ndarray, n_free: int,
                    x: np.ndarray, value: float, y: np.ndarray, lam: np.ndarray) -> float:
     """Largest residual of an optimality certificate for min c.x s.t. A_ub x <= b_ub,
-    x_i >= 0 for i >= n_free (the first n_free variables are free; A_ub dense or sparse).
+    x_i >= 0 for i >= n_free (the first n_free variables are free; A_ub dense, or a _Csc).
 
     Checks, in numpy and without trusting the solver that produced them, the
     primal point x, the reported optimal value, inequality duals y and
@@ -168,11 +172,39 @@ def _center_lp_parts(law: AtomicLaw, P: np.ndarray, slack: np.ndarray, slack_cos
     return np.concatenate([np.zeros(P.shape[1]), slack_cost]), A, b, P.shape[1]
 
 
+class _Csc(namedtuple("_Csc", "data indices indptr shape cols")):
+    """csc_array((vals, (rows, cols)), shape)'s arrays and each entry's column (_csc).  A @ x and
+    A.T @ y (no indptr) add terms in stored order from 0.0, as scipy's csc_ and csr_matvec do."""
+    T = property(lambda A: _Csc(A.data, A.cols, None, A.shape[::-1], A.indices))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.indices, self.data * x[self.cols], minlength=self.shape[0])
+
+
+def _csc(vals, rows, cols, shape) -> _Csc:
+    order = np.lexsort((rows, cols))  # by column, then row
+    indptr = np.searchsorted(cols[order], np.arange(shape[1] + 1))
+    return _Csc(vals[order], rows[order], indptr, shape, cols[order])
+
+
+def _highs_binding():
+    """HiGHS's binding, loaded once per process without running scipy.optimize's __init__."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        import scipy
+        where = scipy.__path__[0] + "/optimize/_highspy"
+        if (spec := importlib.machinery.PathFinder.find_spec(name, [where])) is None:
+            raise ImportError(f"no {name} in {where}", name=name)
+        spec.loader.exec_module(binding := importlib.util.module_from_spec(spec))
+        sys.modules[name] = binding
+    return sys.modules[name]
+
+
 def _highs(what: str, c, A, row_lower, row_upper, bounds, lower_duals: bool = False):
-    """min c.x s.t. row_lower <= A x <= row_upper, bounds[:, 0] <= x <= bounds[:, 1] (A a
-    csc_array) on one fresh HiGHS, with the model and the options linprog(method="highs")
-    passes: (x, row duals, the lower-bound duals if lower_duals else None, objective)."""
-    from scipy.optimize._highspy import _core as hs
+    """min c.x s.t. row_lower <= A x <= row_upper, bounds[:, 0] <= x <= bounds[:, 1] (A with
+    csc_array's data, indices, indptr, shape) on one fresh HiGHS, with the model and the options
+    linprog(method="highs") passes: (x, row duals, lower-bound duals if lower_duals, objective)."""
+    hs = _highs_binding()
     lp = hs.HighsLp()
     lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
     lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
@@ -203,13 +235,12 @@ def _box_dual_solution(c, b, free, vals, rows, cols, what: str):
     solve of its dual  min -v.u  s.t.  sum_t P_t^T u_t = 0,  |u_t| <= cost of t's slack
     (Barrodale and Roberts 1973): s = -(equality marginals), z = |v - P s|, y = min(u, 0)
     on row 2t and min(-u, 0) on row 2t + 1, lam = 0 on s and cost - |u| on z."""
-    from scipy.sparse import csc_array
     even = rows % 2 == 0
     on_free, on_slack = even & free[cols], even & ~free[cols]
     slack_of = np.empty(b.size // 2, dtype=np.intp)
     slack_of[rows[on_slack] // 2] = cols[on_slack]
-    A_eq = csc_array((vals[on_free], ((np.cumsum(free) - 1)[cols[on_free]], rows[on_free] // 2)),
-                     shape=(np.count_nonzero(free), slack_of.size))
+    A_eq = _csc(vals[on_free], (np.cumsum(free) - 1)[cols[on_free]], rows[on_free] // 2,
+                (np.count_nonzero(free), slack_of.size))
     cost, v = c[slack_of], b[0::2]
     zero = np.zeros(A_eq.shape[0])
     u, marginals, _, _ = _highs(what, -v, A_eq, zero, zero, np.c_[-cost, cost])
@@ -221,12 +252,11 @@ def _box_dual_solution(c, b, free, vals, rows, cols, what: str):
 
 
 def _solve_stacked(lps: list, what: str) -> list[tuple[np.ndarray, float, float]]:
-    from scipy.sparse import csc_array
     cs, As, bs, ks = zip(*lps)
     x_at, y_at = np.cumsum([0, *map(len, cs)]), np.cumsum([0, *map(len, bs)])
     vals, rows, cols = map(np.concatenate, zip(*[(v, r + y0, q + x0)
                                                  for (v, r, q), x0, y0 in zip(As, x_at, y_at)]))
-    A = csc_array((vals, (rows, cols)), shape=(y_at[-1], x_at[-1]))
+    A = _csc(vals, rows, cols, (y_at[-1], x_at[-1]))
     c, b = np.concatenate(cs), np.concatenate(bs)
     free = np.concatenate([np.arange(len(c_i)) < k for c_i, k in zip(cs, ks)])
     fun = None

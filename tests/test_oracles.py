@@ -399,14 +399,22 @@ def _highs_spy(monkeypatch) -> list:
     return calls
 
 
+def _csc_array(A):
+    """scipy's csc_array of the compressed-column matrix A (its data, indices, indptr, shape):
+    the oracles build theirs in numpy, so scipy.sparse appears only in the tests."""
+    from scipy.sparse import csc_array
+    return csc_array((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def _captured_lp(monkeypatch, solve) -> dict:
     """Run solve() and return the last HiGHS call's arguments, with its constraint matrix
     A dense, and its result.  The sparse matrix must store no explicit zero."""
     calls = _highs_spy(monkeypatch)
     solve()
     seen = dict(calls[-1])
-    assert np.count_nonzero(seen["A"].data) == seen["A"].nnz
-    seen["A"] = seen["A"].toarray()
+    A = _csc_array(seen["A"])
+    assert np.count_nonzero(A.data) == A.nnz
+    seen["A"] = A.toarray()
     return seen
 
 
@@ -426,16 +434,93 @@ def _certified_spy(monkeypatch) -> list:
 
 
 def test_first_lp_in_a_fresh_process_is_certified(fresh_python):
-    # the LP imports scipy on its first call; that call must solve and certify as any other
+    # the LP loads scipy's HiGHS binding on its first call; that call must solve and certify
+    # as any other.  A whole `oracle --all` loads neither the scipy.optimize package nor
+    # scipy.sparse, and a later import of scipy.optimize reuses the oracles' binding.
     out = fresh_python(
-        "import sys\n"
-        "from fquant import oracles\n"
+        "import contextlib, io, sys\n"
+        "from fquant import cli, oracles\n"
         "assert 'scipy' not in sys.modules\n"
         "_, value, cert = oracles.l1_center_lp(oracles._l1_three_point_law(16))\n"
-        "print(repr(value), repr(cert))\n")
-    value, cert = map(float, out.split())
+        "print(repr(value), repr(cert))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['oracle', '--all', '--m', '10', '--out', 'o'])\n"
+        "print(rc, sorted(m for m in sys.modules\n"
+        "                 if m == 'scipy.optimize' or m.split('.')[:2] == ['scipy', 'sparse']))\n"
+        "used = sys.modules['scipy.optimize._highspy._core']\n"
+        "import scipy.optimize\n"
+        "res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],\n"
+        "                             method='highs')\n"
+        "from scipy.optimize._highspy import _core\n"
+        "print(res.status, res.x.tolist(), _core is used is oracles._highs_binding())\n")
+    first, after_oracles, after_linprog = out.splitlines()
+    value, cert = map(float, first.split())
     assert cert <= 1e-12
     assert value == pytest.approx(l1_center_lp(oracles._l1_three_point_law(16))[1], abs=1e-12)
+    assert after_oracles == "0 []"
+    assert after_linprog == "0 [1.0, 0.0] True"
+
+
+def test_missing_highs_binding_raises_without_a_fallback(monkeypatch):
+    import importlib.machinery
+    import sys
+    name = "scipy.optimize._highspy._core"
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
+    with pytest.raises(ImportError, match=f"^no {name} in "):
+        oracles._highs_binding()
+    assert name not in sys.modules
+
+
+def _assert_csc_is_scipys(vals, rows, cols, shape, A, g):
+    """A = oracles._csc(vals, rows, cols, shape) holds scipy's csc_array of the triplets, with
+    its dtypes, and A @ x and A.T @ y are scipy's products bit for bit."""
+    from scipy.sparse import csc_array
+    assert np.unique(np.c_[rows, cols], axis=0).shape[0] == vals.size  # no (row, col) repeats
+    want = csc_array((vals, (rows, cols)), shape=shape)
+    assert A.shape == want.shape
+    for got, ref in ((A.indptr, want.indptr), (A.indices, want.indices), (A.data, want.data)):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+    x, y = g.normal(size=shape[1]), g.normal(size=shape[0])
+    x[::3], y[::3] = -0.0, 0.0  # a sum of signed zeros keeps scipy's sign too
+    _assert_same_bits(A @ x, want @ x)
+    _assert_same_bits(A.T @ y, want.T @ y)
+
+
+@pytest.mark.parametrize("batch_rows", [None, 64], ids=["default", "split"])
+@pytest.mark.parametrize("run", ["oracle_all_m10", "sharp2_m20"])
+def test_numpy_csc_is_scipys_on_every_batch(monkeypatch, run, batch_rows):
+    if batch_rows is not None:
+        monkeypatch.setattr(oracles, "_LP_BATCH_ROWS", batch_rows)
+    built, csc = [], oracles._csc
+
+    def spy(vals, rows, cols, shape):
+        built.append((vals, rows, cols, shape, csc(vals, rows, cols, shape)))
+        return built[-1][-1]
+    monkeypatch.setattr(oracles, "_csc", spy)
+    calls = _highs_spy(monkeypatch)
+    _all_center_lps() if run == "oracle_all_m10" else sharp_constant_examples(range(2, 21))
+    if batch_rows is None:
+        assert len(calls) == (3 if run == "oracle_all_m10" else 2)
+    # each batch builds its stacked primal; a box dual's A_eq is built next and goes to HiGHS
+    assert len(built) == len(calls) + sum(not call["primal"] for call in calls)
+    assert {id(call["A"]) for call in calls} <= {id(b[-1]) for b in built}
+    g = np.random.default_rng(5)
+    for args in built:
+        _assert_csc_is_scipys(*args, g)
+
+
+def test_numpy_csc_is_scipys_with_empty_rows_and_columns():
+    g = np.random.default_rng(3)
+    # unsorted triplets of a 5 x 6 matrix whose rows 1 and 4 and columns 0 and 5 are empty;
+    # rows 0, 2 and 3 and columns 1 and 3 hold three or four terms, so a sum out of order shows
+    rows = np.array([3, 0, 2, 0, 2, 3, 2, 0, 3, 3])
+    cols = np.array([4, 1, 1, 4, 3, 2, 2, 3, 1, 3])
+    vals = g.normal(size=rows.size)
+    A = oracles._csc(vals, rows, cols, (5, 6))
+    for _ in range(20):  # fresh x and y each time
+        _assert_csc_is_scipys(vals, rows, cols, (5, 6), A, g)
 
 
 @pytest.mark.parametrize("case", ["c0", "l1_plane", "l1_full", "sharp2_m5"])
@@ -453,7 +538,8 @@ def test_lp_certificate_rejects_perturbed_solutions(monkeypatch, case):
     calls = _certified_spy(monkeypatch)
     solve()
     seen = calls[-1]
-    c, A, b, n_free = seen["c"], seen["A"].toarray(), seen["b"], int(seen["free"].sum())
+    c, b, n_free = seen["c"], seen["b"], int(seen["free"].sum())
+    A = _csc_array(seen["A"]).toarray()
     x, y, lam, (value,) = seen["x"], seen["y"], seen["lam"], seen["values"]
     assert lp_certificate(c, A, b, n_free, x, value, y, lam) <= 1e-12
     shifted_center = x.copy()
@@ -562,7 +648,8 @@ def test_lp_certificate_same_for_sparse_and_dense(monkeypatch):
     A = seen["A"]
     args = (seen["b"], int(seen["free"].sum()), seen["x"], *seen["values"], seen["y"],
             seen["lam"])
-    assert lp_certificate(seen["c"], A, *args) == lp_certificate(seen["c"], A.toarray(), *args)
+    assert lp_certificate(seen["c"], A, *args) == lp_certificate(seen["c"],
+                                                                 _csc_array(A).toarray(), *args)
 
 
 def _stacked_calls(monkeypatch, solve) -> list:
@@ -639,7 +726,8 @@ def test_stacked_a_ub_is_block_diag_of_the_blocks(monkeypatch, batch_rows):
     if batch_rows is not None:
         monkeypatch.setattr(oracles, "_LP_BATCH_ROWS", batch_rows)
     for call in _stacked_calls(monkeypatch, _all_center_lps):
-        A = call["certified"]["A"]  # the stacked primal that certifies the call
+        stacked = call["certified"]["A"]  # the stacked primal that certifies the call
+        A = _csc_array(stacked)
         want = block_diag([csc_array((vals, (rows, cols)), shape=(b.size, c.size))
                            for c, (vals, rows, cols), b, _ in call["blocks"]], "csc")
         assert A.format == "csc" and A.shape == want.shape
@@ -647,9 +735,9 @@ def test_stacked_a_ub_is_block_diag_of_the_blocks(monkeypatch, batch_rows):
         for a, w in ((A.indptr, want.indptr), (A.indices, want.indices), (A.data, want.data)):
             np.testing.assert_array_equal(a, w)
         if call["primal"]:
-            assert call["A"] is A
+            assert call["A"] is stacked
         else:  # the box dual's A_eq: the free columns' even rows, transposed
-            np.testing.assert_array_equal(call["A"].toarray(),
+            np.testing.assert_array_equal(_csc_array(call["A"]).toarray(),
                                           want.toarray()[0::2, call["certified"]["free"]].T)
 
 
@@ -725,13 +813,13 @@ def _assert_same_as_linprog(call):
     duals and objective equal linprog(method="highs")'s on the same LP, bit for bit."""
     from scipy.optimize import linprog
     if call["primal"]:
-        res = linprog(call["c"], A_ub=call["A"], b_ub=call["row_upper"], bounds=call["bounds"],
-                      method="highs")
+        res = linprog(call["c"], A_ub=_csc_array(call["A"]), b_ub=call["row_upper"],
+                      bounds=call["bounds"], method="highs")
         marginals, lower = res.ineqlin.marginals, res.lower.marginals
     else:
         np.testing.assert_array_equal(call["row_lower"], call["row_upper"])
-        res = linprog(call["c"], A_eq=call["A"], b_eq=call["row_upper"], bounds=call["bounds"],
-                      method="highs")
+        res = linprog(call["c"], A_eq=_csc_array(call["A"]), b_eq=call["row_upper"],
+                      bounds=call["bounds"], method="highs")
         marginals, lower = res.eqlin.marginals, None
     assert res.success
     if lower is None:
